@@ -33,8 +33,8 @@ from .positive import (NumeraireAudit, OpportunityProcess, PositiveSolution,
 from .pricing import PriceResult, davis_price, indifference_price
 from .sweeps import (AuditReport, ConfigError, RateFit, SweepReport, SweepSpec,
                      audit_probabilistic_lemmas, fit_rate, load_config,
-                     report_csv, report_json, shipped_families, sweep_delta,
-                     sweep_p)
+                     make_claim, report_csv, report_json, shipped_families,
+                     sweep_delta, sweep_p)
 
 __version__ = "0.1.0"
 
@@ -61,7 +61,7 @@ __all__ = [
     "scaled_strategy_distance", "share_amounts", "solve_power_field",
     "PriceResult", "davis_price", "indifference_price",
     "AuditReport", "ConfigError", "RateFit", "SweepReport", "SweepSpec",
-    "audit_probabilistic_lemmas", "fit_rate", "load_config", "report_csv",
-    "report_json", "shipped_families", "sweep_delta", "sweep_p",
+    "audit_probabilistic_lemmas", "fit_rate", "load_config", "make_claim",
+    "report_csv", "report_json", "shipped_families", "sweep_delta", "sweep_p",
     "__version__",
 ]

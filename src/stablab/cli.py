@@ -19,8 +19,8 @@ from .market import TreeValidationError, build_tree
 from .positive import opportunity_process, solve_power_field
 from .pricing import davis_price, indifference_price
 from .sweeps import (ConfigError, SCHEMA_VERSION, audit_probabilistic_lemmas,
-                     load_config, report_csv, report_json, sweep_delta, sweep_p,
-                     _make_claim)
+                     load_config, make_claim, report_csv, report_json,
+                     sweep_delta, sweep_p)
 from .utilities import (UtilityField, make_exponential,
                         make_perturbed_exponential, make_perturbed_power,
                         make_power, make_power_family_member,
@@ -87,7 +87,7 @@ def _cmd_solve(args) -> int:
         raise ConfigError("solve config needs a 'market' entry")
     tree = build_tree(doc["market"])
     utility = _utility_from(doc.get("utility", {}))
-    B = _make_claim(tree, doc.get("claim", {"kind": "zero"}))
+    B = make_claim(tree, doc.get("claim", {"kind": "zero"}))
     x0 = float(doc.get("x0", 0.0))
     from .utilities import UtilityOnRPlus
     if isinstance(utility, UtilityOnRPlus):
@@ -141,7 +141,7 @@ def _cmd_price(args) -> int:
     from .utilities import UtilityOnRPlus
     if isinstance(utility, UtilityOnRPlus):
         raise ConfigError("pricing needs a real-line utility")
-    B = _make_claim(tree, doc.get("claim", {"kind": "call", "strike": 1.0}))
+    B = make_claim(tree, doc.get("claim", {"kind": "call", "strike": 1.0}))
     x0 = float(doc.get("x0", 0.0))
     tol = args.tol if args.tol is not None else float(doc.get("tol", 1e-9))
     sol = solve_primal(tree, utility, x0)

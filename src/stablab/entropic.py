@@ -21,7 +21,7 @@ from scipy.linalg import null_space
 from scipy.optimize import brentq, linprog
 
 from .market import (AdaptedProcess, Measure, ScenarioTree, Strategy,
-                     conditional_probs, martingale_residual)
+                     conditional_probs, martingale_residual, wealth_additive)
 from .utilities import UtilityOnR, rescale_to_unit_alpha
 
 __all__ = [
@@ -87,18 +87,8 @@ class OptimalityReport:
 
 
 def gains_matrix(tree: ScenarioTree) -> np.ndarray:
-    """(L, K*d) map from stacked non-terminal holdings to terminal gains."""
-    K = tree.nonterminal.shape[0]
-    d = tree.n_assets
-    col_of = {int(node): k for k, node in enumerate(tree.nonterminal)}
-    A = np.zeros((tree.n_leaves, K * d))
-    for leaf_k in range(tree.n_leaves):
-        for t in range(tree.horizon):
-            node = tree.paths[leaf_k, t]
-            child = tree.paths[leaf_k, t + 1]
-            c0 = col_of[int(node)] * d
-            A[leaf_k, c0:c0 + d] += tree.d_prices[child]
-    return A
+    """(L, K*d) map from stacked non-terminal holdings to terminal gains (cached, read-only)."""
+    return tree.gains
 
 
 def _interior_martingale_point(tree: ScenarioTree):
@@ -106,7 +96,7 @@ def _interior_martingale_point(tree: ScenarioTree):
 
     Returns (q, t) with q a martingale measure whose smallest leaf weight is
     maximal.  t <= 0 means the polytope has no interior, i.e. no equivalent
-    martingale measure exists.
+    martingale measure exists.  q is read-only.
     """
     A = gains_matrix(tree)
     L = tree.n_leaves
@@ -125,12 +115,16 @@ def _interior_martingale_point(tree: ScenarioTree):
                   bounds=[(0.0, 1.0)] * L + [(0.0, 1.0)], method="highs")
     if not res.success:
         return None, -1.0
+    res.x.flags.writeable = False
     return res.x[:L], float(res.x[-1])
 
 
 def assert_market_viable(tree: ScenarioTree) -> np.ndarray:
-    """Return an interior martingale measure, or raise NoMartingaleMeasure."""
-    q, t = _interior_martingale_point(tree)
+    """Return an interior martingale measure, or raise NoMartingaleMeasure.
+
+    The LP runs once per tree; its result, failure included, is kept on the tree.
+    """
+    q, t = tree.cached("interior_martingale_point", _interior_martingale_point)
     if q is None or t <= 1e-12:
         raise NoMartingaleMeasure(
             "tree admits no equivalent martingale measure (one-step arbitrage)")
@@ -227,7 +221,6 @@ def solve_primal(tree: ScenarioTree, utility: UtilityOnR, endowment=0.0, *,
     values = np.zeros((tree.n_nodes, d))
     values[tree.nonterminal] = h.reshape(K, d)
     strategy = Strategy(values, "shares")
-    from .market import wealth_additive
     wealth = wealth_additive(tree, strategy, 0.0)
     total = wealth.at_leaves(tree) + xi
     return PrimalSolution(strategy=strategy, wealth=wealth, value=float(P @ utility.value(total)),

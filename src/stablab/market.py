@@ -1,8 +1,10 @@
 """Finite scenario-tree markets.
 
 A market is a non-recombining event tree with an adapted price process on it.
-Nodes are stored in topological order (parents before children, root first),
-so every backward/forward pass is a single sweep over the node arrays.
+Node ids are topologically ordered (parents before children, root first) but
+need not be grouped by date, so the tree keeps a level layout (the node ids of
+each date) and forward passes take one array step per date.  Trees are
+immutable once built, so derived geometry is cached for a tree's lifetime.
 Probability measures live on the leaves; everything conditional is recovered
 by aggregating leaf weights up the tree.
 """
@@ -38,17 +40,21 @@ class ScenarioTree:
         (1.0 at the root)
     prices : (n, d) float array
     children : list of int arrays, children[i] are the child node ids of i
+    levels : list of int arrays, levels[t] are the node ids at date t, ascending
     leaves : int array of node ids at the terminal date
     paths : (L, T+1) int array, paths[k] is the node path from root to leaf k
     path_prob : (n,) float array, probability of reaching each node under the
         tree's own measure
+
+    Every array is read-only: a tree never changes after construction.
     """
 
     def __init__(self, parent, time, prob, prices):
-        parent = np.asarray(parent, dtype=np.int64)
-        time = np.asarray(time, dtype=np.int64)
-        prob = np.asarray(prob, dtype=float)
-        prices = np.asarray(prices, dtype=float)
+        # copies, so freezing them below never touches the caller's arrays
+        parent = np.array(parent, dtype=np.int64)
+        time = np.array(time, dtype=np.int64)
+        prob = np.array(prob, dtype=float)
+        prices = np.array(prices, dtype=float)
         if prices.ndim == 1:
             prices = prices[:, None]
         n = parent.shape[0]
@@ -71,12 +77,14 @@ class ScenarioTree:
         self.n_assets = prices.shape[1]
         self.horizon = int(time.max())
 
-        children = [[] for _ in range(n)]
-        for i in range(1, n):
-            children[parent[i]].append(i)
-        self.children = [np.asarray(c, dtype=np.int64) for c in children]
+        # a stable sort by parent lists each node's children in ascending id order
+        n_children = np.bincount(parent[1:], minlength=n)
+        self.children = np.split(np.argsort(parent[1:], kind="stable") + 1,
+                                 np.cumsum(n_children)[:-1])
+        self.levels = np.split(np.argsort(time, kind="stable"),
+                               np.cumsum(np.bincount(time))[:-1])
 
-        is_leaf = np.array([len(c) == 0 for c in self.children])
+        is_leaf = n_children == 0
         if np.any(is_leaf & (time != self.horizon)):
             raise TreeValidationError("every non-terminal node needs children")
         for i in range(n):
@@ -98,16 +106,14 @@ class ScenarioTree:
 
         # root-to-leaf node paths, one row per leaf
         paths = np.empty((self.n_leaves, self.horizon + 1), dtype=np.int64)
-        for k, leaf in enumerate(self.leaves):
-            node = leaf
-            for t in range(self.horizon, -1, -1):
-                paths[k, t] = node
-                node = parent[node]
+        paths[:, -1] = self.leaves
+        for t in range(self.horizon, 0, -1):
+            paths[:, t - 1] = parent[paths[:, t]]
         self.paths = paths
 
         path_prob = np.ones(n)
-        for i in range(1, n):
-            path_prob[i] = path_prob[parent[i]] * prob[i]
+        for nodes in self.levels[1:]:
+            path_prob[nodes] = path_prob[parent[nodes]] * prob[nodes]
         self.path_prob = path_prob
 
         # price increment from the parent, per node (root row is zero)
@@ -122,17 +128,47 @@ class ScenarioTree:
         leaf_pos[self.leaves] = np.arange(self.n_leaves)
         self.leaf_pos = leaf_pos
 
+        for a in (parent, time, prob, prices, paths, path_prob, d_prices, d_returns,
+                  leaf_pos, self.leaves, self.nonterminal, *self.children, *self.levels):
+            a.flags.writeable = False
+        self._cache = {}
+
     # ------------------------------------------------------------------
+    def cached(self, key: str, build):
+        """build(self), computed once per `key` and kept for the tree's lifetime.
+        Racing first requests each build the same value; the last write wins."""
+        if key not in self._cache:
+            self._cache[key] = build(self)
+        return self._cache[key]
+
+    @property
+    def gains(self) -> np.ndarray:
+        """Read-only (L, K*d) map from stacked non-terminal holdings to terminal gains."""
+        return self.cached("gains", _gains_scatter)
+
     def market_measure(self) -> "Measure":
         """The tree's own measure, as leaf weights."""
         return Measure(self.path_prob[self.leaves].copy())
 
     def nodes_at(self, t: int) -> np.ndarray:
-        return np.flatnonzero(self.time == t)
+        return self.levels[t]
 
     def terminal_prices(self) -> np.ndarray:
         """(L, d) price vectors at the leaves, in leaf order."""
         return self.prices[self.leaves]
+
+
+def _gains_scatter(tree: ScenarioTree) -> np.ndarray:
+    """Row k: the price increment each non-terminal node on leaf k's path adds."""
+    K, d, L = tree.nonterminal.shape[0], tree.n_assets, tree.n_leaves
+    col = np.full(tree.n_nodes, -1, dtype=np.int64)
+    col[tree.nonterminal] = np.arange(K)
+    A = np.zeros((L, K, d))
+    # a node occurs at most once on a path, so every entry is written once
+    A[np.arange(L)[:, None], col[tree.paths[:, :-1]]] = tree.d_prices[tree.paths[:, 1:]]
+    A = A.reshape(L, K * d)
+    A.flags.writeable = False
+    return A
 
 
 @dataclass(frozen=True)
@@ -258,23 +294,17 @@ def branching_tree(s0, factors, probs, steps: int) -> ScenarioTree:
     probs = np.asarray(probs, dtype=float)
     if len(factors) != probs.shape[0]:
         raise TreeValidationError("factors and probs must pair up")
-    parent = [-1]
-    time = [0]
-    prob = [1.0]
-    prices = [s0]
-    frontier = [0]
-    for t in range(steps):
-        new_frontier = []
-        for node in frontier:
-            for f, q in zip(factors, probs):
-                parent.append(node)
-                time.append(t + 1)
-                prob.append(float(q))
-                prices.append(prices[node] * f)
-                new_frontier.append(len(parent) - 1)
-        frontier = new_frontier
-    return ScenarioTree(np.asarray(parent), np.asarray(time), np.asarray(prob),
-                        np.vstack(prices))
+    F = np.vstack([np.broadcast_to(f, s0.shape) for f in factors])
+    # level by level: parents in id order, each parent's children in branch order
+    parent, prob, prices = [np.array([-1])], [np.ones(1)], [s0[None, :]]
+    for _ in range(steps):
+        k = prices[-1].shape[0]
+        first = sum(p.size for p in parent) - k
+        parent.append(np.repeat(np.arange(first, first + k), len(factors)))
+        prob.append(np.tile(probs, k))
+        prices.append((prices[-1][:, None, :] * F).reshape(-1, s0.shape[0]))
+    time = np.repeat(np.arange(steps + 1), [p.size for p in parent])
+    return ScenarioTree(np.concatenate(parent), time, np.concatenate(prob), np.vstack(prices))
 
 
 def single_step_tree(s0, factors, probs) -> ScenarioTree:
@@ -359,38 +389,45 @@ def is_martingale_measure(tree: ScenarioTree, m: Measure, tol: float = 1e-10) ->
 # wealth dynamics
 
 
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[k] @ b[k] per row, by the dot kernel of a 1-D `@` and so bit for bit
+    equal to it (einsum or a summed product round differently once d > 1)."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 def wealth_additive(tree: ScenarioTree, strategy: Strategy, x0: float = 0.0) -> AdaptedProcess:
     """Wealth of a share strategy: X_child = X_node + H_node . (S_child - S_node)."""
     if strategy.mode != "shares":
         raise ValueError("wealth_additive needs a 'shares' strategy")
-    H = strategy.values
+    step = np.empty(tree.n_nodes)
+    step[1:] = _row_dot(strategy.values[tree.parent[1:]], tree.d_prices[1:])
     X = np.empty(tree.n_nodes)
     X[0] = x0
-    for i in range(1, tree.n_nodes):
-        pa = tree.parent[i]
-        X[i] = X[pa] + H[pa] @ tree.d_prices[i]
+    for nodes in tree.levels[1:]:
+        X[nodes] = X[tree.parent[nodes]] + step[nodes]
     return AdaptedProcess(X)
 
 
 def wealth_multiplicative(tree: ScenarioTree, strategy: Strategy, x0: float) -> AdaptedProcess:
     """Wealth of a fraction strategy: X_child = X_node * (1 + pi_node . dR_child).
 
-    Raises AdmissibilityViolation as soon as wealth leaves (0, inf).
+    Raises AdmissibilityViolation at the lowest node id where wealth leaves (0, inf).
     """
     if strategy.mode != "fractions":
         raise ValueError("wealth_multiplicative needs a 'fractions' strategy")
     if x0 <= 0.0:
         raise AdmissibilityViolation("initial wealth must be strictly positive")
-    pi = strategy.values
+    growth = np.empty(tree.n_nodes)
+    growth[1:] = 1.0 + _row_dot(strategy.values[tree.parent[1:]], tree.d_returns[1:])
+    bad = np.flatnonzero(growth[1:] <= 0.0)
+    if bad.size:
+        i = int(bad[0]) + 1
+        raise AdmissibilityViolation(
+            f"wealth becomes nonpositive at node {i} (growth factor {growth[i]:.6g})")
     X = np.empty(tree.n_nodes)
     X[0] = x0
-    for i in range(1, tree.n_nodes):
-        pa = tree.parent[i]
-        growth = 1.0 + pi[pa] @ tree.d_returns[i]
-        if growth <= 0.0:
-            raise AdmissibilityViolation(
-                f"wealth becomes nonpositive at node {i} (growth factor {growth:.6g})")
-        X[i] = X[pa] * growth
+    for nodes in tree.levels[1:]:
+        X[nodes] = X[tree.parent[nodes]] * growth[nodes]
     return AdaptedProcess(X)
 
 

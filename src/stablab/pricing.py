@@ -28,8 +28,9 @@ class PriceResult:
     bracket: tuple[float, float]
 
 
-def _leaf_claim(tree: ScenarioTree, B) -> np.ndarray:
-    B = np.broadcast_to(np.asarray(B, dtype=float), (tree.n_leaves,))
+def _check_claim(B) -> np.ndarray:
+    """B as a float array, after checking it is finite and nonnegative."""
+    B = np.asarray(B, dtype=float)
     if not np.all(np.isfinite(B)):
         raise ValueError("claim must be finite on every leaf")
     if np.any(B < 0.0):
@@ -39,11 +40,7 @@ def _leaf_claim(tree: ScenarioTree, B) -> np.ndarray:
 
 def davis_price(dual: DualMeasure, B) -> PriceResult:
     """Expectation of a nonnegative leaf claim under the dual measure."""
-    B = np.asarray(B, dtype=float)
-    if not np.all(np.isfinite(B)):
-        raise ValueError("claim must be finite on every leaf")
-    if np.any(B < 0.0):
-        raise ValueError("claim must be nonnegative")
+    B = _check_claim(B)
     price = float(dual.measure.weights @ B)
     return PriceResult(price=price, method="davis", residual=0.0,
                        bracket=(float(np.min(B)), float(np.max(B))))
@@ -54,7 +51,7 @@ def indifference_price(tree: ScenarioTree, utility: UtilityOnR, x0: float, B,
     """Buyer's price p solving E[U(x0 + B - p + gains)] = value without the claim."""
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
-    B = _leaf_claim(tree, B)
+    B = _check_claim(np.broadcast_to(np.asarray(B, dtype=float), (tree.n_leaves,)))
     assert_market_viable(tree)
     base = solve_primal(tree, utility, x0, check_market=False)
     lo, hi = float(np.min(B)), float(np.max(B))

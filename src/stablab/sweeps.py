@@ -38,7 +38,7 @@ from .utilities import (UtilityField, conjugate_sandwich_audit,
 
 __all__ = [
     "ConfigError", "SweepSpec", "RateFit", "SweepReport", "AuditReport",
-    "load_config", "sweep_delta", "sweep_p", "fit_rate",
+    "load_config", "make_claim", "sweep_delta", "sweep_p", "fit_rate",
     "audit_probabilistic_lemmas", "report_csv", "report_json",
     "shipped_families",
 ]
@@ -124,14 +124,14 @@ def load_config(doc: dict, kind: str) -> SweepSpec:
         raise ConfigError("p sweeps need positive initial capital")
     # force an early validation of family parameters
     tree = spec.tree()
-    _make_claim(tree, spec.claim)
+    make_claim(tree, spec.claim)
     try:
         if kind == "delta":
             fam = _delta_family(spec.family)
             for d in grid:
                 fam(d)
         else:
-            _p_family(spec.family, min(grid))
+            _p_family(spec.family)
     except ConfigError:
         raise
     except ValueError as e:
@@ -139,7 +139,8 @@ def load_config(doc: dict, kind: str) -> SweepSpec:
     return spec
 
 
-def _make_claim(tree: ScenarioTree, claim) -> np.ndarray:
+def make_claim(tree: ScenarioTree, claim) -> np.ndarray:
+    """Leaf values of a config's claim entry (zero, constant, call, or explicit)."""
     if isinstance(claim, dict):
         kind = claim.get("kind", "zero")
         if kind == "zero":
@@ -176,7 +177,7 @@ def _delta_family(fam: dict):
     raise ConfigError(f"unknown delta family kind {kind!r}")
 
 
-def _p_family(fam: dict, pmin: float):
+def _p_family(fam: dict):
     kind = fam.get("kind", "power")
     if kind == "power":
         return None, None
@@ -184,8 +185,6 @@ def _p_family(fam: dict, pmin: float):
         p0 = float(fam.get("p0", -7.0))
         b = float(fam.get("b", 0.05))
         nu = float(fam.get("nu", 1.0))
-        if pmin > p0:
-            pass  # members only defined for p <= p0; checked per grid point
         base = make_perturbed_power(p0, b=b, nu=nu)
         return base, shifted_inverse_mix(p0)
     raise ConfigError(f"unknown p family kind {kind!r}")
@@ -252,7 +251,7 @@ def sweep_delta(spec: SweepSpec) -> SweepReport:
     """Solve the real-line problem along the delta grid and record the error
     functionals against the unperturbed (exponential) member."""
     tree = spec.tree()
-    B = _make_claim(tree, spec.claim)
+    B = make_claim(tree, spec.claim)
     fam = _delta_family(spec.family)
     U0 = make_exponential(1.0)
     base = solve_primal(tree, U0, spec.x0)
@@ -301,10 +300,10 @@ def sweep_p(spec: SweepSpec) -> SweepReport:
     """Solve positive-wealth problems along the p grid and compare against
     the money positions of the exponential hedge of the same claim."""
     tree = spec.tree()
-    B = _make_claim(tree, spec.claim)
+    B = make_claim(tree, spec.claim)
     field_w = UtilityField.from_claim(make_power(min(spec.grid)), B)
     hedge = exponential_hedge(tree, make_exponential(1.0), B, spec.x0)
-    base, fmix = _p_family(spec.family, min(spec.grid))
+    base, fmix = _p_family(spec.family)
 
     def one(p: float) -> dict:
         pure = solve_power_field(tree, make_power(p), spec.x0, field_w)

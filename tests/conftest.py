@@ -1,7 +1,7 @@
 """Shared market builders, closed-form one-step optima, random tree generator."""
 import numpy as np
 
-from stablab import ScenarioTree, build_tree
+from stablab import ScenarioTree, branching_tree, build_tree
 
 
 def one_step_binomial() -> ScenarioTree:
@@ -25,6 +25,11 @@ def one_step_trinomial() -> ScenarioTree:
         {"parent": 0, "prob": third, "prices": [1.0]},
         {"parent": 0, "prob": third, "prices": [0.5]},
     ]})
+
+
+def trinomial_tree(steps: int = 4) -> ScenarioTree:
+    """Incomplete one-asset lattice: factors 1.25 / 1.0 / 0.8 at every node."""
+    return branching_tree(1.0, [1.25, 1.0, 0.8], [0.3, 0.4, 0.3], steps)
 
 
 def one_step_theta(alpha: float, q: float, a: float, b: float) -> float:
@@ -60,4 +65,27 @@ def random_viable_tree(rng: np.random.Generator, steps: int = 2) -> ScenarioTree
                               "prices": [price * f]})
                 new_frontier.append((len(nodes) - 1, price * f))
         frontier = new_frontier
+    return build_tree({"nodes": nodes})
+
+
+def depth_first_two_asset_tree(steps: int = 3) -> ScenarioTree:
+    """Two-asset tree from an explicit node list in depth-first order.
+
+    Node ids are topologically ordered but not grouped by date: every subtree
+    is listed before its next sibling.  Three branches at even dates, two at
+    odd ones; prices drift with the node id so no two increments coincide.
+    """
+    factors = [(1.2, 1.1), (0.9, 1.25), (1.0, 0.8)]
+    probs = {3: [0.3, 0.45, 0.25], 2: [0.4, 0.6]}
+    nodes = []
+
+    def grow(parent, prob, prices, t):
+        nodes.append({"parent": parent, "prob": prob, "prices": prices})
+        me = len(nodes) - 1
+        if t < steps:
+            nb = 3 if t % 2 == 0 else 2
+            for f, q in zip(factors, probs[nb]):
+                grow(me, q, [p * g * (1.0 + 0.003 * me) for p, g in zip(prices, f)], t + 1)
+
+    grow(-1, 1.0, [1.0, 2.0], 0)
     return build_tree({"nodes": nodes})

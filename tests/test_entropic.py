@@ -1,9 +1,12 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from conftest import (one_step_binomial, one_step_theta, one_step_trinomial,
-                      random_viable_tree, three_step_binomial,
-                      two_step_binomial)
+from conftest import (depth_first_two_asset_tree, one_step_binomial,
+                      one_step_theta, one_step_trinomial, random_viable_tree,
+                      three_step_binomial, trinomial_tree, two_step_binomial)
 from stablab import (Measure, NoMartingaleMeasure, NonConvergence,
                      PrimalSolution, Strategy, build_tree, extract_dual,
                      gains_matrix, generalized_entropy, make_exponential,
@@ -32,6 +35,54 @@ def test_gains_matrix_reproduces_wealth():
         from stablab import wealth_additive
         X = wealth_additive(tree, Strategy(vals, "shares"))
         assert np.allclose(A @ h, X.at_leaves(tree), atol=1e-12)
+
+
+def gains_per_leaf(tree):
+    """Reference for gains_matrix: one slice update per leaf and date."""
+    K = tree.nonterminal.shape[0]
+    d = tree.n_assets
+    col_of = {int(node): k for k, node in enumerate(tree.nonterminal)}
+    A = np.zeros((tree.n_leaves, K * d))
+    for leaf_k in range(tree.n_leaves):
+        for t in range(tree.horizon):
+            node = tree.paths[leaf_k, t]
+            child = tree.paths[leaf_k, t + 1]
+            c0 = col_of[int(node)] * d
+            A[leaf_k, c0:c0 + d] += tree.d_prices[child]
+    return A
+
+
+@pytest.mark.parametrize("make_tree", [depth_first_two_asset_tree, trinomial_tree])
+def test_gains_matrix_matches_per_leaf_loop(make_tree):
+    tree = make_tree()
+    A = gains_matrix(tree)
+    assert np.array_equal(A, gains_per_leaf(tree))
+    assert gains_matrix(tree) is A
+    assert not A.flags.writeable
+
+
+def test_gains_matrix_first_use_from_threads():
+    tree = trinomial_tree(5)
+    start = threading.Barrier(4)
+    out = [None] * 4
+
+    def fill(k):
+        start.wait(timeout=10)
+        out[k] = gains_matrix(tree)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fill, args=(k,)) for k in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(th.is_alive() for th in threads)
+    assert all(np.array_equal(a, gains_per_leaf(tree)) for a in out)
+    assert any(a is gains_matrix(tree) for a in out)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.7])
@@ -181,8 +232,10 @@ def test_complete_market_measure_is_unique():
 
 def test_no_martingale_measure_raises():
     tree = arbitrage_tree()
-    with pytest.raises(NoMartingaleMeasure):
-        solve_primal(tree, make_exponential(1.0))
+    # the viability LP runs once per tree; its failure must stick
+    for _ in range(2):
+        with pytest.raises(NoMartingaleMeasure):
+            solve_primal(tree, make_exponential(1.0))
     with pytest.raises(NoMartingaleMeasure):
         minimal_entropy_measure(tree, make_exponential(1.0))
 

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import one_step_binomial, random_viable_tree, two_step_binomial
+from conftest import (depth_first_two_asset_tree, one_step_binomial,
+                      random_viable_tree, trinomial_tree, two_step_binomial)
 from stablab import (AdmissibilityViolation, Measure, ScenarioTree, Strategy,
                      TreeValidationError, bracket_distance, build_tree,
                      conditional_expectation, conditional_probs,
@@ -27,8 +28,7 @@ def test_lattice_expansion():
 
 def test_paths_and_children_are_consistent():
     rng = np.random.default_rng(3)
-    for _ in range(10):
-        tree = random_viable_tree(rng)
+    for tree in [random_viable_tree(rng) for _ in range(10)] + [depth_first_two_asset_tree()]:
         for k, leaf in enumerate(tree.leaves):
             assert tree.paths[k, -1] == leaf
             assert tree.paths[k, 0] == 0
@@ -36,6 +36,36 @@ def test_paths_and_children_are_consistent():
                 assert tree.parent[tree.paths[k, t + 1]] == tree.paths[k, t]
         # path probabilities multiply down the tree and sum to 1 at the leaves
         assert abs(tree.path_prob[tree.leaves].sum() - 1.0) < 1e-12
+
+
+def test_level_layout_on_depth_first_ids():
+    tree = depth_first_two_asset_tree()
+    assert not np.all(np.diff(tree.time) >= 0)  # ids are not grouped by date
+    assert len(tree.levels) == tree.horizon + 1
+    for t, nodes in enumerate(tree.levels):
+        assert np.array_equal(nodes, np.flatnonzero(tree.time == t))
+        assert np.array_equal(tree.nodes_at(t), nodes)
+    for i in range(tree.n_nodes):
+        assert np.array_equal(tree.children[i], np.flatnonzero(tree.parent == i))
+    # per-node reference for the products walked level by level
+    path_prob = np.ones(tree.n_nodes)
+    for i in range(1, tree.n_nodes):
+        path_prob[i] = path_prob[tree.parent[i]] * tree.prob[i]
+    assert np.array_equal(tree.path_prob, path_prob)
+
+
+def test_tree_arrays_are_read_only():
+    parent = np.array([-1, 0, 0])
+    prices = np.array([1.0, 1.6, 0.7])
+    tree = ScenarioTree(parent, np.array([0, 1, 1]), np.array([1.0, 0.4, 0.6]), prices)
+    with pytest.raises(ValueError):
+        tree.d_prices[1, 0] = 0.0
+    arrays = [tree.parent, tree.time, tree.prob, tree.prices, tree.d_prices,
+              tree.d_returns, tree.paths, tree.path_prob, tree.leaves,
+              tree.nonterminal, tree.leaf_pos, *tree.children, *tree.levels]
+    assert not any(a.flags.writeable for a in arrays)
+    # the tree keeps its own copies; the caller's arrays stay writable
+    assert parent.flags.writeable and prices.flags.writeable
 
 
 def test_build_tree_nodes_form_and_file_round_trip(tmp_path):
@@ -159,6 +189,57 @@ def test_wealth_additive_matches_manual():
     assert X.at_root() == 0.0
     with pytest.raises(ValueError):
         wealth_additive(tree, Strategy(h, "fractions"))
+
+
+def wealth_additive_per_node(tree, H, x0):
+    X = np.empty(tree.n_nodes)
+    X[0] = x0
+    for i in range(1, tree.n_nodes):
+        pa = tree.parent[i]
+        X[i] = X[pa] + H[pa] @ tree.d_prices[i]
+    return X
+
+
+def wealth_multiplicative_per_node(tree, pi, x0):
+    X = np.empty(tree.n_nodes)
+    X[0] = x0
+    for i in range(1, tree.n_nodes):
+        pa = tree.parent[i]
+        growth = 1.0 + pi[pa] @ tree.d_returns[i]
+        if growth <= 0.0:
+            raise AdmissibilityViolation(
+                f"wealth becomes nonpositive at node {i} (growth factor {growth:.6g})")
+        X[i] = X[pa] * growth
+    return X
+
+
+@pytest.mark.parametrize("make_tree", [depth_first_two_asset_tree, trinomial_tree])
+def test_wealth_walks_match_per_node_recursion(make_tree):
+    tree = make_tree()
+    rng = np.random.default_rng(11)
+    H = rng.normal(size=(tree.n_nodes, tree.n_assets))
+    X = wealth_additive(tree, Strategy(H, "shares"), 0.7)
+    assert np.array_equal(X.values, wealth_additive_per_node(tree, H, 0.7))
+    pi = rng.uniform(-0.4, 0.4, size=(tree.n_nodes, tree.n_assets))
+    X = wealth_multiplicative(tree, Strategy(pi, "fractions"), 1.3)
+    assert np.array_equal(X.values, wealth_multiplicative_per_node(tree, pi, 1.3))
+
+
+def test_admissibility_names_lowest_offending_node():
+    tree = depth_first_two_asset_tree()
+    pi = np.zeros((tree.n_nodes, tree.n_assets))
+    # a date-2 node early in the id order, and the last date-1 node: the
+    # first violating date holds a higher node id than the deeper violation
+    deep, shallow = tree.levels[2][0], tree.levels[1][-1]
+    for node in (deep, shallow):
+        r = tree.d_returns[tree.children[node][0]]
+        pi[node] = -10.0 * r / (r @ r)
+    with pytest.raises(AdmissibilityViolation) as ref:
+        wealth_multiplicative_per_node(tree, pi, 1.0)
+    with pytest.raises(AdmissibilityViolation) as got:
+        wealth_multiplicative(tree, Strategy(pi, "fractions"), 1.0)
+    assert str(got.value) == str(ref.value)
+    assert f"at node {tree.children[deep][0]} " in str(got.value)
 
 
 def test_wealth_multiplicative_and_admissibility():
