@@ -131,6 +131,13 @@ def assert_market_viable(tree: ScenarioTree) -> np.ndarray:
     return q
 
 
+def _entropy_kernel(tree: ScenarioTree) -> np.ndarray:
+    """Orthonormal basis of ker(A^T): the span of every martingale measure (read-only)."""
+    N = null_space(gains_matrix(tree).T)
+    N.flags.writeable = False
+    return N
+
+
 # ----------------------------------------------------------------------
 # primal solver
 
@@ -279,13 +286,12 @@ def minimal_entropy_measure(tree: ScenarioTree, utility: UtilityOnR,
     minimizer is P * U'(optimal terminal wealth), so y = sum(mu) and
     m = mu/y reproduce extract_dual's pair for every family member, without
     touching the strategy-space solver.  Newton in the nullspace of the
-    constraint matrix, started from the LP interior point at the reference
-    scale, positivity enforced by line search.
+    constraint matrix (an SVD basis kept on the tree), started from the LP
+    interior point at the reference scale, positivity enforced by line search.
     """
     q0 = assert_market_viable(tree)
     P = tree.path_prob[tree.leaves]
-    A = gains_matrix(tree)
-    N = null_space(A.T)       # contains the ray through every martingale measure
+    N = tree.cached("entropy_kernel", _entropy_kernel)
     mu0 = _dual_scale(Measure(q0), P, utility) * q0
     mu = mu0.copy()
     tvec = np.zeros(N.shape[1])
@@ -376,19 +382,26 @@ def verify_optimality(tree: ScenarioTree, utility: UtilityOnR, sol: PrimalSoluti
 # probe measures
 
 
-def _polish_vertex(C: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray | None:
-    """Re-solve the active equality system on the LP support to machine precision."""
+def _polish_vertex(C: np.ndarray, b: np.ndarray,
+                   q: np.ndarray) -> tuple[np.ndarray | None, bool]:
+    """Re-solve the active equality system on the LP support to machine precision.
+
+    Returns the polished point (None if the support system does not give an
+    accurate probability vector) and whether it is the only solution of
+    C q = b: full support with full column rank, by the rank of the same
+    least-squares solve.  The martingale polytope is then that single point.
+    """
     supp = q > 1e-9
     if not np.any(supp):
-        return None
-    qs, *_ = np.linalg.lstsq(C[:, supp], b, rcond=None)
+        return None, False
+    qs, _, rank, _ = np.linalg.lstsq(C[:, supp], b, rcond=None)
     if np.any(qs < -1e-10):
-        return None
+        return None, False
     out = np.zeros_like(q)
     out[supp] = np.clip(qs, 0.0, None)
     if abs(out.sum() - 1.0) > 1e-9 or np.max(np.abs(C @ out - b)) > 1e-9:
-        return None
-    return out / out.sum()
+        return None, False
+    return out / out.sum(), bool(rank == q.size)
 
 
 def martingale_polytope_probes(tree: ScenarioTree, n_vertices: int = 8,
@@ -398,6 +411,13 @@ def martingale_polytope_probes(tree: ScenarioTree, n_vertices: int = 8,
     Vertices come from LPs with random objectives (polished to machine
     precision on their support); interior points are Dirichlet mixtures of
     the vertices found.  Deterministic for a fixed seed.
+
+    When a polished vertex shows that the polytope is a single point (the
+    complete-market case, e.g. every binomial lattice), each later LP would
+    return that vertex again and the dedupe would drop it, so such a tree
+    costs one LP and one polish.  The random objectives are still drawn, so
+    the generator reaches the Dirichlet mixtures in the same state and every
+    probe is bit for bit what the full loop gives.
     """
     A = gains_matrix(tree)
     L = tree.n_leaves
@@ -407,14 +427,17 @@ def martingale_polytope_probes(tree: ScenarioTree, n_vertices: int = 8,
     rng = np.random.default_rng(seed)
     vertices = []
     seen = set()
+    single_point = False
     for _ in range(max(n_vertices, 1) * 3):
         if len(vertices) >= n_vertices:
             break
         cost = rng.standard_normal(L)
+        if single_point:
+            continue
         res = linprog(cost, A_eq=C, b_eq=b, bounds=[(0.0, 1.0)] * L, method="highs")
         if not res.success:
             continue
-        q = _polish_vertex(C, b, res.x)
+        q, single_point = _polish_vertex(C, b, res.x)
         if q is None:
             # keep the raw LP point if it is accurate enough on its own
             raw = np.clip(res.x, 0.0, None)

@@ -19,6 +19,10 @@ import numpy as np
 PROB_SUM_TOL = 1e-12
 # one-step transition probabilities strictly inside (0, 1)
 PROB_FLOOR = 0.0
+# checks on each non-terminal node's children, in the order they are applied
+_CHILD_CHECKS = ("node {} has fewer than 2 branches",
+                 "transition probabilities at node {} must lie in (0, 1)",
+                 "transition probabilities at node {} do not sum to 1")
 
 
 class TreeValidationError(ValueError):
@@ -79,24 +83,31 @@ class ScenarioTree:
 
         # a stable sort by parent lists each node's children in ascending id order
         n_children = np.bincount(parent[1:], minlength=n)
-        self.children = np.split(np.argsort(parent[1:], kind="stable") + 1,
-                                 np.cumsum(n_children)[:-1])
+        by_parent = np.argsort(parent[1:], kind="stable") + 1
+        first_child = np.cumsum(n_children) - n_children
+        self.children = np.split(by_parent, first_child[1:])
         self.levels = np.split(np.argsort(time, kind="stable"),
                                np.cumsum(np.bincount(time))[:-1])
 
         is_leaf = n_children == 0
         if np.any(is_leaf & (time != self.horizon)):
             raise TreeValidationError("every non-terminal node needs children")
-        for i in range(n):
-            if is_leaf[i]:
+        # first failed check per node (0: none), in the order the messages list
+        # them; the lowest failing node is reported
+        failed = np.zeros(n, dtype=np.int64)
+        for c in np.unique(n_children[~is_leaf]):
+            nodes = np.flatnonzero(n_children == c)
+            if c < 2:
+                failed[nodes] = 1
                 continue
-            if len(self.children[i]) < 2:
-                raise TreeValidationError(f"node {i} has fewer than 2 branches")
-            p = prob[self.children[i]]
-            if np.any(p <= PROB_FLOOR) or np.any(p >= 1.0):
-                raise TreeValidationError(f"transition probabilities at node {i} must lie in (0, 1)")
-            if abs(p.sum() - 1.0) > PROB_SUM_TOL:
-                raise TreeValidationError(f"transition probabilities at node {i} do not sum to 1")
+            # one row per node, so each row sums exactly as prob[children[i]].sum()
+            p = prob[by_parent[first_child[nodes, None] + np.arange(c)]]
+            failed[nodes] = np.select([np.any((p <= PROB_FLOOR) | (p >= 1.0), axis=1),
+                                       np.abs(p.sum(axis=1) - 1.0) > PROB_SUM_TOL], [2, 3])
+        bad = np.flatnonzero(failed)
+        if bad.size:
+            i = int(bad[0])
+            raise TreeValidationError(_CHILD_CHECKS[failed[i] - 1].format(i))
         if not (prob[0] == 1.0):
             raise TreeValidationError("root probability must be 1")
 
@@ -268,12 +279,16 @@ def build_tree(spec: dict) -> ScenarioTree:
             pr = nd.get("prob", None)
             prob.append(1.0 if pr is None else float(pr))
             prices.append(nd["prices"])
-        parent = np.asarray(parent)
+        parent = np.asarray(parent, dtype=np.int64)
+        if np.any(parent[1:] < 0) or np.any(parent[1:] >= np.arange(1, len(nodes))):
+            raise TreeValidationError("explicit nodes must list parents first")
+        # date = number of steps up to the root, one step for all nodes at once
         time = np.zeros(len(nodes), dtype=np.int64)
-        for i in range(1, len(nodes)):
-            if parent[i] < 0 or parent[i] >= i:
-                raise TreeValidationError("explicit nodes must list parents first")
-            time[i] = time[parent[i]] + 1
+        below, up = np.arange(1, len(nodes)), parent[1:]
+        while below.size:
+            time[below] += 1
+            deeper = up > 0
+            below, up = below[deeper], parent[up[deeper]]
         return ScenarioTree(parent, time, np.asarray(prob), np.asarray(prices, dtype=float))
     raise TreeValidationError("tree spec needs a 'lattice' or 'nodes' entry")
 

@@ -32,6 +32,12 @@ def trinomial_tree(steps: int = 4) -> ScenarioTree:
     return branching_tree(1.0, [1.25, 1.0, 0.8], [0.3, 0.4, 0.3], steps)
 
 
+def two_asset_tree(steps: int = 3) -> ScenarioTree:
+    """Incomplete two-asset lattice: four branches per node, one in each quadrant."""
+    factors = [[1.15, 1.10], [1.10, 0.85], [0.90, 1.15], [0.85, 0.90]]
+    return branching_tree([1.0, 1.0], factors, [0.2, 0.3, 0.3, 0.2], steps)
+
+
 def one_step_theta(alpha: float, q: float, a: float, b: float) -> float:
     """Optimal share when the price gain is +a with probability q and -b else.
 

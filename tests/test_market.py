@@ -47,10 +47,14 @@ def test_level_layout_on_depth_first_ids():
         assert np.array_equal(tree.nodes_at(t), nodes)
     for i in range(tree.n_nodes):
         assert np.array_equal(tree.children[i], np.flatnonzero(tree.parent == i))
-    # per-node reference for the products walked level by level
+    # per-node references for the dates build_tree derives and the products
+    # walked level by level
+    time = np.zeros(tree.n_nodes, dtype=np.int64)
     path_prob = np.ones(tree.n_nodes)
     for i in range(1, tree.n_nodes):
+        time[i] = time[tree.parent[i]] + 1
         path_prob[i] = path_prob[tree.parent[i]] * tree.prob[i]
+    assert np.array_equal(tree.time, time)
     assert np.array_equal(tree.path_prob, path_prob)
 
 
@@ -110,6 +114,53 @@ def test_tree_validation_errors():
         ]})
     with pytest.raises(TreeValidationError):  # single branch
         ScenarioTree([-1, 0], [0, 1], [1.0, 1.0], [[1.0], [2.0]])
+
+
+def child_check_reference(parent, prob):
+    """The per-node loop ScenarioTree used to validate each node's children."""
+    children = [[] for _ in parent]
+    for i in range(1, len(parent)):
+        children[parent[i]].append(i)
+    for i, ch in enumerate(children):
+        if not ch:
+            continue
+        if len(ch) < 2:
+            return f"node {i} has fewer than 2 branches"
+        p = np.asarray(prob)[ch]
+        if np.any(p <= 0.0) or np.any(p >= 1.0):
+            return f"transition probabilities at node {i} must lie in (0, 1)"
+        if abs(p.sum() - 1.0) > 1e-12:
+            return f"transition probabilities at node {i} do not sum to 1"
+    return None
+
+
+# nine probabilities whose sum misses 1 by just over 1e-12 when numpy sums
+# them pairwise, as prob[children].sum() does, and by just under it in a
+# running sum
+NINE_AT_THE_EDGE = [0.129957, 0.128834, 0.176168, 0.074771, 0.131373,
+                    0.107776, 0.064974, 0.077627, 0.10852000000099993]
+
+
+@pytest.mark.parametrize("parent, prob", [
+    # depth-first ids: node 1's children miss the sum, node 4 has one branch
+    ([-1, 0, 1, 1, 0, 4], [1.0, 0.5, 0.5, 0.6, 0.5, 1.0]),
+    # node 1's children leave (0, 1) but sum to 1; node 2 has one branch
+    ([-1, 0, 0, 1, 1, 2], [1.0, 0.5, 0.5, 1.2, -0.2, 1.0]),
+    # a later node's children miss the sum
+    ([-1, 0, 0, 1, 1, 2, 2], [1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.6]),
+    ([-1] + [0] * 9, [1.0] + NINE_AT_THE_EDGE),
+    ([-1, 0, 0, 1, 1, 1, 2, 2], [1.0, 0.4, 0.6, 0.2, 0.3, 0.5, 0.5, 0.5]),
+])
+def test_child_checks_match_the_per_node_loop(parent, prob):
+    spec = {"nodes": [{"parent": p, "prob": q, "prices": [1.0 + 0.1 * k]}
+                      for k, (p, q) in enumerate(zip(parent, prob))]}
+    expected = child_check_reference(parent, prob)
+    if expected is None:
+        assert build_tree(spec).n_nodes == len(parent)
+    else:
+        with pytest.raises(TreeValidationError) as err:
+            build_tree(spec)
+        assert str(err.value) == expected
 
 
 def test_measure_validation():
