@@ -131,13 +131,6 @@ def assert_market_viable(tree: ScenarioTree) -> np.ndarray:
     return q
 
 
-def _entropy_kernel(tree: ScenarioTree) -> np.ndarray:
-    """Orthonormal basis of ker(A^T): the span of every martingale measure (read-only)."""
-    N = null_space(gains_matrix(tree).T)
-    N.flags.writeable = False
-    return N
-
-
 # ----------------------------------------------------------------------
 # primal solver
 
@@ -286,12 +279,13 @@ def minimal_entropy_measure(tree: ScenarioTree, utility: UtilityOnR,
     minimizer is P * U'(optimal terminal wealth), so y = sum(mu) and
     m = mu/y reproduce extract_dual's pair for every family member, without
     touching the strategy-space solver.  Newton in the nullspace of the
-    constraint matrix (an SVD basis kept on the tree), started from the LP
-    interior point at the reference scale, positivity enforced by line search.
+    constraint matrix, started from the LP interior point at the reference
+    scale, positivity enforced by line search.
     """
     q0 = assert_market_viable(tree)
     P = tree.path_prob[tree.leaves]
-    N = tree.cached("entropy_kernel", _entropy_kernel)
+    A = gains_matrix(tree)
+    N = null_space(A.T)       # contains the ray through every martingale measure
     mu0 = _dual_scale(Measure(q0), P, utility) * q0
     mu = mu0.copy()
     tvec = np.zeros(N.shape[1])
@@ -387,21 +381,28 @@ def _polish_vertex(C: np.ndarray, b: np.ndarray,
     """Re-solve the active equality system on the LP support to machine precision.
 
     Returns the polished point (None if the support system does not give an
-    accurate probability vector) and whether it is the only solution of
-    C q = b: full support with full column rank, by the rank of the same
-    least-squares solve.  The martingale polytope is then that single point.
+    accurate probability vector) and whether the martingale polytope is that
+    single point as far as the probe tolerances can tell.  That needs full
+    support and full column rank, by the rank of the same least-squares
+    solve, and a margin: any point within the 1e-9 residual tolerance of
+    C q = b lies within sqrt(rows) * 1e-9 / (smallest singular value) of the
+    solution, and it must keep every entry above the 1e-9 support threshold.
+    Then no other LP vertex passes this polish or the raw-point fallback.
     """
     supp = q > 1e-9
     if not np.any(supp):
         return None, False
-    qs, _, rank, _ = np.linalg.lstsq(C[:, supp], b, rcond=None)
+    qs, _, rank, sv = np.linalg.lstsq(C[:, supp], b, rcond=None)
     if np.any(qs < -1e-10):
         return None, False
     out = np.zeros_like(q)
     out[supp] = np.clip(qs, 0.0, None)
     if abs(out.sum() - 1.0) > 1e-9 or np.max(np.abs(C @ out - b)) > 1e-9:
         return None, False
-    return out / out.sum(), bool(rank == q.size)
+    q = out / out.sum()
+    # 2e-9: the support threshold plus slack for the raw point's normalization
+    single = rank == q.size and sv[-1] * (q.min() - 2e-9) > np.sqrt(len(b)) * 1e-9
+    return q, bool(single)
 
 
 def martingale_polytope_probes(tree: ScenarioTree, n_vertices: int = 8,
@@ -413,7 +414,8 @@ def martingale_polytope_probes(tree: ScenarioTree, n_vertices: int = 8,
     the vertices found.  Deterministic for a fixed seed.
 
     When a polished vertex shows that the polytope is a single point (the
-    complete-market case, e.g. every binomial lattice), each later LP would
+    complete-market case, e.g. every binomial lattice, unless C q = b is too
+    ill-conditioned to tell at the polish tolerances), each later LP would
     return that vertex again and the dedupe would drop it, so such a tree
     costs one LP and one polish.  The random objectives are still drawn, so
     the generator reaches the Dirichlet mixtures in the same state and every

@@ -279,16 +279,12 @@ def build_tree(spec: dict) -> ScenarioTree:
             pr = nd.get("prob", None)
             prob.append(1.0 if pr is None else float(pr))
             prices.append(nd["prices"])
-        parent = np.asarray(parent, dtype=np.int64)
-        if np.any(parent[1:] < 0) or np.any(parent[1:] >= np.arange(1, len(nodes))):
-            raise TreeValidationError("explicit nodes must list parents first")
-        # date = number of steps up to the root, one step for all nodes at once
+        parent = np.asarray(parent)
         time = np.zeros(len(nodes), dtype=np.int64)
-        below, up = np.arange(1, len(nodes)), parent[1:]
-        while below.size:
-            time[below] += 1
-            deeper = up > 0
-            below, up = below[deeper], parent[up[deeper]]
+        for i in range(1, len(nodes)):
+            if parent[i] < 0 or parent[i] >= i:
+                raise TreeValidationError("explicit nodes must list parents first")
+            time[i] = time[parent[i]] + 1
         return ScenarioTree(parent, time, np.asarray(prob), np.asarray(prices, dtype=float))
     raise TreeValidationError("tree spec needs a 'lattice' or 'nodes' entry")
 

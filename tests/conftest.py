@@ -1,7 +1,10 @@
-"""Shared market builders, closed-form one-step optima, random tree generator."""
+"""Shared market builders, closed-form one-step optima, random tree generator,
+and the probe loop that solves every LP, as a reference for the probes."""
 import numpy as np
+from scipy.optimize import linprog
 
-from stablab import ScenarioTree, branching_tree, build_tree
+from stablab import (Measure, NoMartingaleMeasure, ScenarioTree, branching_tree,
+                     build_tree, gains_matrix)
 
 
 def one_step_binomial() -> ScenarioTree:
@@ -95,3 +98,55 @@ def depth_first_two_asset_tree(steps: int = 3) -> ScenarioTree:
 
     grow(-1, 1.0, [1.0, 2.0], 0)
     return build_tree({"nodes": nodes})
+
+
+def reference_probes(tree, seed, lp=linprog):
+    """The default probe loop solving every random-cost LP, with a polish after each."""
+    A = gains_matrix(tree)
+    L = tree.n_leaves
+    C = np.vstack([np.ones((1, L)), A.T])
+    b = np.zeros(C.shape[0])
+    b[0] = 1.0
+    rng = np.random.default_rng(seed)
+    vertices = []
+    seen = set()
+    for _ in range(24):
+        if len(vertices) >= 8:
+            break
+        cost = rng.standard_normal(L)
+        res = lp(cost, A_eq=C, b_eq=b, bounds=[(0.0, 1.0)] * L, method="highs")
+        if not res.success:
+            continue
+        supp = res.x > 1e-9
+        q = None
+        if np.any(supp):
+            qs, *_ = np.linalg.lstsq(C[:, supp], b, rcond=None)
+            if not np.any(qs < -1e-10):
+                out = np.zeros_like(res.x)
+                out[supp] = np.clip(qs, 0.0, None)
+                if abs(out.sum() - 1.0) <= 1e-9 and np.max(np.abs(C @ out - b)) <= 1e-9:
+                    q = out / out.sum()
+        if q is None:
+            raw = np.clip(res.x, 0.0, None)
+            raw = raw / raw.sum()
+            if np.max(np.abs(C @ raw - b)) > 1e-10:
+                continue
+            q = raw
+        key = tuple(np.round(q, 10))
+        if key not in seen:
+            seen.add(key)
+            vertices.append(q)
+    if not vertices:
+        raise NoMartingaleMeasure("polytope probing found no martingale measure")
+    probes = [Measure(v) for v in vertices]
+    V = np.vstack(vertices)
+    for _ in range(4):
+        w = rng.dirichlet(np.ones(len(vertices)))
+        probes.append(Measure(w @ V))
+    return probes
+
+
+def assert_same_probes(got, ref):
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert np.array_equal(a.weights, b.weights)

@@ -3,16 +3,13 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from scipy.linalg import null_space
 from scipy.optimize import linprog
 
 import stablab.entropic as entropic
-from conftest import (depth_first_two_asset_tree, one_step_binomial,
-                      one_step_theta, one_step_trinomial, random_viable_tree,
-                      three_step_binomial, trinomial_tree, two_asset_tree,
-                      two_step_binomial)
+from conftest import (assert_same_probes, depth_first_two_asset_tree,
+                      one_step_binomial, one_step_theta, one_step_trinomial,
+                      random_viable_tree, reference_probes, three_step_binomial,
+                      trinomial_tree, two_asset_tree, two_step_binomial)
 from stablab import (Measure, NoMartingaleMeasure, NonConvergence,
                      PrimalSolution, Strategy, branching_tree, build_tree,
                      extract_dual, gains_matrix, generalized_entropy, make_exponential,
@@ -236,26 +233,6 @@ def test_complete_market_measure_is_unique():
                        [1.0 / 9.0, 2.0 / 9.0, 2.0 / 9.0, 4.0 / 9.0], atol=1e-9)
 
 
-def test_entropy_kernel_is_kept_on_the_tree(monkeypatch):
-    svds = []
-
-    def counted(*args, **kwargs):
-        svds.append(1)
-        return null_space(*args, **kwargs)
-
-    monkeypatch.setattr(entropic, "null_space", counted)
-    tree = trinomial_tree(3)
-    u = make_exponential(1.0)
-    first = minimal_entropy_measure(tree, u)
-    basis = tree.cached("entropy_kernel", lambda t: pytest.fail("kernel not cached"))
-    second = minimal_entropy_measure(tree, u)
-    assert tree.cached("entropy_kernel", lambda t: pytest.fail("kernel dropped")) is basis
-    assert not basis.flags.writeable
-    assert len(svds) == 1
-    assert np.array_equal(first.measure.weights, second.measure.weights)
-    assert first.y == second.y and first.residual == second.residual
-
-
 def test_no_martingale_measure_raises():
     tree = arbitrage_tree()
     # the viability LP runs once per tree; its failure must stick
@@ -283,56 +260,6 @@ def test_polytope_probes():
                            atol=1e-9)
 
 
-def reference_probes(tree, seed, lp=linprog):
-    """The default probe loop solving every random-cost LP, with a polish after each."""
-    A = gains_matrix(tree)
-    L = tree.n_leaves
-    C = np.vstack([np.ones((1, L)), A.T])
-    b = np.zeros(C.shape[0])
-    b[0] = 1.0
-    rng = np.random.default_rng(seed)
-    vertices = []
-    seen = set()
-    for _ in range(24):
-        if len(vertices) >= 8:
-            break
-        cost = rng.standard_normal(L)
-        res = lp(cost, A_eq=C, b_eq=b, bounds=[(0.0, 1.0)] * L, method="highs")
-        if not res.success:
-            continue
-        supp = res.x > 1e-9
-        q = None
-        if np.any(supp):
-            qs, *_ = np.linalg.lstsq(C[:, supp], b, rcond=None)
-            if not np.any(qs < -1e-10):
-                out = np.zeros_like(res.x)
-                out[supp] = np.clip(qs, 0.0, None)
-                if abs(out.sum() - 1.0) <= 1e-9 and np.max(np.abs(C @ out - b)) <= 1e-9:
-                    q = out / out.sum()
-        if q is None:
-            raw = np.clip(res.x, 0.0, None)
-            raw = raw / raw.sum()
-            if np.max(np.abs(C @ raw - b)) > 1e-10:
-                continue
-            q = raw
-        key = tuple(np.round(q, 10))
-        if key not in seen:
-            seen.add(key)
-            vertices.append(q)
-    probes = [Measure(v) for v in vertices]
-    V = np.vstack(vertices)
-    for _ in range(4):
-        w = rng.dirichlet(np.ones(len(vertices)))
-        probes.append(Measure(w @ V))
-    return probes
-
-
-def assert_same_probes(got, ref):
-    assert len(got) == len(ref)
-    for a, b in zip(got, ref):
-        assert np.array_equal(a.weights, b.weights)
-
-
 def binomial(steps):
     return branching_tree(1.0, [2.0, 0.5], [0.5, 0.5], steps)
 
@@ -342,9 +269,22 @@ def crr(steps, sigma=0.2):
     return branching_tree(100.0, [u, 1.0 / u], [0.5, 0.5], steps)
 
 
+def near_degenerate_tree():
+    """Complete one-step two-asset tree whose moves of 1e-8 and 1e-5 leave
+    C q = b full rank but so ill-conditioned that a second LP vertex, 1e-8
+    away from the unique solution, passes the polish's 1e-9 tolerances."""
+    return build_tree({"nodes": [
+        {"parent": -1, "prob": 1.0, "prices": [1.0, 1.0]},
+        {"parent": 0, "prob": 0.3, "prices": [1.4, 1.0 + 1e-8]},
+        {"parent": 0, "prob": 0.5, "prices": [1.0 - 1e-5, 1.0]},
+        {"parent": 0, "prob": 0.2, "prices": [0.6 + 1e-5, 1.0 - 1e-8]},
+    ]})
+
+
 PROBE_TREES = {f"binomial_T{T}": (lambda T=T: binomial(T)) for T in range(1, 9)}
 PROBE_TREES.update(crr_T6=lambda: crr(6), trinomial_T3=lambda: trinomial_tree(3),
-                   two_asset_T3=lambda: two_asset_tree(3))
+                   two_asset_T3=lambda: two_asset_tree(3),
+                   near_degenerate=near_degenerate_tree)
 
 
 @pytest.mark.parametrize("name", sorted(PROBE_TREES))
@@ -355,16 +295,18 @@ def test_probes_match_the_full_lp_loop(name):
                            reference_probes(tree, seed=seed))
 
 
-# a two-asset tree with three branches per node is complete
-@pytest.mark.parametrize("make_tree, complete", [
+# a two-asset tree with three branches per node is complete; the near
+# degenerate one is too, but not by a margin the polish can tell
+@pytest.mark.parametrize("make_tree, one_lp", [
     (three_step_binomial, True),
     (lambda: crr(6), True),
     (lambda: branching_tree([1.0, 1.0], [[1.2, 1.1], [0.9, 1.25], [1.0, 0.8]],
                             [0.3, 0.45, 0.25], 3), True),
     (lambda: trinomial_tree(3), False),
     (lambda: two_asset_tree(3), False),
+    (near_degenerate_tree, False),
 ])
-def test_probe_lp_count(monkeypatch, make_tree, complete):
+def test_probe_lp_count(monkeypatch, make_tree, one_lp):
     tree = make_tree()
     calls = []
 
@@ -377,72 +319,27 @@ def test_probe_lp_count(monkeypatch, make_tree, complete):
     n_lps = len(calls)
     calls.clear()
     reference_probes(tree, 0, lp=counted)
-    if complete:
+    if one_lp:
         assert n_lps == 1 < len(calls)
     else:
         assert n_lps == len(calls) > 1
 
 
-def test_single_point_flag_needs_full_column_rank():
-    for tree, single in ((one_step_trinomial(), False), (one_step_binomial(), True),
-                         (two_step_binomial(), True)):
+def test_single_point_flag_needs_a_well_conditioned_full_rank():
+    # (tree, C has full column rank, flag)
+    for tree, full_rank, single in ((one_step_trinomial(), False, False),
+                                    (one_step_binomial(), True, True),
+                                    (two_step_binomial(), True, True),
+                                    (near_degenerate_tree(), True, False)):
         L = tree.n_leaves
         C = np.vstack([np.ones((1, L)), gains_matrix(tree).T])
         b = np.zeros(C.shape[0])
         b[0] = 1.0
+        assert bool(np.linalg.matrix_rank(C) == L) is full_rank
         q0 = entropic.assert_market_viable(tree)  # full support
         q, flag = entropic._polish_vertex(C, b, q0)
         assert q is not None and flag is single
         assert np.max(np.abs(C @ q - b)) <= 1e-12
-
-
-@st.composite
-def small_viable_trees(draw):
-    """1-2 assets, 2-4 branches per node (at least 3 for two assets), T <= 3.
-
-    Returns are whole percents.  One asset: an up and a down move at every
-    node, then any moves.  Two assets: p in the open first quadrant, r in the
-    closed second one and -(p + r), which puts 0 inside their hull, then any
-    moves.  So every node admits an equivalent martingale measure, and each
-    move is 0 or at least 1% per asset, far above the probe polish's absolute
-    tolerances (1e-9): moves near those break the residual bound below.
-    """
-    d = draw(st.integers(1, 2))
-    steps = draw(st.integers(1, 3))
-
-    def pct(lo, hi):
-        return draw(st.integers(lo, hi)) / 100.0
-
-    nodes = [{"parent": -1, "prob": 1.0, "prices": [1.0] * d}]
-    frontier = [0]
-    for _ in range(steps):
-        grown = []
-        for i in frontier:
-            nb = draw(st.integers(d + 1 if d == 2 else 2, 4))
-            if d == 1:
-                rets = [[pct(1, 60)], [-pct(1, 60)]]
-            else:
-                p, r = [pct(1, 40), pct(1, 40)], [-pct(1, 40), pct(0, 40)]
-                rets = [p, r, [-p[0] - r[0], -p[1] - r[1]]]
-            rets += [[pct(-60 // d, 60 // d) for _ in range(d)] for _ in range(nb - len(rets))]
-            w = np.array([draw(st.floats(0.1, 1.0)) for _ in range(nb)])
-            prices = nodes[i]["prices"]
-            for ret, q in zip(rets, w / w.sum()):
-                nodes.append({"parent": i, "prob": float(q),
-                              "prices": [s * (1.0 + x) for s, x in zip(prices, ret)]})
-                grown.append(len(nodes) - 1)
-        frontier = grown
-    return build_tree({"nodes": nodes})
-
-
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(tree=small_viable_trees(), seed=st.integers(0, 7))
-def test_probes_on_random_trees(tree, seed):
-    probes = martingale_polytope_probes(tree, seed=seed)
-    for m in probes:
-        assert abs(m.weights.sum() - 1.0) <= 1e-12
-        assert martingale_residual(tree, m) <= 1e-9
-    assert_same_probes(probes, reference_probes(tree, seed=seed))
 
 
 def test_verify_optimality_rejects_non_martingale_probe():
