@@ -3,14 +3,17 @@
 The primal problem is sup_H E_P[U((H.S)_T + xi)] over all per-node share
 strategies; nothing constrains the strategy, so the optimum is the unique
 stationary point of a smooth strictly concave function of the stacked
-holdings.  A damped Newton iteration drives the gradient below tolerance,
-with a gradient-ascent fallback when a Newton step is unusable.
+holdings.
 
 The dual side: leaf weights proportional to P * U'(terminal wealth) form the
 optimal martingale measure, and the entropy-minimal measure is computed
 independently by a reduced Newton iteration over the cone of unnormalized
 martingale measures (feasible interior start from an LP that also certifies
 that the market admits an equivalent martingale measure at all).
+
+One damped-Newton core, `_newton`, serves the primal, the entropy dual and
+the fraction solver of `positive`: Newton steps with a least-squares and a
+steepest-descent fallback, and a backtracking Armijo search.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from scipy.optimize import brentq, linprog
 
 from .market import (AdaptedProcess, Measure, ScenarioTree, Strategy,
                      conditional_probs, martingale_residual, wealth_additive)
-from .utilities import UtilityOnR, rescale_to_unit_alpha
+from .utilities import UtilityOnR
 
 __all__ = [
     "PrimalSolution", "DualMeasure", "OptimalityReport",
@@ -32,7 +35,8 @@ __all__ = [
     "martingale_polytope_probes", "martingale_price_bounds",
 ]
 
-GRAD_TOL = 1e-12
+GRAD_TOL = 1e-12      # absolute gradient sup-norm of the primal and the entropy dual
+NEWTON_STEPS = 200
 
 
 class NoMartingaleMeasure(RuntimeError):
@@ -132,40 +136,62 @@ def assert_market_viable(tree: ScenarioTree) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
+# damped Newton core
+
+
+def _newton(x, objective, derivatives, tol, what):
+    """Minimize a smooth convex function by damped Newton steps.
+
+    objective(x) is the value, inf where x is infeasible; derivatives(x)
+    returns (grad, residual, hessian), hessian a zero-argument callable so
+    the converged iterate never builds one.  Stops once residual <= tol.
+    A singular Hessian falls back to least squares, and a direction that is
+    not a finite descent direction to the scaled steepest-descent step.
+    Returns (x, value, residual, iterations); raises NonConvergence when the
+    line search stalls or NEWTON_STEPS steps do not reach the tolerance.
+    """
+    val = objective(x)
+    for it in range(1, NEWTON_STEPS + 1):
+        grad, residual, hessian = derivatives(x)
+        if residual <= tol:
+            return x, val, residual, it
+        hess = hessian()
+        try:
+            step = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        slope = float(grad @ step)
+        if not np.isfinite(slope) or slope >= 0.0:
+            step = -grad / max(1.0, float(np.max(np.abs(grad))))
+            slope = float(grad @ step)
+        # backtracking line search with a noise cushion for the flat tail
+        stepsize = 1.0
+        cushion = 1e-15 * (1.0 + abs(val))
+        while stepsize >= 1e-14:
+            cand = x + stepsize * step
+            valc = objective(cand)
+            if valc <= val + 1e-4 * stepsize * slope + cushion:
+                x, val = cand, valc
+                break
+            stepsize *= 0.5
+        else:
+            raise NonConvergence(f"{what} line search stalled", residual)
+    raise NonConvergence(f"{what} Newton did not reach gradient tolerance", residual)
+
+
+# ----------------------------------------------------------------------
 # primal solver
 
 
 def solve_primal(tree: ScenarioTree, utility: UtilityOnR, endowment=0.0, *,
-                 rescale: bool = False, check_market: bool = True,
-                 initial: Strategy | None = None, tol: float = GRAD_TOL,
-                 max_iter: int = 200) -> PrimalSolution:
+                 initial: Strategy | None = None) -> PrimalSolution:
     """Maximize E_P[U((H.S)_T + endowment)] over per-node share strategies.
 
     endowment may be a constant or one value per leaf.  `initial` warm-starts
-    the Newton iteration.  With rescale=True the problem is solved through
-    the normalized utility x -> alpha*U(x/alpha) (whose reference risk
-    aversion is 1) and mapped back; the result agrees with the direct solve.
+    the Newton iteration, which minimizes the negated expected utility.
     """
     xi = np.broadcast_to(np.asarray(endowment, dtype=float), (tree.n_leaves,)).copy()
-    if check_market:
-        assert_market_viable(tree)
-
-    if rescale and utility.alpha != 1.0:
-        a = utility.alpha
-        inner = solve_primal(tree, rescale_to_unit_alpha(utility), a * xi,
-                             rescale=False, check_market=False,
-                             initial=Strategy(initial.values * a, "shares") if initial else None,
-                             tol=tol, max_iter=max_iter)
-        return PrimalSolution(
-            strategy=Strategy(inner.strategy.values / a, "shares"),
-            wealth=AdaptedProcess(inner.wealth.values / a),
-            value=inner.value / a,
-            endowment=xi,
-            total=inner.total / a,
-            gradient_norm=inner.gradient_norm,
-            iterations=inner.iterations,
-        )
-
+    assert_market_viable(tree)
     A = gains_matrix(tree)
     P = tree.path_prob[tree.leaves]
     K = tree.nonterminal.shape[0]
@@ -177,47 +203,15 @@ def solve_primal(tree: ScenarioTree, utility: UtilityOnR, endowment=0.0, *,
         h = np.zeros(K * d)
 
     def objective(hvec):
-        return float(P @ utility.value(A @ hvec + xi))
+        return -float(P @ utility.value(A @ hvec + xi))
 
-    phi = objective(h)
-    gnorm = np.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        total = A @ h + xi
-        grad = A.T @ (P * utility.marginal(total))
+    def derivatives(hvec):
+        total = A @ hvec + xi
+        grad = -(A.T @ (P * utility.marginal(total)))
         gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
-        if gnorm <= tol:
-            break
-        curv = P * utility.curvature(total)
-        hess = A.T @ (A * curv[:, None])
-        step = None
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-        slope = float(grad @ step)
-        if not np.isfinite(slope) or slope <= 0.0:
-            # Newton direction unusable; fall back to plain ascent
-            step = grad / max(1.0, gnorm)
-            slope = float(grad @ step)
-        # backtracking line search with a noise cushion for the flat tail
-        stepsize = 1.0
-        cushion = 1e-15 * (1.0 + abs(phi))
-        accepted = False
-        while stepsize >= 1e-14:
-            cand = h + stepsize * step
-            phic = objective(cand)
-            if phic >= phi + 1e-4 * stepsize * slope - cushion:
-                h = cand
-                phi = phic
-                accepted = True
-                break
-            stepsize *= 0.5
-        if not accepted:
-            raise NonConvergence("primal line search stalled", gnorm)
-    else:
-        raise NonConvergence("primal Newton did not reach gradient tolerance", gnorm)
+        return grad, gnorm, lambda: -(A.T @ (A * (P * utility.curvature(total))[:, None]))
 
+    h, _, gnorm, it = _newton(h, objective, derivatives, GRAD_TOL, "primal")
     values = np.zeros((tree.n_nodes, d))
     values[tree.nonterminal] = h.reshape(K, d)
     strategy = Strategy(values, "shares")
@@ -269,8 +263,7 @@ def _dual_scale(m: Measure, P: np.ndarray, utility: UtilityOnR) -> float:
     return float(brentq(slope, lo, hi, xtol=1e-15, rtol=1e-15))
 
 
-def minimal_entropy_measure(tree: ScenarioTree, utility: UtilityOnR,
-                            tol: float = GRAD_TOL) -> DualMeasure:
+def minimal_entropy_measure(tree: ScenarioTree, utility: UtilityOnR) -> DualMeasure:
     """Minimize the generalized entropy E_P[V(dmu/dP)] over the cone of
     unnormalized martingale measures.
 
@@ -279,48 +272,29 @@ def minimal_entropy_measure(tree: ScenarioTree, utility: UtilityOnR,
     minimizer is P * U'(optimal terminal wealth), so y = sum(mu) and
     m = mu/y reproduce extract_dual's pair for every family member, without
     touching the strategy-space solver.  Newton in the nullspace of the
-    constraint matrix, started from the LP interior point at the reference
-    scale, positivity enforced by line search.
+    constraint matrix, mu = mu0 + N t, started from the LP interior point at
+    the reference scale, positivity enforced by line search.
     """
     q0 = assert_market_viable(tree)
     P = tree.path_prob[tree.leaves]
     A = gains_matrix(tree)
     N = null_space(A.T)       # contains the ray through every martingale measure
     mu0 = _dual_scale(Measure(q0), P, utility) * q0
-    mu = mu0.copy()
-    tvec = np.zeros(N.shape[1])
 
-    def entropy(muv):
-        return float(P @ np.asarray(utility.conjugate(muv / P)))
+    def objective(t):
+        mu = mu0 + N @ t
+        if not np.all(mu > 0.0):
+            return np.inf
+        return float(P @ np.asarray(utility.conjugate(mu / P)))
 
-    val = entropy(mu)
-    for _ in range(200):
-        z = mu / P
+    def derivatives(t):
+        z = (mu0 + N @ t) / P
         grad = N.T @ np.asarray(utility.conjugate_prime(z))
-        if float(np.max(np.abs(grad))) <= tol:
-            break
-        curv = np.asarray(utility.conjugate_curvature(z)) / P
-        hess = N.T @ (N * curv[:, None])
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            step = -grad
-        stepsize = 1.0
-        while stepsize >= 1e-14:
-            tc = tvec + stepsize * step
-            muc = mu0 + N @ tc
-            if np.all(muc > 0.0):
-                vc = entropy(muc)
-                if vc <= val + 1e-4 * stepsize * float(grad @ step) + 1e-15 * (1.0 + abs(val)):
-                    tvec, mu, val = tc, muc, vc
-                    break
-            stepsize *= 0.5
-        else:
-            raise NonConvergence("entropy line search stalled",
-                                 float(np.max(np.abs(grad))))
-    else:
-        raise NonConvergence("entropy Newton did not converge",
-                             float(np.max(np.abs(grad))))
+        return grad, float(np.max(np.abs(grad))), \
+            lambda: N.T @ (N * (np.asarray(utility.conjugate_curvature(z)) / P)[:, None])
+
+    t, _, _, _ = _newton(np.zeros(N.shape[1]), objective, derivatives, GRAD_TOL, "entropy")
+    mu = mu0 + N @ t
     y = float(mu.sum())
     m = Measure(mu / y)
     return DualMeasure(measure=m, y=y, residual=martingale_residual(tree, m))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropic import NonConvergence, assert_market_viable
+from .entropic import _newton, assert_market_viable
 from .market import (AdaptedProcess, Measure, ScenarioTree, Strategy,
                      conditional_probs, wealth_multiplicative)
 from .utilities import UtilityOnRPlus, make_power
@@ -29,6 +29,8 @@ __all__ = [
     "share_amounts", "scaled_strategy_distance",
     "auxiliary_measure", "numeraire_audit", "ratio_defects", "ratio_diagnostics",
 ]
+
+POWER_TOL = 1e-11     # gradient sup-norm relative to sum_l P_l D_l |U'(X_l) X_l|
 
 
 @dataclass(frozen=True)
@@ -104,87 +106,55 @@ def _path_weights(tree: ScenarioTree, pi: np.ndarray):
 
 
 def solve_power_field(tree: ScenarioTree, utility: UtilityOnRPlus, x0: float = 1.0,
-                      field=None, *, check_market: bool = True,
-                      initial: Strategy | None = None, tol: float = 1e-11,
-                      max_iter: int = 200) -> PositiveSolution:
+                      field=None) -> PositiveSolution:
     """Maximize sum_l P_l D_l U(X_l) over fraction strategies, X multiplicative.
 
-    `field` weights the leaves (default all ones); `tol` bounds the gradient
-    relative to the objective's marginal scale.
+    `field` weights the leaves (default all ones).  The Newton iteration
+    minimizes the negated objective and stops once the gradient, relative
+    to the objective's marginal scale, is below POWER_TOL.
     """
     if x0 <= 0.0:
         raise ValueError("initial capital must be positive")
-    if check_market:
-        assert_market_viable(tree)
+    assert_market_viable(tree)
     P = tree.path_prob[tree.leaves]
     D = np.ones(tree.n_leaves) if field is None else np.asarray(field.weights, dtype=float)
     K = tree.nonterminal.shape[0]
     d = tree.n_assets
 
-    if initial is not None:
-        pi = initial.values[tree.nonterminal].reshape(K * d).astype(float).copy()
-        if _path_weights(tree, pi)[0] is None:
-            pi = np.zeros(K * d)
-    else:
-        pi = np.zeros(K * d)
-
     def objective(pvec):
         logX, _ = _path_weights(tree, pvec)
         if logX is None:
-            return -np.inf, None
+            return np.inf
         with np.errstate(over="ignore"):
             val = float(P @ (D * np.asarray(utility.value(np.exp(np.log(x0) + logX)))))
-        return (val if np.isfinite(val) else -np.inf), logX
+        return -val if np.isfinite(val) else np.inf
 
-    phi, logX = objective(pi)
-    gnorm = np.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        logX, W = _path_weights(tree, pi)
+    def derivatives(pvec):
+        logX, W = _path_weights(tree, pvec)
         X = np.exp(np.log(x0) + logX)
         mXp = P * D * np.asarray(utility.marginal(X)) * X
-        scale = float(np.sum(np.abs(mXp)))
-        grad = W.T @ mXp
-        gnorm = float(np.max(np.abs(grad))) / scale if grad.size else 0.0
-        if gnorm <= tol:
-            break
-        cA = P * D * np.asarray(utility.curvature(X)) * X * X
-        hess = W.T @ (W * (cA + mXp)[:, None])
-        # same-node second derivatives of X vanish (each node hits a path once)
-        for k in range(K):
-            Wk = W[:, k * d:(k + 1) * d]
-            hess[k * d:(k + 1) * d, k * d:(k + 1) * d] -= Wk.T @ (Wk * mXp[:, None])
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-        slope = float(grad @ step)
-        if not np.isfinite(slope) or slope <= 0.0:
-            step = grad / (scale if scale > 0 else 1.0)
-            slope = float(grad @ step)
-        stepsize = 1.0
-        cushion = 1e-15 * (1.0 + abs(phi))
-        accepted = False
-        while stepsize >= 1e-14:
-            cand = pi + stepsize * step
-            phic, _ = objective(cand)
-            if phic >= phi + 1e-4 * stepsize * slope - cushion:
-                pi, phi = cand, phic
-                accepted = True
-                break
-            stepsize *= 0.5
-        if not accepted:
-            raise NonConvergence("fraction line search stalled", gnorm)
-    else:
-        raise NonConvergence("fraction Newton did not reach gradient tolerance", gnorm)
+        grad = -(W.T @ mXp)
+        gnorm = float(np.max(np.abs(grad))) / float(np.sum(np.abs(mXp))) if grad.size else 0.0
 
+        def hessian():
+            cA = P * D * np.asarray(utility.curvature(X)) * X * X
+            hess = W.T @ (W * (cA + mXp)[:, None])
+            # same-node second derivatives of X vanish (each node hits a path once)
+            for k in range(K):
+                Wk = W[:, k * d:(k + 1) * d]
+                hess[k * d:(k + 1) * d, k * d:(k + 1) * d] -= Wk.T @ (Wk * mXp[:, None])
+            return -hess
+
+        return grad, gnorm, hessian
+
+    pi, val, gnorm, it = _newton(np.zeros(K * d), objective, derivatives, POWER_TOL, "fraction")
     values = np.zeros((tree.n_nodes, d))
     values[tree.nonterminal] = pi.reshape(K, d)
     strategy = Strategy(values, "fractions")
     wealth = wealth_multiplicative(tree, strategy, x0)
     terminal = wealth.at_leaves(tree)
     y = float(np.sum(P * D * np.asarray(utility.marginal(terminal)) * terminal)) / x0
-    return PositiveSolution(strategy=strategy, wealth=wealth, value=phi,
+    return PositiveSolution(strategy=strategy, wealth=wealth, value=-val,
                             terminal=terminal, y=y, gradient_norm=gnorm, iterations=it)
 
 

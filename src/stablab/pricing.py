@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropic import DualMeasure, assert_market_viable, solve_primal
+from .entropic import DualMeasure, solve_primal
 from .market import ScenarioTree
 from .utilities import UtilityOnR
 
@@ -49,18 +49,17 @@ def davis_price(dual: DualMeasure, B) -> PriceResult:
 def indifference_price(tree: ScenarioTree, utility: UtilityOnR, x0: float, B,
                        tol: float = 1e-9, iterations: int = 60) -> PriceResult:
     """Buyer's price p solving E[U(x0 + B - p + gains)] = value without the claim."""
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tolerance must be positive and finite")
     B = _check_claim(np.broadcast_to(np.asarray(B, dtype=float), (tree.n_leaves,)))
-    assert_market_viable(tree)
-    base = solve_primal(tree, utility, x0, check_market=False)
+    base = solve_primal(tree, utility, x0)
     lo, hi = float(np.min(B)), float(np.max(B))
 
     warm = base.strategy
 
     def shifted_value(p):
         nonlocal warm
-        sol = solve_primal(tree, utility, x0 + B - p, check_market=False, initial=warm)
+        sol = solve_primal(tree, utility, x0 + B - p, initial=warm)
         warm = sol.strategy
         return sol.value
 

@@ -9,8 +9,8 @@ smallest half of the grid, with the full-grid fit reported alongside.
 
 Reports serialize to CSV (17 significant digits, fixed column order) and
 JSON (sorted keys); identical config and seed give byte-identical output.
-Grid points are independent problems and are solved concurrently; the
-STABLAB_THREADS environment variable caps the pool.
+Grid points are solved in order, and a sweep stops at the first point that
+fails.
 """
 from __future__ import annotations
 
@@ -18,8 +18,6 @@ import csv
 import io
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,19 +51,6 @@ P_COLUMNS = ["p", "fmix", "pure_distance", "member_distance",
 
 class ConfigError(ValueError):
     """Invalid sweep configuration."""
-
-
-def _thread_count(n: int) -> int:
-    env = os.environ.get("STABLAB_THREADS", "").strip()
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ConfigError(f"STABLAB_THREADS must be an integer, got {env!r}")
-        if cap < 1:
-            raise ConfigError("STABLAB_THREADS must be >= 1")
-        return min(cap, n)
-    return min(4, n)
 
 
 # ----------------------------------------------------------------------
@@ -347,17 +332,13 @@ def sweep_p(spec: SweepSpec) -> SweepReport:
 def _run_grid(one, grid):
     rows = []
     meta = {}
-    with ThreadPoolExecutor(max_workers=_thread_count(len(grid))) as pool:
-        futures = [pool.submit(one, g) for g in grid]
-        for i, fut in enumerate(futures):
-            try:
-                rows.append(fut.result())
-            except Exception as e:
-                for later in futures[i + 1:]:
-                    later.cancel()
-                meta["incomplete"] = True
-                meta["error"] = f"grid point {grid[i]!r}: {e}"
-                break
+    for g in grid:
+        try:
+            rows.append(one(g))
+        except Exception as e:
+            meta["incomplete"] = True
+            meta["error"] = f"grid point {g!r}: {e}"
+            break
     return rows, meta
 
 

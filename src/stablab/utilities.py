@@ -77,11 +77,71 @@ def _bracketed_root(f, fprime, lo, hi, iters: int = 100):
 
 
 # ----------------------------------------------------------------------
+# shared certificate, inverse marginal and conjugate
+
+
+class _CertifiedUtility:
+    """Marginal F(x) * reference marginal with certified lower <= F <= upper.
+
+    Subclasses hold `shift` and `amp`, evaluate value, marginal and
+    curvature, and invert their reference marginal in `_reference_inverse`.
+    """
+
+    @property
+    def lower(self) -> float:
+        return 1.0 + self.shift - abs(self.amp)
+
+    @property
+    def upper(self) -> float:
+        return 1.0 + self.shift + abs(self.amp)
+
+    @property
+    def f_bound(self) -> float:
+        """Certified sup |F - 1|."""
+        return abs(self.shift) + abs(self.amp)
+
+    def inverse_marginal(self, y):
+        y = np.asarray(y, dtype=float)
+        if np.any(y <= 0.0):
+            raise ValueError("inverse marginal needs y > 0")
+        if self.amp == 0.0:
+            return _maybe_scalar(self._reference_inverse(y / (1.0 + self.shift)), y)
+        # certified bracket from lower <= F <= upper
+        lo = self._reference_inverse(y / self.lower)
+        hi = self._reference_inverse(y / self.upper)
+        yv = np.atleast_1d(y)
+        root = _bracketed_root(lambda x: self.marginal(x) - yv, self.curvature,
+                               np.broadcast_to(lo, yv.shape), np.broadcast_to(hi, yv.shape))
+        return _maybe_scalar(root.reshape(np.shape(y)), y)
+
+    def conjugate(self, y):
+        """V(y) = sup_x (U(x) - x*y); V(0) is the supremum of U."""
+        y = np.asarray(y, dtype=float)
+        yv = np.atleast_1d(y).astype(float)
+        out = np.empty_like(yv)
+        zero = yv == 0.0
+        if np.any(yv < 0.0):
+            raise ValueError("conjugate is defined for y >= 0")
+        out[zero] = self.value_at_inf
+        if np.any(~zero):
+            x = self.inverse_marginal(yv[~zero])
+            out[~zero] = self.value(x) - yv[~zero] * x
+        return _maybe_scalar(out.reshape(np.shape(y)), y)
+
+    def conjugate_prime(self, y):
+        return _maybe_scalar(-np.asarray(self.inverse_marginal(y)), y)
+
+    def conjugate_curvature(self, y):
+        x = self.inverse_marginal(y)
+        return _maybe_scalar(-1.0 / np.asarray(self.curvature(x)), y)
+
+
+# ----------------------------------------------------------------------
 # utilities on the real line
 
 
 @dataclass(frozen=True)
-class UtilityOnR:
+class UtilityOnR(_CertifiedUtility):
     """Utility on R whose marginal is a certified perturbation of exp(-alpha*x).
 
     marginal U'(x) = F(x) * exp(-alpha*x) with F(x) = 1 + shift + amp*sin(omega*x),
@@ -102,19 +162,6 @@ class UtilityOnR:
             object.__setattr__(self, "value_at_zero", -1.0 / self.alpha)
 
     # -- certificate ----------------------------------------------------
-    @property
-    def lower(self) -> float:
-        return 1.0 + self.shift - abs(self.amp)
-
-    @property
-    def upper(self) -> float:
-        return 1.0 + self.shift + abs(self.amp)
-
-    @property
-    def f_bound(self) -> float:
-        """Certified sup |F - 1|."""
-        return abs(self.shift) + abs(self.amp)
-
     @property
     def g_bound(self) -> float:
         """Distance |alpha - 1| of the reference risk aversion from 1."""
@@ -158,41 +205,8 @@ class UtilityOnR:
             out += self.amp * self.omega / (self.alpha ** 2 + self.omega ** 2)
         return float(out)
 
-    def inverse_marginal(self, y):
-        y = np.asarray(y, dtype=float)
-        if np.any(y <= 0.0):
-            raise ValueError("inverse marginal needs y > 0")
-        if self.amp == 0.0:
-            out = -np.log(y / (1.0 + self.shift)) / self.alpha
-            return _maybe_scalar(out, y)
-        # certified bracket from lower <= F <= upper
-        lo = -np.log(y / self.lower) / self.alpha
-        hi = -np.log(y / self.upper) / self.alpha
-        yv = np.atleast_1d(y)
-        root = _bracketed_root(lambda x: self.marginal(x) - yv, self.curvature,
-                               np.broadcast_to(lo, yv.shape), np.broadcast_to(hi, yv.shape))
-        return _maybe_scalar(root.reshape(np.shape(y)), y)
-
-    def conjugate(self, y):
-        """V(y) = sup_x (U(x) - x*y); V(0) is the supremum of U."""
-        y = np.asarray(y, dtype=float)
-        yv = np.atleast_1d(y).astype(float)
-        out = np.empty_like(yv)
-        zero = yv == 0.0
-        if np.any(yv < 0.0):
-            raise ValueError("conjugate is defined for y >= 0")
-        out[zero] = self.value_at_inf
-        if np.any(~zero):
-            x = self.inverse_marginal(yv[~zero])
-            out[~zero] = self.value(x) - yv[~zero] * x
-        return _maybe_scalar(out.reshape(np.shape(y)), y)
-
-    def conjugate_prime(self, y):
-        return _maybe_scalar(-np.asarray(self.inverse_marginal(y)), y)
-
-    def conjugate_curvature(self, y):
-        x = self.inverse_marginal(y)
-        return _maybe_scalar(-1.0 / np.asarray(self.curvature(x)), y)
+    def _reference_inverse(self, v):
+        return -np.log(v) / self.alpha
 
 
 def make_exponential(alpha: float) -> UtilityOnR:
@@ -242,7 +256,7 @@ def rescale_to_unit_alpha(u: UtilityOnR) -> UtilityOnR:
 
 
 @dataclass(frozen=True)
-class UtilityOnRPlus:
+class UtilityOnRPlus(_CertifiedUtility):
     """Utility on (0, inf) whose marginal is a certified perturbation of x**(p-1).
 
     marginal U'(x) = F(x) * x**(p-1) with F(x) = 1 + shift + amp*sin(nu*log x)
@@ -260,18 +274,6 @@ class UtilityOnRPlus:
             raise ValueError("exponent p must be negative")
         if self.value_at_one is None:
             object.__setattr__(self, "value_at_one", 1.0 / self.p)
-
-    @property
-    def lower(self) -> float:
-        return 1.0 + self.shift - abs(self.amp)
-
-    @property
-    def upper(self) -> float:
-        return 1.0 + self.shift + abs(self.amp)
-
-    @property
-    def f_bound(self) -> float:
-        return abs(self.shift) + abs(self.amp)
 
     def ratio(self, x):
         x = np.asarray(x, dtype=float)
@@ -297,20 +299,8 @@ class UtilityOnRPlus:
             out = out + self.amp * _power_logsine_integral(x, self.p, self.nu)
         return _maybe_scalar(out, x)
 
-    def inverse_marginal(self, y):
-        y = np.asarray(y, dtype=float)
-        if np.any(y <= 0.0):
-            raise ValueError("inverse marginal needs y > 0")
-        expo = 1.0 / (self.p - 1.0)
-        if self.amp == 0.0:
-            out = np.power(y / (1.0 + self.shift), expo)
-            return _maybe_scalar(out, y)
-        lo = np.power(y / self.lower, expo)
-        hi = np.power(y / self.upper, expo)
-        yv = np.atleast_1d(y)
-        root = _bracketed_root(lambda x: self.marginal(x) - yv, self.curvature,
-                               np.broadcast_to(lo, yv.shape), np.broadcast_to(hi, yv.shape))
-        return _maybe_scalar(root.reshape(np.shape(y)), y)
+    def _reference_inverse(self, v):
+        return np.power(v, 1.0 / (self.p - 1.0))
 
     @property
     def value_at_inf(self) -> float:
@@ -319,27 +309,6 @@ class UtilityOnRPlus:
         if self.amp != 0.0:
             out += self.amp * self.nu / (self.p ** 2 + self.nu ** 2)
         return float(out)
-
-    def conjugate(self, y):
-        """V(y) = sup_x (U(x) - x*y); V(0) is the supremum of U."""
-        y = np.asarray(y, dtype=float)
-        yv = np.atleast_1d(y).astype(float)
-        out = np.empty_like(yv)
-        zero = yv == 0.0
-        if np.any(yv < 0.0):
-            raise ValueError("conjugate is defined for y >= 0")
-        out[zero] = self.value_at_inf
-        if np.any(~zero):
-            x = self.inverse_marginal(yv[~zero])
-            out[~zero] = self.value(x) - yv[~zero] * x
-        return _maybe_scalar(out.reshape(np.shape(y)), y)
-
-    def conjugate_prime(self, y):
-        return _maybe_scalar(-np.asarray(self.inverse_marginal(y)), y)
-
-    def conjugate_curvature(self, y):
-        x = self.inverse_marginal(y)
-        return _maybe_scalar(-1.0 / np.asarray(self.curvature(x)), y)
 
 
 def make_power(p: float) -> UtilityOnRPlus:

@@ -118,6 +118,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
         "market": {"lattice": {"s0": 1.0, "u": 2.0, "d": 0.5, "q": 0.5, "steps": 1}},
         "utility": {"kind": "power", "p": -2.0}})
     assert main(["price", "--config", cfg, "--out", str(tmp_path)]) == 2
+    # a NaN tolerance would switch the indifference residual check off
+    assert main(["price", "--config", f"{CONFIGS}/price_call.json", "--tol", "nan",
+                 "--out", str(tmp_path)]) == 2
     # non-monotone sweep grid
     cfg = write_config(tmp_path, "grid.json", {
         "market": {"lattice": {"s0": 1.0, "u": 2.0, "d": 0.5, "q": 0.5, "steps": 2}},

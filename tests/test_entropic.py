@@ -13,9 +13,10 @@ from conftest import (assert_same_probes, depth_first_two_asset_tree,
 from stablab import (Measure, NoMartingaleMeasure, NonConvergence,
                      PrimalSolution, Strategy, branching_tree, build_tree,
                      extract_dual, gains_matrix, generalized_entropy, make_exponential,
-                     make_perturbed_exponential, martingale_polytope_probes,
+                     make_perturbed_exponential, make_power, martingale_polytope_probes,
                      martingale_price_bounds, martingale_residual,
-                     minimal_entropy_measure, solve_primal, verify_optimality)
+                     minimal_entropy_measure, rescale_to_unit_alpha, solve_power_field,
+                     solve_primal, verify_optimality)
 
 
 def arbitrage_tree():
@@ -24,6 +25,19 @@ def arbitrage_tree():
         {"parent": -1, "prices": [1.0]},
         {"parent": 0, "prob": 0.5, "prices": [1.5]},
         {"parent": 0, "prob": 0.5, "prices": [1.1]},
+    ]})
+
+
+def flat_node_tree():
+    """Two-step tree whose up node has no price move."""
+    return build_tree({"nodes": [
+        {"parent": -1, "prob": 1.0, "prices": [1.0]},
+        {"parent": 0, "prob": 0.5, "prices": [2.0]},
+        {"parent": 0, "prob": 0.5, "prices": [0.5]},
+        {"parent": 1, "prob": 0.4, "prices": [2.0]},
+        {"parent": 1, "prob": 0.6, "prices": [2.0]},
+        {"parent": 2, "prob": 0.5, "prices": [1.0]},
+        {"parent": 2, "prob": 0.5, "prices": [0.25]},
     ]})
 
 
@@ -146,12 +160,15 @@ def test_uniqueness_from_different_starts():
 
 
 def test_rescaled_solve_agrees():
+    # x -> alpha*U(x/alpha) at endowment alpha*xi is the same problem in
+    # units scaled by alpha: alpha times the holdings and alpha times the value
     tree = two_step_binomial()
     u = make_perturbed_exponential(0.2, alpha=1.8, a=0.2, omega=1.1)
-    direct = solve_primal(tree, u)
-    via = solve_primal(tree, u, rescale=True)
-    assert np.max(np.abs(direct.strategy.values - via.strategy.values)) < 1e-9
-    assert direct.value == pytest.approx(via.value, abs=1e-12)
+    a, xi = u.alpha, 0.3
+    direct = solve_primal(tree, u, xi)
+    via = solve_primal(tree, rescale_to_unit_alpha(u), a * xi)
+    assert np.max(np.abs(direct.strategy.values - via.strategy.values / a)) < 1e-9
+    assert direct.value == pytest.approx(via.value / a, abs=1e-12)
 
 
 def test_cash_translation():
@@ -188,11 +205,54 @@ def test_extract_dual_rejects_bad_solution():
         extract_dual(tree, u, bogus)
 
 
-def test_nonconvergence_reports_residual():
-    tree = two_step_binomial()
-    with pytest.raises(NonConvergence) as exc:
-        solve_primal(tree, make_exponential(1.0), max_iter=1)
-    assert exc.value.residual > 0.0
+def test_flat_node_takes_the_least_squares_step(monkeypatch):
+    # the flat node's holding has no gains, so the primal and fraction
+    # Hessians are singular; the entropy Hessian N' diag N is not
+    tree = flat_node_tree()
+    u = make_exponential(1.0)
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting_lstsq(*args, **kw):
+        calls.append(args[0].shape)
+        return lstsq(*args, **kw)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    sol = solve_primal(tree, u)
+    primal_calls = len(calls)
+    power = solve_power_field(tree, make_power(-2.0))
+    power_calls = len(calls) - primal_calls
+    entropy = minimal_entropy_measure(tree, u)
+    monkeypatch.undo()
+    assert primal_calls > 0 and power_calls > 0
+    assert abs(sol.strategy.values[1, 0]) <= 1e-12
+    assert abs(power.strategy.values[1, 0]) <= 1e-12
+    dual = extract_dual(tree, u, sol)
+    rep = verify_optimality(tree, u, sol, dual)
+    assert rep.first_order_residual <= 1e-10
+    assert rep.martingale_defect <= 1e-10
+    assert power.gradient_norm <= 1e-11
+    assert np.max(np.abs(entropy.measure.weights - dual.measure.weights)) < 1e-9
+
+
+def test_newton_exhausts_its_steps():
+    # a linear objective has no minimizer: every step is accepted, none converges
+    with pytest.raises(NonConvergence, match="did not reach gradient tolerance") as exc:
+        entropic._newton(np.zeros(1), lambda x: float(x[0]),
+                         lambda x: (np.ones(1), 1.0, lambda: np.zeros((1, 1))),
+                         1e-12, "linear")
+    assert exc.value.residual == 1.0
+
+
+def test_newton_reports_a_stalled_line_search():
+    def objective(x):
+        return 0.0 if not np.any(x) else np.inf
+
+    with pytest.raises(NonConvergence, match="line search stalled") as exc:
+        entropic._newton(np.zeros(2), objective,
+                         lambda x: (np.array([1.0, -2.0]), 2.0, lambda: np.eye(2)),
+                         1e-12, "walled")
+    assert exc.value.residual == 2.0
 
 
 def test_generalized_entropy_frozen_value():

@@ -99,5 +99,6 @@ def test_claim_validation():
         davis_price(dual, np.array([1.0, np.inf, 0.0, 0.0]))
     with pytest.raises(ValueError):
         indifference_price(tree, u, 0.0, np.array([1.0, -0.5, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        indifference_price(tree, u, 0.0, call_claim(tree), tol=0.0)
+    for tol in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            indifference_price(tree, u, 0.0, call_claim(tree), tol=tol)

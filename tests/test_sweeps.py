@@ -66,14 +66,6 @@ def test_load_config_rejects_bad_p_docs():
         load_config("not a dict", "p")
 
 
-def test_thread_env_validation(monkeypatch):
-    spec = load_config(delta_doc(), "delta")
-    for bad in ("zero", "0", "-3"):
-        monkeypatch.setenv("STABLAB_THREADS", bad)
-        with pytest.raises(ConfigError):
-            sweep_delta(spec)
-
-
 def test_load_config_defaults():
     spec = load_config(delta_doc(), "delta")
     assert spec.claim == {"kind": "zero"}
