@@ -17,7 +17,7 @@ import numpy as np
 from .entropic import extract_dual, solve_primal, verify_optimality
 from .market import TreeValidationError, build_tree
 from .positive import opportunity_process, solve_power_field
-from .pricing import davis_price, indifference_price
+from .pricing import _check_tol, davis_price, indifference_price
 from .sweeps import (ConfigError, SCHEMA_VERSION, audit_probabilistic_lemmas,
                      load_config, make_claim, report_csv, report_json,
                      sweep_delta, sweep_p)
@@ -136,6 +136,7 @@ def _cmd_price(args) -> int:
     doc = _read_config(args.config)
     if "market" not in doc:
         raise ConfigError("price config needs a 'market' entry")
+    tol = _check_tol(args.tol if args.tol is not None else doc.get("tol", 1e-9))
     tree = build_tree(doc["market"])
     utility = _utility_from(doc.get("utility", {}))
     from .utilities import UtilityOnRPlus
@@ -143,7 +144,6 @@ def _cmd_price(args) -> int:
         raise ConfigError("pricing needs a real-line utility")
     B = make_claim(tree, doc.get("claim", {"kind": "call", "strike": 1.0}))
     x0 = float(doc.get("x0", 0.0))
-    tol = args.tol if args.tol is not None else float(doc.get("tol", 1e-9))
     sol = solve_primal(tree, utility, x0)
     dual = extract_dual(tree, utility, sol)
     davis = davis_price(dual, B)
@@ -214,35 +214,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Utility-maximization stability laboratory on scenario trees.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        if config_required:
-            p.add_argument("--config", required=True, help="JSON config path")
-        else:
-            p.add_argument("--config", default=None, help="JSON config path")
+    extra = {"seed": dict(type=int, default=None, help="override config seed"),
+             "tol": dict(type=float, default=None, help="override config tolerance"),
+             "trials": dict(type=int, default=1000, help="number of random trials")}
+    # each subcommand takes --config, --out and only the extra flags it reads
+    for name, func, text, flags in (
+            ("solve", _cmd_solve, "solve one utility-maximization problem", ()),
+            ("price", _cmd_price, "Davis and indifference prices for a claim", ("tol",)),
+            ("sweep-delta", lambda a: _sweep_cmd(a, "delta"),
+             "perturbation sweep on the real line", ("seed", "tol")),
+            ("sweep-p", lambda a: _sweep_cmd(a, "p"),
+             "exponent sweep on the positive half-line", ("seed", "tol")),
+            ("audit", _cmd_audit, "probabilistic lemma audits", ("seed", "trials"))):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", required=name != "audit", help="JSON config path")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--tol", type=float, default=None, help="override config tolerance")
-
-    p = sub.add_parser("solve", help="solve one utility-maximization problem")
-    common(p)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("price", help="Davis and indifference prices for a claim")
-    common(p)
-    p.set_defaults(func=_cmd_price)
-
-    p = sub.add_parser("sweep-delta", help="perturbation sweep on the real line")
-    common(p)
-    p.set_defaults(func=lambda a: _sweep_cmd(a, "delta"))
-
-    p = sub.add_parser("sweep-p", help="exponent sweep on the positive half-line")
-    common(p)
-    p.set_defaults(func=lambda a: _sweep_cmd(a, "p"))
-
-    p = sub.add_parser("audit", help="probabilistic lemma audits")
-    common(p, config_required=False)
-    p.add_argument("--trials", type=int, default=1000, help="number of random trials")
-    p.set_defaults(func=_cmd_audit)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **extra[flag])
+        p.set_defaults(func=func)
 
     return parser
 

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import null_space
 from scipy.optimize import brentq, linprog
 
-from .market import (AdaptedProcess, Measure, ScenarioTree, Strategy,
+from .market import (AdaptedProcess, Measure, ScenarioTree, Strategy, _child_sums,
                      conditional_probs, martingale_residual, wealth_additive)
 from .utilities import UtilityOnR
 
@@ -306,13 +306,9 @@ def minimal_entropy_measure(tree: ScenarioTree, utility: UtilityOnR) -> DualMeas
 
 def _wealth_martingale_defect(tree: ScenarioTree, m: Measure, wealth: AdaptedProcess) -> float:
     W, cond = conditional_probs(tree, m)
-    worst = 0.0
     X = wealth.values
-    for i in tree.nonterminal:
-        if W[i] <= 0.0:
-            continue
-        worst = max(worst, abs(float(cond[i] @ X[tree.children[i]]) - X[i]))
-    return worst
+    live = tree.nonterminal[W[tree.nonterminal] > 0.0]
+    return float(np.abs(_child_sums(tree, cond, X)[live] - X[live]).max(initial=0.0))
 
 
 def verify_optimality(tree: ScenarioTree, utility: UtilityOnR, sol: PrimalSolution,

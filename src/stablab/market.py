@@ -6,7 +6,8 @@ need not be grouped by date, so the tree keeps a level layout (the node ids of
 each date) and forward passes take one array step per date.  Trees are
 immutable once built, so derived geometry is cached for a tree's lifetime.
 Probability measures live on the leaves; everything conditional is recovered
-by aggregating leaf weights up the tree.
+by aggregating leaf weights up the tree, one batched product per child block
+(the non-terminal nodes of one date with one child count).
 """
 from __future__ import annotations
 
@@ -45,6 +46,8 @@ class ScenarioTree:
     prices : (n, d) float array
     children : list of int arrays, children[i] are the child node ids of i
     levels : list of int arrays, levels[t] are the node ids at date t, ascending
+    child_blocks : per date 0..T-1, one (nodes, kids) block per child count c:
+        the date's nodes with c children, ascending, and their (k, c) child ids
     leaves : int array of node ids at the terminal date
     paths : (L, T+1) int array, paths[k] is the node path from root to leaf k
     path_prob : (n,) float array, probability of reaching each node under the
@@ -92,18 +95,23 @@ class ScenarioTree:
         is_leaf = n_children == 0
         if np.any(is_leaf & (time != self.horizon)):
             raise TreeValidationError("every non-terminal node needs children")
-        # first failed check per node (0: none), in the order the messages list
-        # them; the lowest failing node is reported
+        # one child block per date and child count; first failed check per node
+        # (0: none) in the order the messages list them; lowest failing node reported
         failed = np.zeros(n, dtype=np.int64)
-        for c in np.unique(n_children[~is_leaf]):
-            nodes = np.flatnonzero(n_children == c)
-            if c < 2:
-                failed[nodes] = 1
-                continue
-            # one row per node, so each row sums exactly as prob[children[i]].sum()
-            p = prob[by_parent[first_child[nodes, None] + np.arange(c)]]
-            failed[nodes] = np.select([np.any((p <= PROB_FLOOR) | (p >= 1.0), axis=1),
-                                       np.abs(p.sum(axis=1) - 1.0) > PROB_SUM_TOL], [2, 3])
+        blocks = []
+        for level in self.levels[:-1]:
+            counts = n_children[level]
+            blocks.append([])
+            for c in np.unique(counts):
+                nodes = level[counts == c]
+                kids = by_parent[first_child[nodes, None] + np.arange(c)]
+                blocks[-1].append((nodes, kids))
+                # one row per node, so each row sums exactly as prob[children[i]].sum()
+                p = prob[kids]
+                failed[nodes] = 1 if c < 2 else np.select(
+                    [np.any((p <= PROB_FLOOR) | (p >= 1.0), axis=1),
+                     np.abs(p.sum(axis=1) - 1.0) > PROB_SUM_TOL], [2, 3])
+        self.child_blocks = tuple(tuple(level) for level in blocks)
         bad = np.flatnonzero(failed)
         if bad.size:
             i = int(bad[0])
@@ -140,7 +148,8 @@ class ScenarioTree:
         self.leaf_pos = leaf_pos
 
         for a in (parent, time, prob, prices, paths, path_prob, d_prices, d_returns,
-                  leaf_pos, self.leaves, self.nonterminal, *self.children, *self.levels):
+                  leaf_pos, self.leaves, self.nonterminal, *self.children, *self.levels,
+                  *(x for level in self.child_blocks for block in level for x in block)):
             a.flags.writeable = False
         self._cache = {}
 
@@ -326,31 +335,43 @@ def single_step_tree(s0, factors, probs) -> ScenarioTree:
 # measure plumbing
 
 
+def _child_sums(tree: ScenarioTree, cond, Y: np.ndarray, out=None) -> np.ndarray:
+    """E[Y_child | node], i.e. cond[ch] @ Y[ch], at every non-terminal node for Y
+    of shape (n,) or (n, d); with cond None, the plain child sum, last id first.
+    One batched `@` per child block runs the per-node product's BLAS kernel, so
+    both forms match the per-node loops bit for bit.  A new result is zero at
+    the leaves.  Dates run last first: with out=Y each date reads the values
+    just written for the date below it (backward induction)."""
+    out = np.zeros(Y.shape) if out is None else out
+    for level in reversed(tree.child_blocks):
+        for nodes, kids in level:
+            if cond is None:
+                total = sum(Y[kids[:, j]] for j in range(kids.shape[1] - 1, -1, -1))
+            else:
+                total = np.matmul(cond[kids][:, None, :], Y[kids].reshape(kids.shape + (-1,)))
+            out[nodes] = total.reshape(nodes.shape + Y.shape[1:])
+    return out
+
+
 def node_weights(tree: ScenarioTree, m: Measure) -> np.ndarray:
     """Probability of passing through each node under m (leaf weights summed up)."""
     w = np.zeros(tree.n_nodes)
     w[tree.leaves] = m.weights
-    for i in range(tree.n_nodes - 1, 0, -1):
-        w[tree.parent[i]] += w[i]
-    return w
+    return _child_sums(tree, None, w, out=w)
 
 
 def conditional_probs(tree: ScenarioTree, m: Measure):
-    """Per-node child distributions under m.
+    """One-step transition probabilities under m.
 
-    Returns (W, cond) where W are node weights and cond[i] is the conditional
-    distribution over children of node i.  At nodes m never reaches, the
-    tree's own transition probabilities are used; they carry zero weight in
-    any expectation under m.
+    Returns (W, cond): node weights, and an (n,) array parallel to `tree.prob`
+    with cond[i] = W[i] / W[parent[i]] (1 at the root).  Below nodes m never
+    reaches it holds the tree's own transition probabilities; they carry zero
+    weight in any expectation under m.
     """
     W = node_weights(tree, m)
-    cond = [None] * tree.n_nodes
-    for i in tree.nonterminal:
-        ch = tree.children[i]
-        if W[i] > 0.0:
-            cond[i] = W[ch] / W[i]
-        else:
-            cond[i] = tree.prob[ch]
+    cond = tree.prob.copy()
+    child = np.flatnonzero(W[tree.parent[1:]] > 0.0) + 1
+    cond[child] = W[child] / W[tree.parent[child]]
     return W, cond
 
 
@@ -366,13 +387,10 @@ def conditional_expectation(tree: ScenarioTree, m: Measure, terminal) -> Adapted
     terminal = np.asarray(terminal, dtype=float)
     if terminal.shape != (tree.n_leaves,):
         raise ValueError("terminal values must give one entry per leaf")
-    W, cond = conditional_probs(tree, m)
+    _, cond = conditional_probs(tree, m)
     val = np.zeros(tree.n_nodes)
     val[tree.leaves] = terminal
-    for i in tree.nonterminal[::-1]:
-        ch = tree.children[i]
-        val[i] = cond[i] @ val[ch]
-    return AdaptedProcess(val)
+    return AdaptedProcess(_child_sums(tree, cond, val, out=val))
 
 
 def martingale_residual(tree: ScenarioTree, m: Measure) -> float:
@@ -383,13 +401,8 @@ def martingale_residual(tree: ScenarioTree, m: Measure) -> float:
     martingale measures of the tree.
     """
     W, cond = conditional_probs(tree, m)
-    worst = 0.0
-    for i in tree.nonterminal:
-        if W[i] <= 0.0:
-            continue
-        drift = cond[i] @ tree.d_prices[tree.children[i]]
-        worst = max(worst, float(np.max(np.abs(drift))))
-    return worst
+    live = tree.nonterminal[W[tree.nonterminal] > 0.0]
+    return float(np.abs(_child_sums(tree, cond, tree.d_prices)[live]).max(initial=0.0))
 
 
 def is_martingale_measure(tree: ScenarioTree, m: Measure, tol: float = 1e-10) -> bool:
@@ -459,14 +472,14 @@ def bracket_distance(tree: ScenarioTree, m: Measure, a: Strategy, b: Strategy) -
     inc = tree.d_prices if a.mode == "shares" else tree.d_returns
     W, cond = conditional_probs(tree, m)
     delta = a.values - b.values
-    total = 0.0
-    for i in tree.nonterminal:
-        if W[i] <= 0.0:
-            continue
-        ch = tree.children[i]
-        w = cond[i]
-        proj = inc[ch] @ delta[i]
-        mean = w @ proj
-        # centered quadratic form, kept nonnegative term by term
-        total += W[i] * float(w @ (proj - mean) ** 2)
-    return total
+    # inc[child] . delta[parent] per block, by the per-node matrix-vector kernel
+    proj = np.zeros(tree.n_nodes)
+    for level in tree.child_blocks:
+        for nodes, kids in level:
+            proj[kids] = np.matmul(inc[kids], delta[nodes][:, :, None])[:, :, 0]
+    mean = _child_sums(tree, cond, proj)
+    # centered quadratic form, kept nonnegative term by term
+    spread = _child_sums(tree, cond, (proj - mean[tree.parent]) ** 2)
+    live = tree.nonterminal[W[tree.nonterminal] > 0.0]
+    # a running sum in ascending id, as the per-node loop adds the terms
+    return float(np.cumsum(np.append(0.0, W[live] * spread[live]))[-1])

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropic import _newton, assert_market_viable
-from .market import (AdaptedProcess, Measure, ScenarioTree, Strategy,
+from .market import (AdaptedProcess, Measure, ScenarioTree, Strategy, _child_sums,
                      conditional_probs, wealth_multiplicative)
 from .utilities import UtilityOnRPlus, make_power
 
@@ -223,7 +223,7 @@ def opportunity_process(tree: ScenarioTree, p: float, x0: float = 1.0,
     _, cond = conditional_probs(tree, tree.market_measure())
     for i in tree.nonterminal[::-1]:
         ch = tree.children[i]
-        val, pi = _node_power_min(cond[i], tree.d_returns[ch], Lvals[ch], p)
+        val, pi = _node_power_min(cond[ch], tree.d_returns[ch], Lvals[ch], p)
         Lvals[i] = val
         frac[i] = pi
     value = Lvals[0] * x0 ** p / p
@@ -278,13 +278,12 @@ def auxiliary_measure(tree: ScenarioTree, utility: UtilityOnRPlus,
 def _admissible_box(tree: ScenarioTree) -> np.ndarray:
     """Per-node, per-asset symmetric fraction bounds keeping growth positive
     when the whole box is used (bound split across assets)."""
-    d = tree.n_assets
-    box = np.zeros((tree.n_nodes, d))
-    for i in tree.nonterminal:
-        dR = tree.d_returns[tree.children[i]]
-        amax = np.max(np.abs(dR), axis=0)
-        amax[amax == 0.0] = 1.0
-        box[i] = 1.0 / (amax * d)
+    box = np.zeros(tree.d_returns.shape)
+    for level in tree.child_blocks:
+        for nodes, kids in level:
+            amax = np.max(np.abs(tree.d_returns[kids]), axis=1)
+            amax[amax == 0.0] = 1.0
+            box[nodes] = 1.0 / (amax * tree.n_assets)
     return box
 
 
@@ -312,14 +311,9 @@ def ratio_defects(tree: ScenarioTree, aux: Measure, wealth: AdaptedProcess,
     W, cond = conditional_probs(tree, aux)
     r = wealth.values / tilde.values
     rp = r ** p
-    sup_d, sub_d = 0.0, 0.0
-    for i in tree.nonterminal:
-        if W[i] <= 0.0:
-            continue
-        ch = tree.children[i]
-        sup_d = max(sup_d, float(cond[i] @ r[ch]) - r[i])
-        sub_d = min(sub_d, float(cond[i] @ rp[ch]) - rp[i])
-    return sup_d, sub_d
+    live = tree.nonterminal[W[tree.nonterminal] > 0.0]
+    return (float((_child_sums(tree, cond, r) - r)[live].max(initial=0.0)),
+            float((_child_sums(tree, cond, rp) - rp)[live].min(initial=0.0)))
 
 
 def numeraire_audit(tree: ScenarioTree, aux: Measure, tilde: AdaptedProcess,

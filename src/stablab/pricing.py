@@ -38,6 +38,13 @@ def _check_claim(B) -> np.ndarray:
     return B
 
 
+def _check_tol(tol, error=ValueError) -> float:
+    """tol as a float, if it is positive and finite; raises `error` otherwise."""
+    if not 0.0 < float(tol) < np.inf:
+        raise error("tolerance must be positive and finite")
+    return float(tol)
+
+
 def davis_price(dual: DualMeasure, B) -> PriceResult:
     """Expectation of a nonnegative leaf claim under the dual measure."""
     B = _check_claim(B)
@@ -49,8 +56,7 @@ def davis_price(dual: DualMeasure, B) -> PriceResult:
 def indifference_price(tree: ScenarioTree, utility: UtilityOnR, x0: float, B,
                        tol: float = 1e-9, iterations: int = 60) -> PriceResult:
     """Buyer's price p solving E[U(x0 + B - p + gains)] = value without the claim."""
-    if not 0.0 < tol < np.inf:
-        raise ValueError("tolerance must be positive and finite")
+    _check_tol(tol)
     B = _check_claim(np.broadcast_to(np.asarray(B, dtype=float), (tree.n_leaves,)))
     base = solve_primal(tree, utility, x0)
     lo, hi = float(np.min(B)), float(np.max(B))

@@ -26,7 +26,7 @@ from scipy.optimize import nnls
 from .entropic import extract_dual, minimal_entropy_measure, solve_primal
 from .market import (ScenarioTree, bracket_distance, build_tree,
                      conditional_expectation)
-from .pricing import davis_price, indifference_price
+from .pricing import _check_tol, davis_price, indifference_price
 from .positive import (exponential_hedge, ratio_diagnostics,
                        scaled_strategy_distance, solve_power_field)
 from .utilities import (UtilityField, conjugate_sandwich_audit,
@@ -102,7 +102,7 @@ def load_config(doc: dict, kind: str) -> SweepSpec:
         grid=grid,
         claim=doc.get("claim", {"kind": "zero"}),
         x0=float(doc.get("x0", 0.0 if kind == "delta" else 1.0)),
-        tol=float(doc.get("tol", 1e-9)),
+        tol=_check_tol(doc.get("tol", 1e-9), ConfigError),
         seed=int(doc.get("seed", 0)),
     )
     if kind == "p" and spec.x0 <= 0.0:
@@ -469,8 +469,8 @@ def audit_probabilistic_lemmas(tree: ScenarioTree, seed: int = 42,
         M = M - M[0]
         drift = np.zeros(tree.n_nodes)
         inc = rng.uniform(0.0, 0.5, size=tree.n_nodes)
-        for i in range(1, tree.n_nodes):
-            drift[i] = drift[tree.parent[i]] + inc[i]
+        for nodes in tree.levels[1:]:
+            drift[nodes] = drift[tree.parent[nodes]] + inc[nodes]
         Z = M - drift
         path_sup = np.max(np.abs(Z[tree.paths]), axis=1)
         zT = float(qw @ np.abs(Z[leaves]))

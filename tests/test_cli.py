@@ -2,6 +2,9 @@ import json
 
 import pytest
 
+import stablab.cli as cli_mod
+import stablab.pricing as pricing_mod
+import stablab.sweeps as sweeps_mod
 from stablab.cli import main
 from stablab.sweeps import DELTA_COLUMNS
 
@@ -70,10 +73,9 @@ def test_sweep_delta_writes_reports(tmp_path):
     assert "loglog_half" in doc["fits"]
 
 
-def test_sweep_is_deterministic(tmp_path, monkeypatch):
+def test_sweep_is_deterministic(tmp_path):
     texts = []
-    for sub, threads in (("a", "1"), ("b", "3")):
-        monkeypatch.setenv("STABLAB_THREADS", threads)
+    for sub in ("a", "b"):
         rc = main(["sweep-delta", "--config", f"{CONFIGS}/binomial_sine.json",
                    "--out", str(tmp_path / sub)])
         assert rc == 0
@@ -152,3 +154,37 @@ def test_unknown_subcommand_exits_via_argparse(capsys):
         main(["frobnicate"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--config", f"{CONFIGS}/solve_exponential.json", "--tol", "5"],
+    ["solve", "--config", f"{CONFIGS}/solve_exponential.json", "--seed", "9"],
+    ["price", "--config", f"{CONFIGS}/price_call.json", "--seed", "9"],
+    ["audit", "--tol", "1"],
+])
+def test_flags_a_subcommand_does_not_read_exit_via_argparse(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_bad_tolerance_exits_before_any_solve(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counted(solver):
+        def run(*args, **kw):
+            calls.append(solver.__name__)
+            return solver(*args, **kw)
+        return run
+
+    for mod in (cli_mod, sweeps_mod, pricing_mod):
+        monkeypatch.setattr(mod, "solve_primal", counted(mod.solve_primal))
+    monkeypatch.setattr(sweeps_mod, "solve_power_field", counted(sweeps_mod.solve_power_field))
+    for argv in (["price", "--config", f"{CONFIGS}/price_call.json", "--tol", "nan"],
+                 ["price", "--config", f"{CONFIGS}/price_call.json", "--tol", "0"],
+                 ["sweep-delta", "--config", f"{CONFIGS}/binomial_sine.json", "--tol", "-1"],
+                 ["sweep-p", "--config", f"{CONFIGS}/binomial_power.json", "--tol", "inf"]):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert calls == []
+    assert capsys.readouterr().err.count("tolerance must be positive and finite") == 4

@@ -3,12 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from conftest import (depth_first_two_asset_tree, one_step_binomial,
-                      random_viable_tree, trinomial_tree, two_step_binomial)
+from conftest import (assert_reductions_match_references, depth_first_two_asset_tree,
+                      one_step_binomial, one_step_trinomial, random_viable_tree,
+                      reference_doob_audit, trinomial_tree, two_asset_tree,
+                      two_step_binomial)
 from stablab import (AdmissibilityViolation, Measure, ScenarioTree, Strategy,
-                     TreeValidationError, bracket_distance, build_tree,
-                     conditional_expectation, conditional_probs,
-                     is_martingale_measure, martingale_residual, node_weights,
+                     TreeValidationError, audit_probabilistic_lemmas,
+                     bracket_distance, build_tree, conditional_expectation,
+                     conditional_probs, is_martingale_measure, make_exponential,
+                     martingale_residual, minimal_entropy_measure, node_weights,
                      tree_from_file, wealth_additive, wealth_multiplicative)
 
 
@@ -56,6 +59,25 @@ def test_level_layout_on_depth_first_ids():
         path_prob[i] = path_prob[tree.parent[i]] * tree.prob[i]
     assert np.array_equal(tree.time, time)
     assert np.array_equal(tree.path_prob, path_prob)
+
+
+def test_child_blocks_reproduce_children_and_levels():
+    rng = np.random.default_rng(5)
+    trees = [depth_first_two_asset_tree(), trinomial_tree(3), one_step_binomial()]
+    for tree in trees + [random_viable_tree(rng, steps=3) for _ in range(5)]:
+        assert len(tree.child_blocks) == tree.horizon
+        for t, level in enumerate(tree.child_blocks):
+            nodes = np.concatenate([nodes for nodes, _ in level])
+            assert np.array_equal(np.sort(nodes), tree.levels[t])
+            counts = [kids.shape[1] for _, kids in level]
+            assert counts == sorted(set(counts))
+            for nodes, kids in level:
+                assert np.all(np.diff(nodes) > 0) and kids.shape[0] == nodes.size
+                for i, row in zip(nodes, kids):
+                    assert np.array_equal(row, tree.children[i])
+                assert not nodes.flags.writeable and not kids.flags.writeable
+        assert isinstance(tree.child_blocks, tuple)
+        assert all(isinstance(level, tuple) for level in tree.child_blocks)
 
 
 def test_tree_arrays_are_read_only():
@@ -180,9 +202,44 @@ def test_node_weights_and_conditional_probs():
     assert W[0] == pytest.approx(1.0)
     assert np.allclose(W, tree.path_prob)
     _, cond = conditional_probs(tree, m)
+    assert cond.shape == tree.prob.shape
+    assert np.allclose(cond, tree.prob)
     for i in tree.nonterminal:
-        assert np.allclose(cond[i], tree.prob[tree.children[i]])
-        assert abs(cond[i].sum() - 1.0) < 1e-12
+        assert abs(cond[tree.children[i]].sum() - 1.0) < 1e-12
+
+
+def _zeroed(weights, keep):
+    w = np.where(keep, weights, 0.0)
+    return Measure(w / w.sum())
+
+
+def test_one_step_reductions_match_per_node_loops():
+    rng = np.random.default_rng(17)
+    trees = [build_tree({"lattice": {"s0": 1.0, "u": 2.0, "d": 0.5, "q": 0.5, "steps": T}})
+             for T in range(1, 9)]
+    trees += [one_step_trinomial(), trinomial_tree(), two_asset_tree(),
+              depth_first_two_asset_tree()]
+    # 2-3 branches per node, so a date can hold two child blocks
+    trees += [random_viable_tree(rng, steps=3) for _ in range(3)]
+    for tree in trees:
+        P = tree.path_prob[tree.leaves]
+        L = tree.n_leaves
+        keep = rng.random(L) < 0.5
+        keep[0] = True
+        measures = [tree.market_measure(), Measure(rng.dirichlet(np.ones(L))),
+                    _zeroed(P, keep), Measure(np.eye(L)[-1]),
+                    # the whole subtree below the root's first child is unreached
+                    _zeroed(P, tree.paths[:, 1] != tree.children[0][0])]
+        for m in measures:
+            assert_reductions_match_references(tree, m, rng)
+
+
+def test_audit_matches_per_node_loop():
+    tree = two_asset_tree(2)
+    report = audit_probabilistic_lemmas(tree, seed=4, trials=100)
+    Q = minimal_entropy_measure(tree, make_exponential(1.0)).measure
+    assert (report.doob_violations, report.doob_max_ratio) == \
+        reference_doob_audit(tree, Q, seed=4, trials=100)
 
 
 def test_conditional_expectation_tower_and_linearity():

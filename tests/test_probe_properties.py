@@ -1,12 +1,14 @@
-"""Property tests of the martingale polytope probes over random small trees."""
+"""Property tests over random small trees: the martingale polytope probes, and
+the level-wise one-step reductions against their per-node loops."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_same_probes, reference_probes
-from stablab import (NoMartingaleMeasure, build_tree, martingale_polytope_probes,
-                     martingale_residual)
+from conftest import (assert_reductions_match_references, assert_same_probes,
+                      reference_probes)
+from stablab import (Measure, NoMartingaleMeasure, build_tree,
+                     martingale_polytope_probes, martingale_residual)
 
 
 def whole_percent(hi):
@@ -87,3 +89,39 @@ def test_probes_on_near_degenerate_trees(tree, seed):
             martingale_polytope_probes(tree, seed=seed)
         return
     assert_same_probes(martingale_polytope_probes(tree, seed=seed), ref)
+
+
+@st.composite
+def random_trees_and_measures(draw):
+    """1-3 assets, 2-5 branches per node, T <= 3, nodes numbered breadth- or
+    depth-first; a leaf measure with some zero weights, so some nodes go
+    unreached."""
+    d = draw(st.integers(1, 3))
+    steps = draw(st.integers(1, 3))
+    depth_first = draw(st.booleans())
+    nodes = [{"parent": -1, "prob": 1.0, "prices": [1.0] * d}]
+    time = [0]
+    frontier = [0]
+    while frontier:
+        i = frontier.pop(-1 if depth_first else 0)
+        if time[i] == steps:
+            continue
+        w = np.array([draw(st.floats(0.1, 1.0)) for _ in range(draw(st.integers(2, 5)))])
+        for q in w / w.sum():
+            moves = [draw(st.floats(-0.5, 0.5)) for _ in range(d)]
+            nodes.append({"parent": i, "prob": float(q),
+                          "prices": [s * (1.0 + x) for s, x in zip(nodes[i]["prices"], moves)]})
+            time.append(time[i] + 1)
+            frontier.append(len(nodes) - 1)
+    tree = build_tree({"nodes": nodes})
+    w = np.array([draw(st.sampled_from([0.0, 0.0, 1.0])) * draw(st.floats(0.01, 1.0))
+                  for _ in range(tree.n_leaves)])
+    w[draw(st.integers(0, tree.n_leaves - 1))] += 1.0
+    return tree, Measure(w / w.sum())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=random_trees_and_measures(), seed=st.integers(0, 2 ** 32 - 1))
+def test_one_step_reductions_on_random_trees(case, seed):
+    tree, m = case
+    assert_reductions_match_references(tree, m, np.random.default_rng(seed))
