@@ -21,7 +21,7 @@ from .pricing import _check_tol, davis_price, indifference_price
 from .sweeps import (ConfigError, SCHEMA_VERSION, audit_probabilistic_lemmas,
                      load_config, make_claim, report_csv, report_json,
                      sweep_delta, sweep_p)
-from .utilities import (UtilityField, make_exponential,
+from .utilities import (UtilityField, UtilityOnRPlus, make_exponential,
                         make_perturbed_exponential, make_perturbed_power,
                         make_power, make_power_family_member,
                         shifted_inverse_mix)
@@ -89,7 +89,6 @@ def _cmd_solve(args) -> int:
     utility = _utility_from(doc.get("utility", {}))
     B = make_claim(tree, doc.get("claim", {"kind": "zero"}))
     x0 = float(doc.get("x0", 0.0))
-    from .utilities import UtilityOnRPlus
     if isinstance(utility, UtilityOnRPlus):
         if x0 <= 0.0:
             raise ConfigError("positive-half-line solves need x0 > 0")
@@ -139,7 +138,6 @@ def _cmd_price(args) -> int:
     tol = _check_tol(args.tol if args.tol is not None else doc.get("tol", 1e-9))
     tree = build_tree(doc["market"])
     utility = _utility_from(doc.get("utility", {}))
-    from .utilities import UtilityOnRPlus
     if isinstance(utility, UtilityOnRPlus):
         raise ConfigError("pricing needs a real-line utility")
     B = make_claim(tree, doc.get("claim", {"kind": "call", "strike": 1.0}))

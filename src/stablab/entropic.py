@@ -11,9 +11,10 @@ independently by a reduced Newton iteration over the cone of unnormalized
 martingale measures (feasible interior start from an LP that also certifies
 that the market admits an equivalent martingale measure at all).
 
-One damped-Newton core, `_newton`, serves the primal, the entropy dual and
-the fraction solver of `positive`: Newton steps with a least-squares and a
-steepest-descent fallback, and a backtracking Armijo search.
+One damped-Newton core, `_newton`, serves the primal, the entropy dual, and
+the fraction solver and the opportunity process of `positive`: Newton steps
+with a least-squares and a steepest-descent fallback, and a backtracking
+Armijo search.
 """
 from __future__ import annotations
 

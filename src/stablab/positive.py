@@ -7,10 +7,10 @@ gradient certificate is relative to the natural objective scale
 sum_l P_l D_l |U'(X_l) X_l|; at strongly negative exponents the absolute
 magnitudes are astronomical and an absolute tolerance would be meaningless.
 
-Also here: the backward-recursive opportunity process for pure power
-utility (an independent dynamic-programming route to the same optimum), the
-terminal-wealth-weighted auxiliary measure, and the ratio diagnostics used
-to compare a perturbed investor against the pure power one.
+Also here: the opportunity process for pure power utility (an independent
+dynamic-programming route to the same optimum, one `entropic._newton` call
+per child block), the terminal-wealth-weighted auxiliary measure, and the
+ratio diagnostics comparing a perturbed investor against the pure power one.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropic import _newton, assert_market_viable
+from .entropic import _newton, assert_market_viable, solve_primal
 from .market import (AdaptedProcess, Measure, ScenarioTree, Strategy, _child_sums,
                      conditional_probs, wealth_multiplicative)
 from .utilities import UtilityOnRPlus, make_power
@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 POWER_TOL = 1e-11     # gradient sup-norm relative to sum_l P_l D_l |U'(X_l) X_l|
+OPPORTUNITY_TOL = 1e-13   # per node: gradient sup-norm relative to its value * max(1, -p)
 
 
 @dataclass(frozen=True)
@@ -162,44 +163,47 @@ def solve_power_field(tree: ScenarioTree, utility: UtilityOnRPlus, x0: float = 1
 # opportunity process (pure power, dynamic programming)
 
 
-def _node_power_min(cond, dR, Lc, p, tol=1e-13, max_iter=100):
-    """min over pi of sum_c cond_c * Lc_c * (1 + pi.dR_c)^p; convex for p < 0."""
-    d = dR.shape[1]
-    pi = np.zeros(d)
+def _one_step_min(cond, dR, Lc, p):
+    """Per node n of a block, min over pi_n of sum_c cond * Lc * (1 + pi_n . dR_c)^p.
 
-    def parts(pv):
-        g = 1.0 + dR @ pv
-        if np.any(g <= 0.0):
-            return None, None, None
+    cond and Lc are (k, c), dR is (k, c, d); convex for p < 0.  The nodes are
+    independent: one Newton iteration over the stacked (k*d,) fractions with
+    a block-diagonal Hessian, stopped by the worst node's gradient relative
+    to its value * max(1, -p).  Returns the (k,) values and (k, d) fractions.
+    """
+    k, _, d = dR.shape
+    w0 = cond * Lc
+
+    def moves(x):
+        return np.matmul(dR, x.reshape(k, d, 1))[..., 0]
+
+    def objective(x):
+        # exp(p log1p(z)) is accurate to an ulp or so; g**p would multiply the
+        # rounding of g = 1 + z by |p|, past the line search's noise cushion
+        z = moves(x)
+        if np.any(z <= -1.0):
+            return np.inf
         with np.errstate(over="ignore"):
-            gp = cond * Lc * g ** p
-        if not np.all(np.isfinite(gp)):
-            return None, None, None
-        return g, gp, float(gp.sum())
+            return float((w0 * np.exp(p * np.log1p(z))).sum())
 
-    g, gp, val = parts(pi)
-    for _ in range(max_iter):
-        w = dR / g[:, None]
-        grad = p * (gp @ w)
-        scale = float(gp.sum())
-        if np.max(np.abs(grad)) <= tol * max(scale, 1e-300) * max(1.0, -p):
-            break
-        hess = p * (p - 1.0) * (w.T @ (w * gp[:, None]))
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            step = -grad / max(scale, 1e-300)
-        stepsize = 1.0
-        while stepsize >= 1e-14:
-            gc, gpc, vc = parts(pi + stepsize * step)
-            if vc is not None and vc <= val + 1e-15 * (1.0 + abs(val)):
-                pi = pi + stepsize * step
-                g, gp, val = gc, gpc, vc
-                break
-            stepsize *= 0.5
-        else:
-            break
-    return val, pi
+    def derivatives(x):
+        g = 1.0 + moves(x)
+        gp = w0 * g ** p
+        w = dR / g[..., None]
+        grad = p * np.matmul(gp[:, None, :], w)[:, 0]
+        scale = np.maximum(gp.sum(axis=1), 1e-300) * max(1.0, -p)
+
+        def hessian():
+            hess = np.zeros((k, d, k, d))
+            hess[np.arange(k), :, np.arange(k), :] = p * (p - 1.0) * np.matmul(
+                w.transpose(0, 2, 1), w * gp[..., None])
+            return hess.reshape(k * d, k * d)
+
+        return grad.ravel(), float(np.max(np.max(np.abs(grad), axis=1) / scale)), hessian
+
+    pi = _newton(np.zeros(k * d), objective, derivatives, OPPORTUNITY_TOL,
+                 "opportunity")[0].reshape(k, d)
+    return (w0 * (1.0 + moves(pi)) ** p).sum(axis=1), pi
 
 
 def opportunity_process(tree: ScenarioTree, p: float, x0: float = 1.0,
@@ -207,25 +211,22 @@ def opportunity_process(tree: ScenarioTree, p: float, x0: float = 1.0,
     """Backward recursion for the pure power problem; independent of the
     stacked-Newton solver.
 
-    Terminal coefficients are the field weights (ones by default); each
-    non-terminal node solves a small convex minimization over its one-step
-    fraction.  The recovered strategy attains the global optimum, which the
-    forward solver must match.
+    Terminal coefficients are the field weights (ones by default); the
+    non-terminal nodes of each child block solve their one-step convex
+    minimizations in one Newton iteration, dates last first.  The recovered
+    strategy attains the global optimum, which the forward solver must match.
     """
     if p >= 0.0:
         raise ValueError("exponent must be negative")
+    assert_market_viable(tree)
     Lvals = np.zeros(tree.n_nodes)
-    if field is None:
-        Lvals[tree.leaves] = 1.0
-    else:
-        Lvals[tree.leaves] = np.asarray(field.weights, dtype=float)
+    Lvals[tree.leaves] = 1.0 if field is None else np.asarray(field.weights, dtype=float)
     frac = np.zeros((tree.n_nodes, tree.n_assets))
     _, cond = conditional_probs(tree, tree.market_measure())
-    for i in tree.nonterminal[::-1]:
-        ch = tree.children[i]
-        val, pi = _node_power_min(cond[ch], tree.d_returns[ch], Lvals[ch], p)
-        Lvals[i] = val
-        frac[i] = pi
+    for level in reversed(tree.child_blocks):
+        for nodes, kids in level:
+            Lvals[nodes], frac[nodes] = _one_step_min(cond[kids], tree.d_returns[kids],
+                                                      Lvals[kids], p)
     value = Lvals[0] * x0 ** p / p
     return OpportunityProcess(values=AdaptedProcess(Lvals),
                               strategy=Strategy(frac, "fractions"),
@@ -236,12 +237,11 @@ def opportunity_process(tree: ScenarioTree, p: float, x0: float = 1.0,
 # exponential hedge and strategy comparison
 
 
-def exponential_hedge(tree: ScenarioTree, utility, claim=0.0, x0: float = 0.0, **kw):
+def exponential_hedge(tree: ScenarioTree, utility, claim=0.0, x0: float = 0.0):
     """Entropic hedge of a terminal claim: solve the real-line problem with
     endowment x0 - claim.  Returns the underlying PrimalSolution."""
-    from .entropic import solve_primal
     B = np.broadcast_to(np.asarray(claim, dtype=float), (tree.n_leaves,))
-    return solve_primal(tree, utility, x0 - B, **kw)
+    return solve_primal(tree, utility, x0 - B)
 
 
 def share_amounts(tree: ScenarioTree, strategy: Strategy) -> np.ndarray:

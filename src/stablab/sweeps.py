@@ -24,8 +24,8 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .entropic import extract_dual, minimal_entropy_measure, solve_primal
-from .market import (ScenarioTree, bracket_distance, build_tree,
-                     conditional_expectation)
+from .market import (ScenarioTree, _child_sums, bracket_distance, build_tree,
+                     conditional_probs)
 from .pricing import _check_tol, davis_price, indifference_price
 from .positive import (exponential_hedge, ratio_diagnostics,
                        scaled_strategy_distance, solve_power_field)
@@ -359,12 +359,8 @@ def fit_rate(report: SweepReport, model: str, functional: str | None = None,
     if functional is None:
         functional = "l1_wealth_err" if report.kind == "delta" else "pure_distance"
     y = report.column(functional)
-    if report.kind == "delta":
-        xkey = report.column("delta")
-        order = np.argsort(xkey)           # ascending: smallest delta first
-    else:
-        xkey = report.column("p")
-        order = np.argsort(xkey)           # ascending: most negative p first
+    # ascending: smallest delta, or most negative p, first
+    order = np.argsort(report.column("delta" if report.kind == "delta" else "p"))
     if subset == "half":
         keep = order[:math.ceil(len(order) / 2)]
     elif subset == "full":
@@ -463,15 +459,16 @@ def audit_probabilistic_lemmas(tree: ScenarioTree, seed: int = 42,
     max_ratio = 0.0
     leaves = tree.leaves
     qw = Q.weights
+    _, cond = conditional_probs(tree, Q)
+    M = np.zeros(tree.n_nodes)
     for _ in range(trials):
-        xi = rng.normal(size=tree.n_leaves) * rng.uniform(0.5, 2.0)
-        M = conditional_expectation(tree, Q, xi).values
-        M = M - M[0]
+        M[leaves] = rng.normal(size=tree.n_leaves) * rng.uniform(0.5, 2.0)
+        _child_sums(tree, cond, M, out=M)
         drift = np.zeros(tree.n_nodes)
         inc = rng.uniform(0.0, 0.5, size=tree.n_nodes)
         for nodes in tree.levels[1:]:
             drift[nodes] = drift[tree.parent[nodes]] + inc[nodes]
-        Z = M - drift
+        Z = M - M[0] - drift
         path_sup = np.max(np.abs(Z[tree.paths]), axis=1)
         zT = float(qw @ np.abs(Z[leaves]))
         for q in qs:

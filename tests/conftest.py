@@ -1,6 +1,7 @@
 """Shared market builders, closed-form one-step optima, random tree generator,
 the probe loop that solves every LP, as a reference for the probes, and the
-per-node loops of the one-step reductions, as references for those."""
+per-node loops of the one-step reductions and of the opportunity process, as
+references for those."""
 import numpy as np
 from scipy.optimize import linprog
 
@@ -307,3 +308,61 @@ def assert_reductions_match_references(tree, m, rng):
     assert ratio_defects(tree, m, wealth, tilde, -3.0) == \
         reference_ratio_defects(tree, m, wealth, tilde, -3.0)
     assert np.array_equal(_admissible_box(tree), reference_admissible_box(tree))
+
+
+def reference_node_power_min(cond, dR, Lc, p, tol=1e-13, max_iter=100):
+    """One node's damped Newton with a plain-decrease line search, as the
+    opportunity process ran it node by node.  Returns (value, fraction,
+    converged); a stalled search or max_iter steps leave converged False."""
+    d = dR.shape[1]
+    pi = np.zeros(d)
+
+    def parts(pv):
+        g = 1.0 + dR @ pv
+        if np.any(g <= 0.0):
+            return None, None, None
+        with np.errstate(over="ignore"):
+            gp = cond * Lc * g ** p
+        if not np.all(np.isfinite(gp)):
+            return None, None, None
+        return g, gp, float(gp.sum())
+
+    g, gp, val = parts(pi)
+    for _ in range(max_iter):
+        w = dR / g[:, None]
+        grad = p * (gp @ w)
+        scale = float(gp.sum())
+        if np.max(np.abs(grad)) <= tol * max(scale, 1e-300) * max(1.0, -p):
+            return val, pi, True
+        hess = p * (p - 1.0) * (w.T @ (w * gp[:, None]))
+        try:
+            step = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            step = -grad / max(scale, 1e-300)
+        stepsize = 1.0
+        while stepsize >= 1e-14:
+            gc, gpc, vc = parts(pi + stepsize * step)
+            if vc is not None and vc <= val + 1e-15 * (1.0 + abs(val)):
+                pi = pi + stepsize * step
+                g, gp, val = gc, gpc, vc
+                break
+            stepsize *= 0.5
+        else:
+            return val, pi, False
+    return val, pi, False
+
+
+def reference_opportunity_process(tree, p, x0=1.0, field=None):
+    """(values, fractions, value, y, converged) of the node-by-node recursion."""
+    Lvals = np.zeros(tree.n_nodes)
+    Lvals[tree.leaves] = 1.0 if field is None else np.asarray(field.weights, dtype=float)
+    frac = np.zeros((tree.n_nodes, tree.n_assets))
+    _, cond = conditional_probs(tree, tree.market_measure())
+    converged = True
+    for i in tree.nonterminal[::-1]:
+        ch = tree.children[i]
+        Lvals[i], frac[i], ok = reference_node_power_min(cond[ch], tree.d_returns[ch],
+                                                         Lvals[ch], p)
+        converged = converged and ok
+    return (Lvals, frac, float(Lvals[0] * x0 ** p / p), float(Lvals[0] * x0 ** (p - 1.0)),
+            converged)

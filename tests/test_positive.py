@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
-from conftest import (one_step_binomial, random_viable_tree,
-                      two_step_binomial)
-from stablab import (AdmissibilityViolation, Strategy, UtilityField,
-                     auxiliary_measure, exponential_hedge, make_exponential,
+from conftest import (depth_first_two_asset_tree, one_step_binomial,
+                      random_viable_tree, reference_opportunity_process,
+                      trinomial_tree, two_asset_tree, two_step_binomial)
+from stablab import (AdmissibilityViolation, NoMartingaleMeasure, NonConvergence,
+                     Strategy, UtilityField, auxiliary_measure, branching_tree,
+                     build_tree, exponential_hedge, make_exponential,
                      make_perturbed_power, make_power,
                      make_power_family_member, numeraire_audit,
                      opportunity_process, ratio_defects, ratio_diagnostics,
@@ -85,6 +89,85 @@ def test_random_trees_forward_vs_dp():
         dp = opportunity_process(tree, p)
         assert sol.value == pytest.approx(dp.value, rel=1e-11)
         assert sol.gradient_norm <= 1e-11
+
+
+def ud_lattice(steps):
+    return build_tree({"lattice": {"s0": 1.0, "u": 2.0, "d": 0.5, "q": 0.5, "steps": steps}})
+
+
+def crr_lattice(steps, q=0.52, sigma=0.2):
+    u = math.exp(sigma / math.sqrt(steps))
+    return build_tree({"lattice": {"s0": 1.0, "u": u, "d": 1.0 / u, "q": q, "steps": steps}})
+
+
+def depth_ladder_extras():
+    """The trinomial T=6 and two-asset T=4 trees of the benchmark's depth
+    ladder, with the branch probabilities it draws from seed 7."""
+    rng = np.random.default_rng(7)
+    tri, two = rng.dirichlet(np.full(3, 8.0)), rng.dirichlet(np.full(4, 8.0))
+    factors = [[1.15, 1.10], [1.10, 0.85], [0.90, 1.15], [0.85, 0.90]]
+    return (branching_tree(1.0, [1.2, 1.0, 0.85], tri, 6),
+            branching_tree([1.0, 1.0], factors, two, 4))
+
+
+def call_field(tree, p):
+    return UtilityField.from_claim(make_power(p), np.maximum(tree.terminal_prices()[:, 0] - 1.0, 0.0))
+
+
+# Without a field, every node of a child block of these trees solves one and
+# the same problem, and the block Newton repeats the node-by-node recursion
+# bit for bit.
+BIT_EQUAL_DP = (
+    [(f"u2d05_T{T}_p{p}", lambda T=T: ud_lattice(T), p)
+     for T in range(1, 11) for p in (-0.5, -2.0, -7.0, -63.0)]
+    + [("ladder_trinomial_T6", lambda: depth_ladder_extras()[0], -2.0),
+       ("ladder_two_asset_T4", lambda: depth_ladder_extras()[1], -2.0)]
+    + [(f"{name}_p{p}", make, p) for p in (-0.5, -2.0, -7.0)
+       for name, make in (("crr_T6", lambda: crr_lattice(6)), ("crr_T8", lambda: crr_lattice(8)),
+                          ("trinomial_T4", trinomial_tree), ("two_asset_T3", two_asset_tree))])
+
+
+@pytest.mark.parametrize("make_tree,p", [case[1:] for case in BIT_EQUAL_DP],
+                         ids=[case[0] for case in BIT_EQUAL_DP])
+def test_dp_matches_the_node_by_node_recursion(make_tree, p):
+    tree = make_tree()
+    L, frac, value, y, converged = reference_opportunity_process(tree, p, 1.3)
+    dp = opportunity_process(tree, p, 1.3)
+    assert converged
+    assert np.array_equal(dp.values.values, L) and np.array_equal(dp.strategy.values, frac)
+    assert dp.value == value and dp.y == y
+
+
+@pytest.mark.parametrize("make_tree,p,field", [
+    (lambda: ud_lattice(3), -2.0, True), (lambda: ud_lattice(4), -7.0, True),
+    (lambda: crr_lattice(6), -63.0, False), (trinomial_tree, -63.0, False),
+    (two_asset_tree, -63.0, False), (lambda: trinomial_tree(3), -2.0, True)])
+def test_dp_stays_close_to_the_node_by_node_recursion(make_tree, p, field):
+    tree = make_tree()
+    field = call_field(tree, p) if field else None
+    L, frac, _, _, converged = reference_opportunity_process(tree, p, 1.0, field)
+    dp = opportunity_process(tree, p, 1.0, field)
+    assert converged
+    assert np.max(np.abs(dp.values.values - L) / L) <= 1e-13
+    assert np.max(np.abs(dp.strategy.values - frac)) <= 1e-8
+
+
+def test_dp_raises_where_the_node_loop_gives_up():
+    # the call field's weights span e^63: the node loop stops unconverged at
+    # some nodes and returned their coefficients without an error
+    tree = ud_lattice(6)
+    field = call_field(tree, -0.5)
+    assert not reference_opportunity_process(tree, -0.5, 1.0, field)[-1]
+    with pytest.raises(NonConvergence, match="opportunity"):
+        opportunity_process(tree, -0.5, 1.0, field)
+
+
+def test_dp_checks_viability():
+    tree = depth_first_two_asset_tree(3)
+    with pytest.raises(NoMartingaleMeasure):
+        solve_power_field(tree, make_power(-2.0))
+    with pytest.raises(NoMartingaleMeasure):
+        opportunity_process(tree, -2.0)
 
 
 def test_perturbed_member_still_admissible_and_optimal():

@@ -1,14 +1,16 @@
-"""Property tests over random small trees: the martingale polytope probes, and
-the level-wise one-step reductions against their per-node loops."""
+"""Property tests over random small trees: the martingale polytope probes, the
+level-wise one-step reductions against their per-node loops, and the
+block-wise opportunity process against its node-by-node recursion."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (assert_reductions_match_references, assert_same_probes,
-                      reference_probes)
-from stablab import (Measure, NoMartingaleMeasure, build_tree,
-                     martingale_polytope_probes, martingale_residual)
+                      reference_opportunity_process, reference_probes)
+from stablab import (Measure, NoMartingaleMeasure, UtilityField, branching_tree,
+                     build_tree, make_power, martingale_polytope_probes,
+                     martingale_residual, opportunity_process)
 
 
 def whole_percent(hi):
@@ -125,3 +127,42 @@ def random_trees_and_measures(draw):
 def test_one_step_reductions_on_random_trees(case, seed):
     tree, m = case
     assert_reductions_match_references(tree, m, np.random.default_rng(seed))
+
+
+@st.composite
+def viable_branching_trees(draw):
+    """`branching_tree` with 1-3 assets and T <= 3.  The first d moves form a
+    column diagonally dominant matrix, the next is minus a positive mix of
+    them, so 0 is interior to their hull; up to two more moves are free."""
+    d = draw(st.integers(1, 3))
+    R = np.diag([draw(whole_percent(0.4)) for _ in range(d)])
+    for j in range(d):
+        for i in range(d):
+            if i != j:
+                R[i, j] = draw(st.floats(-0.5, 0.5)) * R[j, j] / d
+    mix = np.array([draw(st.floats(0.2, 1.0)) for _ in range(d)])
+    moves = [*R.T, -(R @ mix)]
+    moves += [[draw(st.floats(-0.5, 0.5)) for _ in range(d)]
+              for _ in range(draw(st.integers(0, 2)))]
+    w = np.array([draw(st.floats(0.1, 1.0)) for _ in moves])
+    return branching_tree(np.ones(d), [1.0 + np.asarray(m) for m in moves], w / w.sum(),
+                          draw(st.integers(1, 3)))
+
+
+# The block Newton accepts steps by an Armijo test and steps every node of a
+# block together, so it may stop a few ulps away from the node-by-node loop.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tree=st.one_of(small_viable_trees(whole_percent), viable_branching_trees()),
+       p=st.floats(-40.0, -0.3), data=st.data())
+def test_opportunity_process_on_random_trees(tree, p, data):
+    field = None
+    if data.draw(st.booleans()):
+        logs = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=tree.n_leaves,
+                                  max_size=tree.n_leaves))
+        field = UtilityField(make_power(p), np.exp(logs))
+    L, frac, _, _, converged = reference_opportunity_process(tree, p, 1.0, field)
+    if not converged:
+        return
+    dp = opportunity_process(tree, p, 1.0, field)
+    assert np.max(np.abs(dp.values.values - L) / L) <= 1e-13
+    assert np.max(np.abs(dp.strategy.values - frac)) <= 1e-8
