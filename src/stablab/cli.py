@@ -15,12 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from .entropic import extract_dual, solve_primal, verify_optimality
-from .market import TreeValidationError, build_tree
+from .market import TreeValidationError
 from .positive import opportunity_process, solve_power_field
 from .pricing import _check_tol, davis_price, indifference_price
 from .sweeps import (ConfigError, SCHEMA_VERSION, audit_probabilistic_lemmas,
-                     load_config, make_claim, report_csv, report_json,
-                     sweep_delta, sweep_p)
+                     config_number, load_config, make_claim, market_tree,
+                     report_csv, report_json, sweep_delta, sweep_p)
 from .utilities import (UtilityField, UtilityOnRPlus, make_exponential,
                         make_perturbed_exponential, make_perturbed_power,
                         make_power, make_power_family_member,
@@ -46,22 +46,24 @@ def _read_config(path: str) -> dict:
     return doc
 
 
-def _utility_from(doc: dict):
+def _utility_from(doc):
+    if not isinstance(doc, dict):
+        raise ConfigError("utility must be a JSON object")
+
+    def num(key, default=None):
+        return config_number(doc.get(key, default), f"utility {key}")
+
     kind = doc.get("kind", "exponential")
     if kind == "exponential":
-        return make_exponential(float(doc.get("alpha", 1.0)))
+        return make_exponential(num("alpha", 1.0))
     if kind in ("sine", "constant-shift", "constant_shift"):
-        return make_perturbed_exponential(
-            float(doc.get("delta", 0.0)), alpha=float(doc.get("alpha", 1.0)),
-            kind=kind, a=float(doc.get("a", 0.2)), omega=float(doc.get("omega", 1.0)))
+        return make_perturbed_exponential(num("delta", 0.0), alpha=num("alpha", 1.0),
+                                          kind=kind, a=num("a", 0.2), omega=num("omega", 1.0))
     if kind == "power":
-        return make_power(float(doc["p"]))
+        return make_power(num("p"))
     if kind == "power-member":
-        base = make_perturbed_power(float(doc.get("p0", -7.0)),
-                                    b=float(doc.get("b", 0.05)),
-                                    nu=float(doc.get("nu", 1.0)))
-        return make_power_family_member(base, float(doc["p"]),
-                                        shifted_inverse_mix(base.p))
+        base = make_perturbed_power(num("p0", -7.0), b=num("b", 0.05), nu=num("nu", 1.0))
+        return make_power_family_member(base, num("p"), shifted_inverse_mix(base.p))
     raise ConfigError(f"unknown utility kind {kind!r}")
 
 
@@ -85,10 +87,10 @@ def _cmd_solve(args) -> int:
     doc = _read_config(args.config)
     if "market" not in doc:
         raise ConfigError("solve config needs a 'market' entry")
-    tree = build_tree(doc["market"])
+    tree = market_tree(doc["market"])
     utility = _utility_from(doc.get("utility", {}))
     B = make_claim(tree, doc.get("claim", {"kind": "zero"}))
-    x0 = float(doc.get("x0", 0.0))
+    x0 = config_number(doc.get("x0", 0.0), "x0")
     if isinstance(utility, UtilityOnRPlus):
         if x0 <= 0.0:
             raise ConfigError("positive-half-line solves need x0 > 0")
@@ -135,13 +137,14 @@ def _cmd_price(args) -> int:
     doc = _read_config(args.config)
     if "market" not in doc:
         raise ConfigError("price config needs a 'market' entry")
-    tol = _check_tol(args.tol if args.tol is not None else doc.get("tol", 1e-9))
-    tree = build_tree(doc["market"])
+    tol = _check_tol(args.tol if args.tol is not None
+                     else config_number(doc.get("tol", 1e-9), "tol"))
+    tree = market_tree(doc["market"])
     utility = _utility_from(doc.get("utility", {}))
     if isinstance(utility, UtilityOnRPlus):
         raise ConfigError("pricing needs a real-line utility")
     B = make_claim(tree, doc.get("claim", {"kind": "call", "strike": 1.0}))
-    x0 = float(doc.get("x0", 0.0))
+    x0 = config_number(doc.get("x0", 0.0), "x0")
     sol = solve_primal(tree, utility, x0)
     dual = extract_dual(tree, utility, sol)
     davis = davis_price(dual, B)
@@ -183,7 +186,7 @@ def _cmd_audit(args) -> int:
     if args.config:
         doc = _read_config(args.config)
         market = doc.get("market", DEFAULT_MARKET)
-    tree = build_tree(market)
+    tree = market_tree(market)
     report = audit_probabilistic_lemmas(tree, seed=args.seed if args.seed is not None else 42,
                                         trials=args.trials)
     out = {

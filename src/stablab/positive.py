@@ -141,9 +141,10 @@ def solve_power_field(tree: ScenarioTree, utility: UtilityOnRPlus, x0: float = 1
             cA = P * D * np.asarray(utility.curvature(X)) * X * X
             hess = W.T @ (W * (cA + mXp)[:, None])
             # same-node second derivatives of X vanish (each node hits a path once)
-            for k in range(K):
-                Wk = W[:, k * d:(k + 1) * d]
-                hess[k * d:(k + 1) * d, k * d:(k + 1) * d] -= Wk.T @ (Wk * mXp[:, None])
+            Wr = W.reshape(-1, K, d)
+            same = np.matmul(Wr.transpose(1, 2, 0), (Wr * mXp[:, None, None]).transpose(1, 0, 2))
+            nodes = np.arange(K)
+            hess.reshape(K, d, K, d)[nodes, :, nodes, :] -= same
             return -hess
 
         return grad, gnorm, hessian

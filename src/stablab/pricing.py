@@ -1,17 +1,17 @@
 """Davis (fair) prices and indifference buyer's prices for terminal claims.
 
 The Davis price is the claim's expectation under the agent's dual measure.
-The indifference price solves u(x0 + B - p) = u(x0) by bisection: the value
-is strictly decreasing in p (cash translation), and the claim's leafwise
-range [min B, max B] always brackets the root.  Bisection is deliberate;
-each step re-solves the primal with the previous optimum as warm start, so
-robustness costs little.
+The indifference price solves u(x0 + B - p) = u(x0) with Brent's method: the
+value is smooth and strictly decreasing in p (cash translation), and the
+claim's leafwise range [min B, max B] always brackets the root.  Each value
+re-solves the primal with the previous optimum as warm start.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .entropic import DualMeasure, solve_primal
 from .market import ScenarioTree
@@ -54,7 +54,7 @@ def davis_price(dual: DualMeasure, B) -> PriceResult:
 
 
 def indifference_price(tree: ScenarioTree, utility: UtilityOnR, x0: float, B,
-                       tol: float = 1e-9, iterations: int = 60) -> PriceResult:
+                       tol: float = 1e-9) -> PriceResult:
     """Buyer's price p solving E[U(x0 + B - p + gains)] = value without the claim."""
     _check_tol(tol)
     B = _check_claim(np.broadcast_to(np.asarray(B, dtype=float), (tree.n_leaves,)))
@@ -62,34 +62,32 @@ def indifference_price(tree: ScenarioTree, utility: UtilityOnR, x0: float, B,
     lo, hi = float(np.min(B)), float(np.max(B))
 
     warm = base.strategy
+    gaps = {}
 
-    def shifted_value(p):
+    def gap(p):
+        # value with the claim bought at p minus the value without it; one solve per p
         nonlocal warm
-        sol = solve_primal(tree, utility, x0 + B - p, initial=warm)
-        warm = sol.strategy
-        return sol.value
+        if p not in gaps:
+            sol = solve_primal(tree, utility, x0 + B - p, initial=warm)
+            warm = sol.strategy
+            gaps[p] = sol.value - base.value
+        return gaps[p]
 
     if hi - lo <= 0.0:
         # constant claim: cash translation gives the price outright
-        price = lo
-        return PriceResult(price=price, method="indifference",
-                           residual=abs(shifted_value(price) - base.value), bracket=(lo, hi))
+        return PriceResult(price=lo, method="indifference", residual=abs(gap(lo)),
+                           bracket=(lo, hi))
 
-    flo = shifted_value(lo) - base.value
-    fhi = shifted_value(hi) - base.value
+    flo, fhi = gap(lo), gap(hi)
     # value is decreasing in the price paid, so flo >= 0 >= fhi
     if flo < -1e-12 or fhi > 1e-12:
         raise RuntimeError(
             f"indifference bracket failed: value differences ({flo:.3e}, {fhi:.3e})")
-    a, b = lo, hi
-    for _ in range(iterations):
-        mid = 0.5 * (a + b)
-        if shifted_value(mid) - base.value >= 0.0:
-            a = mid
-        else:
-            b = mid
-    price = 0.5 * (a + b)
-    residual = abs(shifted_value(price) - base.value)
+    # an endpoint whose gap has the wrong sign within that slack is the price
+    ends = {lo: max(flo, 0.0), hi: min(fhi, 0.0)}
+    price = float(brentq(lambda p: ends[p] if p in ends else gap(p), lo, hi,
+                         xtol=1e-15, rtol=1e-15))
+    residual = abs(gap(price))
     if residual > tol:
         raise RuntimeError(f"indifference residual {residual:.3e} above tolerance {tol:.1e}")
     return PriceResult(price=price, method="indifference", residual=residual,

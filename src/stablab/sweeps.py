@@ -53,6 +53,14 @@ class ConfigError(ValueError):
     """Invalid sweep configuration."""
 
 
+def config_number(value, what: str, kind=float):
+    """value as a `kind`; ConfigError naming `what` when it is not a number."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+
+
 # ----------------------------------------------------------------------
 # configuration
 
@@ -68,11 +76,13 @@ class SweepSpec:
     tol: float
     seed: int
 
-    def tree(self) -> ScenarioTree:
-        try:
-            return build_tree(self.market)
-        except Exception as e:
-            raise ConfigError(f"bad market spec: {e}") from e
+
+def market_tree(market) -> ScenarioTree:
+    """The tree of a config's market entry; ConfigError when it does not build."""
+    try:
+        return build_tree(market)
+    except Exception as e:
+        raise ConfigError(f"bad market spec: {e}") from e
 
 
 def load_config(doc: dict, kind: str) -> SweepSpec:
@@ -81,7 +91,9 @@ def load_config(doc: dict, kind: str) -> SweepSpec:
     for key in ("market", "family", "grid"):
         if key not in doc:
             raise ConfigError(f"config missing required key {key!r}")
-    grid = tuple(float(v) for v in doc["grid"])
+    if not isinstance(doc["family"], dict) or not isinstance(doc["grid"], list):
+        raise ConfigError("family must be a JSON object and grid a list of numbers")
+    grid = tuple(config_number(v, "grid value") for v in doc["grid"])
     if len(grid) < 1:
         raise ConfigError("grid must be non-empty")
     diffs = np.diff(grid)
@@ -101,14 +113,14 @@ def load_config(doc: dict, kind: str) -> SweepSpec:
         family=dict(doc["family"]),
         grid=grid,
         claim=doc.get("claim", {"kind": "zero"}),
-        x0=float(doc.get("x0", 0.0 if kind == "delta" else 1.0)),
-        tol=_check_tol(doc.get("tol", 1e-9), ConfigError),
-        seed=int(doc.get("seed", 0)),
+        x0=config_number(doc.get("x0", 0.0 if kind == "delta" else 1.0), "x0"),
+        tol=_check_tol(config_number(doc.get("tol", 1e-9), "tol"), ConfigError),
+        seed=config_number(doc.get("seed", 0), "seed", int),
     )
     if kind == "p" and spec.x0 <= 0.0:
         raise ConfigError("p sweeps need positive initial capital")
     # force an early validation of family parameters
-    tree = spec.tree()
+    tree = market_tree(spec.market)
     make_claim(tree, spec.claim)
     try:
         if kind == "delta":
@@ -119,7 +131,7 @@ def load_config(doc: dict, kind: str) -> SweepSpec:
             _p_family(spec.family)
     except ConfigError:
         raise
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"bad family: {e}") from e
     return spec
 
@@ -131,10 +143,10 @@ def make_claim(tree: ScenarioTree, claim) -> np.ndarray:
         if kind == "zero":
             B = np.zeros(tree.n_leaves)
         elif kind == "constant":
-            B = np.full(tree.n_leaves, float(claim.get("value", 0.0)))
+            B = np.full(tree.n_leaves, config_number(claim.get("value", 0.0), "claim value"))
         elif kind == "call":
-            strike = float(claim.get("strike", 1.0))
-            asset = int(claim.get("asset", 0))
+            strike = config_number(claim.get("strike", 1.0), "claim strike")
+            asset = config_number(claim.get("asset", 0), "claim asset", int)
             B = np.maximum(tree.terminal_prices()[:, asset] - strike, 0.0)
         else:
             raise ConfigError(f"unknown claim kind {kind!r}")
@@ -167,11 +179,9 @@ def _p_family(fam: dict):
     if kind == "power":
         return None, None
     if kind == "power-member":
-        p0 = float(fam.get("p0", -7.0))
-        b = float(fam.get("b", 0.05))
-        nu = float(fam.get("nu", 1.0))
-        base = make_perturbed_power(p0, b=b, nu=nu)
-        return base, shifted_inverse_mix(p0)
+        base = make_perturbed_power(float(fam.get("p0", -7.0)), b=float(fam.get("b", 0.05)),
+                                    nu=float(fam.get("nu", 1.0)))
+        return base, shifted_inverse_mix(base.p)
     raise ConfigError(f"unknown p family kind {kind!r}")
 
 
@@ -235,7 +245,7 @@ def report_json(report: SweepReport) -> str:
 def sweep_delta(spec: SweepSpec) -> SweepReport:
     """Solve the real-line problem along the delta grid and record the error
     functionals against the unperturbed (exponential) member."""
-    tree = spec.tree()
+    tree = market_tree(spec.market)
     B = make_claim(tree, spec.claim)
     fam = _delta_family(spec.family)
     U0 = make_exponential(1.0)
@@ -284,7 +294,7 @@ def sweep_delta(spec: SweepSpec) -> SweepReport:
 def sweep_p(spec: SweepSpec) -> SweepReport:
     """Solve positive-wealth problems along the p grid and compare against
     the money positions of the exponential hedge of the same claim."""
-    tree = spec.tree()
+    tree = market_tree(spec.market)
     B = make_claim(tree, spec.claim)
     field_w = UtilityField.from_claim(make_power(min(spec.grid)), B)
     hedge = exponential_hedge(tree, make_exponential(1.0), B, spec.x0)
@@ -294,20 +304,13 @@ def sweep_p(spec: SweepSpec) -> SweepReport:
         pure = solve_power_field(tree, make_power(p), spec.x0, field_w)
         pure_dist = scaled_strategy_distance(tree, p, pure.strategy, hedge.strategy)
         if base is None:
-            member_dist = pure_dist
-            product = 0.0
-            rp_l1 = 0.0
-            y_ratio = 1.0
-            w = 1.0
+            member_dist, product, rp_l1, y_ratio, w = pure_dist, 0.0, 0.0, 1.0, 1.0
         else:
             member = make_power_family_member(base, p, fmix)
             sol = solve_power_field(tree, member, spec.x0, field_w)
             member_dist = scaled_strategy_distance(tree, p, sol.strategy, hedge.strategy)
             diag = ratio_diagnostics(tree, member, sol, pure)
-            product = diag.mean_product
-            rp_l1 = diag.rp_l1
-            y_ratio = diag.y_ratio
-            w = fmix(p)
+            product, rp_l1, y_ratio, w = diag.mean_product, diag.rp_l1, diag.y_ratio, fmix(p)
         return {
             "p": p, "fmix": w,
             "pure_distance": pure_dist, "member_distance": member_dist,

@@ -43,13 +43,6 @@ def _exp_sine_integral(x, alpha, omega):
         / (alpha * alpha + omega * omega)
 
 
-def _power_logsine_integral(x, p, nu):
-    # int_1^x s**(p-1) sin(nu*log s) ds
-    lx = np.log(x)
-    xp = np.power(x, p)
-    return (xp * (p * np.sin(nu * lx) - nu * np.cos(nu * lx)) + nu) / (p * p + nu * nu)
-
-
 def _bracketed_root(f, fprime, lo, hi, iters: int = 100):
     """Solve f(x) = 0 componentwise for strictly decreasing f with f(lo) >= 0 >= f(hi).
 
@@ -173,10 +166,6 @@ class UtilityOnR(_CertifiedUtility):
         out = 1.0 + self.shift + self.amp * np.sin(self.omega * x)
         return _maybe_scalar(out, x)
 
-    def ratio_slope(self, x):
-        x = np.asarray(x, dtype=float)
-        return _maybe_scalar(self.amp * self.omega * np.cos(self.omega * x), x)
-
     def marginal(self, x):
         x = np.asarray(x, dtype=float)
         out = (1.0 + self.shift + self.amp * np.sin(self.omega * x)) * np.exp(-self.alpha * x)
@@ -293,10 +282,15 @@ class UtilityOnRPlus(_CertifiedUtility):
         return _maybe_scalar(out, x)
 
     def value(self, x):
+        # constants sit in value_at_inf: nothing cancels as x**p -> 0, pure power is x**p / p
         x = np.asarray(x, dtype=float)
-        out = self.value_at_one + (1.0 + self.shift) * (np.power(x, self.p) - 1.0) / self.p
+        xp = np.power(x, self.p)
+        out = self.value_at_inf + (1.0 + self.shift) * xp / self.p
         if self.amp != 0.0:
-            out = out + self.amp * _power_logsine_integral(x, self.p, self.nu)
+            # amp * int_inf^x s**(p-1) sin(nu log s) ds
+            nlx = self.nu * np.log(x)
+            out = out + self.amp * xp * (self.p * np.sin(nlx) - self.nu * np.cos(nlx)) \
+                / (self.p ** 2 + self.nu ** 2)
         return _maybe_scalar(out, x)
 
     def _reference_inverse(self, v):

@@ -1,14 +1,14 @@
 """Shared market builders, closed-form one-step optima, random tree generator,
-the probe loop that solves every LP, as a reference for the probes, and the
-per-node loops of the one-step reductions and of the opportunity process, as
-references for those."""
+the probe loop that solves every LP, as a reference for the probes, the
+per-node loops of the one-step reductions and of the opportunity process, and
+the bisection for the indifference price, as references for those."""
 import numpy as np
 from scipy.optimize import linprog
 
 from stablab import (AdaptedProcess, Measure, NoMartingaleMeasure, ScenarioTree,
                      Strategy, bracket_distance, branching_tree, build_tree,
                      conditional_expectation, conditional_probs, gains_matrix,
-                     martingale_residual, node_weights, ratio_defects)
+                     martingale_residual, node_weights, ratio_defects, solve_primal)
 from stablab.entropic import _wealth_martingale_defect
 from stablab.positive import _admissible_box
 
@@ -366,3 +366,32 @@ def reference_opportunity_process(tree, p, x0=1.0, field=None):
         converged = converged and ok
     return (Lvals, frac, float(Lvals[0] * x0 ** p / p), float(Lvals[0] * x0 ** (p - 1.0)),
             converged)
+
+
+def reference_indifference_price(tree, utility, x0, B):
+    """The indifference price by 60 bisection steps on the value gap over
+    [min B, max B], each solve warm-started from the previous optimum."""
+    B = np.broadcast_to(np.asarray(B, dtype=float), (tree.n_leaves,))
+    base = solve_primal(tree, utility, x0)
+    warm = base.strategy
+
+    def gap(p):
+        nonlocal warm
+        sol = solve_primal(tree, utility, x0 + B - p, initial=warm)
+        warm = sol.strategy
+        return sol.value - base.value
+
+    a, b = float(np.min(B)), float(np.max(B))
+    if b - a <= 0.0:
+        return a
+    flo, fhi = gap(a), gap(b)
+    if flo < -1e-12 or fhi > 1e-12:
+        raise RuntimeError(
+            f"indifference bracket failed: value differences ({flo:.3e}, {fhi:.3e})")
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        if gap(mid) >= 0.0:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)

@@ -130,6 +130,22 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["sweep-delta", "--config", cfg, "--out", str(tmp_path)]) == 2
     # too few audit trials
     assert main(["audit", "--out", str(tmp_path), "--trials", "50"]) == 2
+    # entries of the wrong JSON type
+    with open(f"{CONFIGS}/binomial_sine.json") as f:
+        sweep = json.load(f)
+    for key, value in (("grid", 5), ("grid", None), ("grid", [None]), ("family", 5),
+                       ("x0", [1]), ("x0", None), ("seed", None), ("tol", None),
+                       ("claim", {"kind": "call", "strike": None}), ("market", 5)):
+        cfg = write_config(tmp_path, "typed.json", {**sweep, key: value})
+        assert main(["sweep-delta", "--config", cfg, "--out", str(tmp_path)]) == 2, (key, value)
+    with open(f"{CONFIGS}/price_call.json") as f:
+        solve = json.load(f)
+    for key, value in (("utility", [1]), ("utility", {"kind": "exponential", "alpha": None}),
+                       ("x0", None), ("x0", [1]), ("market", 5)):
+        cfg = write_config(tmp_path, "typed.json", {**solve, key: value})
+        for command in ("solve", "price"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2, \
+                (command, key, value)
     err = capsys.readouterr().err
     assert "error" in err
 

@@ -80,6 +80,18 @@ def test_forward_vs_dp_with_terminal_field():
                          - dp.strategy.values[tree.nonterminal])) < 1e-8
 
 
+def test_field_value_keeps_precision_when_wealth_power_is_small():
+    # large call weights push the optimum to wealths where x**p << 1; the value
+    # must not lose them to a cancellation against the utility's constant terms
+    tree = build_tree({"lattice": {"s0": 1.0, "u": 2.0, "d": 0.5, "q": 0.5, "steps": 5}})
+    p = -7.0
+    B = np.maximum(tree.terminal_prices()[:, 0] - 1.0, 0.0)
+    field = UtilityField.from_claim(make_power(p), B)
+    sol = solve_power_field(tree, make_power(p), x0=1.0, field=field)
+    dp = opportunity_process(tree, p, x0=1.0, field=field)
+    assert sol.value == pytest.approx(dp.value, rel=1e-13, abs=0.0)
+
+
 def test_random_trees_forward_vs_dp():
     rng = np.random.default_rng(31)
     for _ in range(8):

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
-from conftest import one_step_trinomial, two_step_binomial
-from stablab import (davis_price, extract_dual, indifference_price,
-                     make_exponential, make_perturbed_exponential,
+import stablab.pricing
+from conftest import (one_step_trinomial, reference_indifference_price, trinomial_tree,
+                      two_asset_tree, two_step_binomial)
+from stablab import (NonConvergence, build_tree, davis_price, extract_dual,
+                     indifference_price, make_exponential, make_perturbed_exponential,
                      martingale_price_bounds, solve_primal)
 
 
@@ -102,3 +106,75 @@ def test_claim_validation():
     for tol in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="positive and finite"):
             indifference_price(tree, u, 0.0, call_claim(tree), tol=tol)
+
+
+def crr_tree(steps, sigma=0.2, q=0.52):
+    u = math.exp(sigma / math.sqrt(steps))
+    return build_tree({"lattice": {"s0": 1.0, "u": u, "d": 1.0 / u, "q": q, "steps": steps}})
+
+
+def counting_solves(monkeypatch):
+    """A one-element list counting the primal solves `indifference_price` makes."""
+    count = [0]
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return solve_primal(*args, **kwargs)
+
+    monkeypatch.setattr(stablab.pricing, "solve_primal", counted)
+    return count
+
+
+@pytest.mark.parametrize("tree, utility, claim", [
+    *[(crr_tree(steps), make_exponential(1.0), strike)
+      for steps in (2, 6, 8) for strike in (0.9, 1.0, 1.1)],
+    *[(tree(), make_exponential(alpha), 1.0)
+      for tree in (trinomial_tree, two_asset_tree) for alpha in (1.0, 2.5)],
+    (crr_tree(6), make_perturbed_exponential(0.3, omega=1.3), 1.0),
+    (trinomial_tree(), make_perturbed_exponential(0.2), 1.0),
+    (crr_tree(6), make_exponential(1.0), None),
+])
+def test_price_matches_bisection(tree, utility, claim):
+    # claim None is the constant claim 0.4
+    B = 0.4 if claim is None else call_claim(tree, claim)
+    res = indifference_price(tree, utility, 0.0, B)
+    assert abs(res.price - reference_indifference_price(tree, utility, 0.0, B)) <= 1e-12
+    assert res.residual <= 1e-12
+
+
+@pytest.mark.parametrize("tree, level", [(trinomial_tree(2), 1.1), (one_step_trinomial(), 2.5)])
+def test_noise_level_claim_prices_at_an_endpoint(tree, level):
+    # the claim spans 4e-16, so both endpoint gaps are rounding noise, and here
+    # one of them has the wrong sign
+    B = np.full(tree.n_leaves, level)
+    B[0] += 1e-16
+    B[-1] += 3e-16
+    u = make_exponential(1.0)
+    res = indifference_price(tree, u, -0.3, B)
+    assert res.price in res.bracket
+    assert abs(res.price - reference_indifference_price(tree, u, -0.3, B)) <= 1e-12
+
+
+@pytest.mark.parametrize("steps", [6, 8])
+def test_price_takes_few_solves(monkeypatch, steps):
+    tree = crr_tree(steps)
+    count = counting_solves(monkeypatch)
+    for strike in (0.9, 1.0, 1.1):
+        count[0] = 0
+        indifference_price(tree, make_exponential(1.0), 0.0, call_claim(tree, strike))
+        assert count[0] <= 12
+
+
+def test_constant_claim_takes_two_solves(monkeypatch):
+    count = counting_solves(monkeypatch)
+    indifference_price(two_step_binomial(), make_exponential(1.0), 0.0, 2.5)
+    assert count[0] == 2
+
+
+def test_wide_lattice_call_still_fails_at_an_endpoint():
+    # u=2/d=0.5 at T=4: the primal at an endpoint stops just above its gradient
+    # tolerance, before any root finding starts
+    tree = build_tree({"lattice": {"s0": 1.0, "u": 2.0, "d": 0.5, "q": 0.5, "steps": 4}})
+    with pytest.raises(NonConvergence, match=r"primal Newton did not reach gradient "
+                                             r"tolerance \(residual 2\.910e-10\)"):
+        indifference_price(tree, make_exponential(1.0), 0.0, call_claim(tree))
