@@ -8,8 +8,11 @@ holdings.
 The dual side: leaf weights proportional to P * U'(terminal wealth) form the
 optimal martingale measure, and the entropy-minimal measure is computed
 independently by a reduced Newton iteration over the cone of unnormalized
-martingale measures (feasible interior start from an LP that also certifies
-that the market admits an equivalent martingale measure at all).
+martingale measures.  It starts from an LP interior point, which also
+certifies that the market admits an equivalent martingale measure at all,
+and moves in a tree-local basis of that cone's span: the interior point plus
+one leaf vector per kernel vector of each node's one-step martingale
+conditions, so a complete tree leaves only the scale to find.
 
 One damped-Newton core, `_newton`, serves the primal, the entropy dual, and
 the fraction solver and the opportunity process of `positive`: Newton steps
@@ -21,11 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 from scipy.optimize import brentq, linprog
 
 from .market import (AdaptedProcess, Measure, ScenarioTree, Strategy, _child_sums,
-                     conditional_probs, martingale_residual, wealth_additive)
+                     conditional_probs, martingale_residual, node_weights, wealth_additive)
 from .utilities import UtilityOnR
 
 __all__ = [
@@ -264,6 +266,58 @@ def _dual_scale(m: Measure, P: np.ndarray, utility: UtilityOnR) -> float:
     return float(brentq(slope, lo, hi, xtol=1e-15, rtol=1e-15))
 
 
+def _martingale_basis(tree: ScenarioTree, q0: np.ndarray) -> np.ndarray:
+    """(L, L - rank(gains)) basis of null(gains'), built node by node.
+
+    Column 0 is the interior martingale measure q0.  Every other column
+    belongs to one non-terminal node n and one vector k of the kernel of the
+    (d+1, c) matrix [dS_children'; 1'] at n: leaf l below child c of n gets
+    k_c * q0_l / Q0(c), where Q0 are the node weights of q0, and every other
+    leaf 0.  The gains of the column vanish node by node: the drift at n is
+    sum_c k_c dS_c = 0, every ancestor of n sees mass sum_c k_c = 0 on the
+    one child subtree holding n, and below each child the column is a
+    multiple of q0, itself a martingale measure.  One batched SVD per child
+    block gives the kernels; each node keeps its own rank, with scipy's
+    null_space cutoff max(d+1, c) * eps * sigma_max.  A complete tree (every
+    binomial lattice) has no kernels, so its basis is q0 alone.
+    """
+    L = tree.n_leaves
+    Q0 = node_weights(tree, Measure(q0))
+    slot = np.zeros(tree.n_nodes, dtype=np.int64)
+    row_of = np.full(tree.n_nodes, -1, dtype=np.int64)
+    rows, cols, vals = [np.arange(L)], [np.zeros(L, dtype=np.int64)], [q0]
+    width = 1
+    for t, level in enumerate(tree.child_blocks):
+        for nodes, kids in level:
+            k, c = kids.shape
+            M = np.concatenate([tree.d_prices[kids].transpose(0, 2, 1), np.ones((k, 1, c))],
+                               axis=1)
+            _, sv, vh = np.linalg.svd(M)
+            rank = np.sum(sv > max(M.shape[1:]) * np.finfo(float).eps * sv[:, :1], axis=1)
+            size = c - rank
+            if not size.any():
+                continue
+            # kernel vector j >= rank[i] of the block's node i is column first[i] + j
+            first = width + np.cumsum(size) - size - rank
+            width += int(size.sum())
+            row_of[nodes] = np.arange(k)
+            slot[kids] = np.arange(c)
+            at = row_of[tree.paths[:, t]]
+            row_of[nodes] = -1
+            under = np.flatnonzero(at >= 0)
+            i = at[under]
+            child = tree.paths[under, t + 1]
+            j = np.arange(c)
+            keep = j >= rank[i][:, None]
+            entries = vh[i, :, slot[child]] * (q0[under] / Q0[child])[:, None]
+            rows.append(np.broadcast_to(under[:, None], keep.shape)[keep])
+            cols.append((first[i][:, None] + j)[keep])
+            vals.append(entries[keep])
+    N = np.zeros((L, width))
+    N[np.concatenate(rows), np.concatenate(cols)] = np.concatenate(vals)
+    return N
+
+
 def minimal_entropy_measure(tree: ScenarioTree, utility: UtilityOnR) -> DualMeasure:
     """Minimize the generalized entropy E_P[V(dmu/dP)] over the cone of
     unnormalized martingale measures.
@@ -272,14 +326,15 @@ def minimal_entropy_measure(tree: ScenarioTree, utility: UtilityOnR) -> DualMeas
     convex program over {mu >= 0, gains have zero mu-expectation}: its unique
     minimizer is P * U'(optimal terminal wealth), so y = sum(mu) and
     m = mu/y reproduce extract_dual's pair for every family member, without
-    touching the strategy-space solver.  Newton in the nullspace of the
-    constraint matrix, mu = mu0 + N t, started from the LP interior point at
-    the reference scale, positivity enforced by line search.
+    touching the strategy-space solver.  Newton over mu = mu0 + N t, with N
+    the tree-local martingale basis of `_martingale_basis` (q0 plus one
+    column per one-step kernel vector), started from the LP interior point
+    q0 at its optimal scale, positivity enforced by line search.  On a
+    complete tree N is q0 alone and the start is already the optimum.
     """
     q0 = assert_market_viable(tree)
     P = tree.path_prob[tree.leaves]
-    A = gains_matrix(tree)
-    N = null_space(A.T)       # contains the ray through every martingale measure
+    N = _martingale_basis(tree, q0)
     mu0 = _dual_scale(Measure(q0), P, utility) * q0
 
     def objective(t):

@@ -76,34 +76,26 @@ class RatioDiagnostics:
 # fraction-strategy solver
 
 
-def _path_weights(tree: ScenarioTree, pi: np.ndarray):
-    """Log-wealth and sensitivity rows for stacked fractions pi (K*d,).
+def _log_wealth(tree: ScenarioTree, cols: np.ndarray, pi: np.ndarray, keep: bool = False):
+    """Log-wealth per leaf for stacked fractions pi (K*d,), one step per date.
 
-    Returns (logX, W) with W[l, (k,a)] = dR_a(child)/(1 + pi_k . dR(child))
-    for node k on leaf l's path, or (None, None) if some growth factor is
-    not positive.
+    cols[l, t] is the non-terminal index of the node at date t on leaf l's
+    path.  Returns (logX, w): w is None, or with keep the (L, T, d)
+    sensitivities w[l, t] = dR(child)/(1 + pi_k . dR(child)) of that node's
+    step.  Returns (None, None) if some growth factor is not positive.
     """
-    K = tree.nonterminal.shape[0]
-    d = tree.n_assets
-    col_of = np.full(tree.n_nodes, -1)
-    col_of[tree.nonterminal] = np.arange(K)
-    pim = pi.reshape(K, d)
-    L = tree.n_leaves
-    logX = np.zeros(L)
-    W = np.zeros((L, K * d))
-    rows = np.arange(L)
+    pim = pi.reshape(-1, tree.n_assets)
+    logX = np.zeros(tree.n_leaves)
+    w = np.empty(cols.shape + (tree.n_assets,)) if keep else None
     for t in range(tree.horizon):
-        nodes = tree.paths[:, t]
-        childs = tree.paths[:, t + 1]
-        k = col_of[nodes]
-        dR = tree.d_returns[childs]
-        g = 1.0 + np.einsum("la,la->l", pim[k], dR)
+        dR = tree.d_returns[tree.paths[:, t + 1]]
+        g = 1.0 + np.einsum("la,la->l", pim[cols[:, t]], dR)
         if np.any(g <= 0.0):
             return None, None
         logX += np.log(g)
-        cols = (k * d)[:, None] + np.arange(d)[None, :]
-        W[rows[:, None], cols] = dR / g[:, None]
-    return logX, W
+        if keep:
+            w[:, t] = dR / g[:, None]
+    return logX, w
 
 
 def solve_power_field(tree: ScenarioTree, utility: UtilityOnRPlus, x0: float = 1.0,
@@ -121,9 +113,15 @@ def solve_power_field(tree: ScenarioTree, utility: UtilityOnRPlus, x0: float = 1
     D = np.ones(tree.n_leaves) if field is None else np.asarray(field.weights, dtype=float)
     K = tree.nonterminal.shape[0]
     d = tree.n_assets
+    L = tree.n_leaves
+    col_of = np.full(tree.n_nodes, -1)
+    col_of[tree.nonterminal] = np.arange(K)
+    cols = col_of[tree.paths[:, :-1]]
+    # same-node Hessian blocks: one flat (k, a, b) slot per (leaf, date, a, b)
+    slots = (cols[..., None] * (d * d) + np.arange(d * d)).ravel()
 
     def objective(pvec):
-        logX, _ = _path_weights(tree, pvec)
+        logX, _ = _log_wealth(tree, cols, pvec)
         if logX is None:
             return np.inf
         with np.errstate(over="ignore"):
@@ -131,7 +129,11 @@ def solve_power_field(tree: ScenarioTree, utility: UtilityOnRPlus, x0: float = 1
         return -val if np.isfinite(val) else np.inf
 
     def derivatives(pvec):
-        logX, W = _path_weights(tree, pvec)
+        logX, w = _log_wealth(tree, cols, pvec, keep=True)
+        # W[l, (k, a)] = w[l, t, a] for the node k at date t on leaf l's path
+        W = np.zeros((L, K, d))
+        W[np.arange(L)[:, None], cols] = w
+        W = W.reshape(L, K * d)
         X = np.exp(np.log(x0) + logX)
         mXp = P * D * np.asarray(utility.marginal(X)) * X
         grad = -(W.T @ mXp)
@@ -140,9 +142,11 @@ def solve_power_field(tree: ScenarioTree, utility: UtilityOnRPlus, x0: float = 1
         def hessian():
             cA = P * D * np.asarray(utility.curvature(X)) * X * X
             hess = W.T @ (W * (cA + mXp)[:, None])
-            # same-node second derivatives of X vanish (each node hits a path once)
-            Wr = W.reshape(-1, K, d)
-            same = np.matmul(Wr.transpose(1, 2, 0), (Wr * mXp[:, None, None]).transpose(1, 0, 2))
+            # same-node second derivatives of X vanish (each node hits a path
+            # once): take sum_l mXp_l w_l w_l' off each node's block, summed
+            # over the (leaf, date) pairs, as each leaf lies on T node paths only
+            outer = w[..., :, None] * (w * mXp[:, None, None])[..., None, :]
+            same = np.bincount(slots, outer.ravel(), K * d * d).reshape(K, d, d)
             nodes = np.arange(K)
             hess.reshape(K, d, K, d)[nodes, :, nodes, :] -= same
             return -hess

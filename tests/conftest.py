@@ -106,6 +106,59 @@ def depth_first_two_asset_tree(steps: int = 3) -> ScenarioTree:
     return build_tree({"nodes": nodes})
 
 
+def flat_node_tree() -> ScenarioTree:
+    """Two-step tree whose up node has no price move."""
+    return build_tree({"nodes": [
+        {"parent": -1, "prob": 1.0, "prices": [1.0]},
+        {"parent": 0, "prob": 0.5, "prices": [2.0]},
+        {"parent": 0, "prob": 0.5, "prices": [0.5]},
+        {"parent": 1, "prob": 0.4, "prices": [2.0]},
+        {"parent": 1, "prob": 0.6, "prices": [2.0]},
+        {"parent": 2, "prob": 0.5, "prices": [1.0]},
+        {"parent": 2, "prob": 0.5, "prices": [0.25]},
+    ]})
+
+
+def near_degenerate_tree() -> ScenarioTree:
+    """Complete one-step two-asset tree whose moves of 1e-8 and 1e-5 leave
+    C q = b full rank but so ill-conditioned that a second LP vertex, 1e-8
+    away from the unique solution, passes the polish's 1e-9 tolerances."""
+    return build_tree({"nodes": [
+        {"parent": -1, "prob": 1.0, "prices": [1.0, 1.0]},
+        {"parent": 0, "prob": 0.3, "prices": [1.4, 1.0 + 1e-8]},
+        {"parent": 0, "prob": 0.5, "prices": [1.0 - 1e-5, 1.0]},
+        {"parent": 0, "prob": 0.2, "prices": [0.6 + 1e-5, 1.0 - 1e-8]},
+    ]})
+
+
+def mixed_branching_tree() -> ScenarioTree:
+    """One-asset T=2 tree whose date-1 nodes have 2, 4 and 3 children."""
+    moves = {0: [1.3, 1.0, 0.8], 1: [1.2, 0.9], 2: [1.4, 1.1, 0.95, 0.7], 3: [1.25, 1.0, 0.85]}
+    nodes = [{"parent": -1, "prob": 1.0, "prices": [1.0]}]
+    for parent in range(4):
+        factors = moves[parent]
+        for f in factors:
+            nodes.append({"parent": parent, "prob": 1.0 / len(factors),
+                          "prices": [nodes[parent]["prices"][0] * f]})
+    return build_tree({"nodes": nodes})
+
+
+def collinear_two_asset_tree() -> ScenarioTree:
+    """Two-asset T=2 tree: the root's three moves lie on one line through 0,
+    so its gains have rank 1, not 2; the date-1 nodes branch four ways.  The
+    moves are dyadic, so the second asset's increments are exactly half the
+    first's and the primal Hessian is exactly singular."""
+    factors = [[1.15, 1.10], [1.10, 0.85], [0.90, 1.15], [0.85, 0.90]]
+    nodes = [{"parent": -1, "prob": 1.0, "prices": [1.0, 2.0]}]
+    for x, q in zip((0.25, 0.0625, -0.125), (0.3, 0.3, 0.4)):
+        nodes.append({"parent": 0, "prob": q, "prices": [1.0 + x, 2.0 + x / 2.0]})
+    for parent in (1, 2, 3):
+        s = nodes[parent]["prices"]
+        for f, q in zip(factors, (0.2, 0.3, 0.3, 0.2)):
+            nodes.append({"parent": parent, "prob": q, "prices": [s[0] * f[0], s[1] * f[1]]})
+    return build_tree({"nodes": nodes})
+
+
 def reference_probes(tree, seed, lp=linprog):
     """The default probe loop solving every random-cost LP, with a polish after each."""
     A = gains_matrix(tree)

@@ -1,15 +1,17 @@
 import sys
 import threading
+from itertools import chain
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 import stablab.entropic as entropic
-from conftest import (assert_same_probes, depth_first_two_asset_tree,
-                      one_step_binomial, one_step_theta, one_step_trinomial,
-                      random_viable_tree, reference_probes, three_step_binomial,
-                      trinomial_tree, two_asset_tree, two_step_binomial)
+from conftest import (assert_same_probes, collinear_two_asset_tree,
+                      depth_first_two_asset_tree, flat_node_tree, mixed_branching_tree,
+                      near_degenerate_tree, one_step_binomial, one_step_theta,
+                      one_step_trinomial, random_viable_tree, reference_probes,
+                      three_step_binomial, trinomial_tree, two_asset_tree, two_step_binomial)
 from stablab import (Measure, NoMartingaleMeasure, NonConvergence,
                      PrimalSolution, Strategy, branching_tree, build_tree,
                      extract_dual, gains_matrix, generalized_entropy, make_exponential,
@@ -25,19 +27,6 @@ def arbitrage_tree():
         {"parent": -1, "prices": [1.0]},
         {"parent": 0, "prob": 0.5, "prices": [1.5]},
         {"parent": 0, "prob": 0.5, "prices": [1.1]},
-    ]})
-
-
-def flat_node_tree():
-    """Two-step tree whose up node has no price move."""
-    return build_tree({"nodes": [
-        {"parent": -1, "prob": 1.0, "prices": [1.0]},
-        {"parent": 0, "prob": 0.5, "prices": [2.0]},
-        {"parent": 0, "prob": 0.5, "prices": [0.5]},
-        {"parent": 1, "prob": 0.4, "prices": [2.0]},
-        {"parent": 1, "prob": 0.6, "prices": [2.0]},
-        {"parent": 2, "prob": 0.5, "prices": [1.0]},
-        {"parent": 2, "prob": 0.5, "prices": [0.25]},
     ]})
 
 
@@ -329,18 +318,6 @@ def crr(steps, sigma=0.2):
     return branching_tree(100.0, [u, 1.0 / u], [0.5, 0.5], steps)
 
 
-def near_degenerate_tree():
-    """Complete one-step two-asset tree whose moves of 1e-8 and 1e-5 leave
-    C q = b full rank but so ill-conditioned that a second LP vertex, 1e-8
-    away from the unique solution, passes the polish's 1e-9 tolerances."""
-    return build_tree({"nodes": [
-        {"parent": -1, "prob": 1.0, "prices": [1.0, 1.0]},
-        {"parent": 0, "prob": 0.3, "prices": [1.4, 1.0 + 1e-8]},
-        {"parent": 0, "prob": 0.5, "prices": [1.0 - 1e-5, 1.0]},
-        {"parent": 0, "prob": 0.2, "prices": [0.6 + 1e-5, 1.0 - 1e-8]},
-    ]})
-
-
 PROBE_TREES = {f"binomial_T{T}": (lambda T=T: binomial(T)) for T in range(1, 9)}
 PROBE_TREES.update(crr_T6=lambda: crr(6), trinomial_T3=lambda: trinomial_tree(3),
                    two_asset_T3=lambda: two_asset_tree(3),
@@ -436,13 +413,25 @@ def test_price_bounds():
     assert hi3 == pytest.approx(1.0 / 3.0, abs=1e-9)
 
 
+# besides random trees: the incomplete depth-ladder shapes, a date with three
+# child counts, and a node whose two assets move together, so its martingale
+# kernel is larger than the child count minus d + 1
+AWKWARD_TREES = (
+    lambda: branching_tree(1.0, [1.2, 1.0, 0.85], [0.25, 0.45, 0.3], 6),
+    lambda: branching_tree([1.0, 1.0], [[1.15, 1.10], [1.10, 0.85], [0.90, 1.15], [0.85, 0.90]],
+                           [0.2, 0.3, 0.3, 0.2], 4),
+    mixed_branching_tree,
+    collinear_two_asset_tree,
+)
+
+
 def test_random_trees_solve_cleanly():
     # the cone minimizer is P*U'(optimal wealth) for every family member,
     # so the two routes must agree even for perturbed utilities on
     # incomplete trees
     rng = np.random.default_rng(23)
-    for _ in range(10):
-        tree = random_viable_tree(rng)
+    for tree in chain((random_viable_tree(rng) for _ in range(10)),
+                      (make() for make in AWKWARD_TREES)):
         u = make_perturbed_exponential(rng.uniform(0.0, 0.4),
                                        alpha=rng.uniform(0.7, 1.6),
                                        a=0.2, omega=rng.uniform(0.5, 1.5))

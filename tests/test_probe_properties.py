@@ -1,16 +1,21 @@
 """Property tests over random small trees: the martingale polytope probes, the
-level-wise one-step reductions against their per-node loops, and the
-block-wise opportunity process against its node-by-node recursion."""
+level-wise one-step reductions against their per-node loops, the block-wise
+opportunity process against its node-by-node recursion, and the tree-local
+martingale basis against the SVD null space."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import null_space
 
 from conftest import (assert_reductions_match_references, assert_same_probes,
+                      collinear_two_asset_tree, flat_node_tree, mixed_branching_tree,
+                      near_degenerate_tree, random_viable_tree,
                       reference_opportunity_process, reference_probes)
 from stablab import (Measure, NoMartingaleMeasure, UtilityField, branching_tree,
                      build_tree, make_power, martingale_polytope_probes,
                      martingale_residual, opportunity_process)
+from stablab.entropic import _martingale_basis, assert_market_viable
 
 
 def whole_percent(hi):
@@ -166,3 +171,82 @@ def test_opportunity_process_on_random_trees(tree, p, data):
     dp = opportunity_process(tree, p, 1.0, field)
     assert np.max(np.abs(dp.values.values - L) / L) <= 1e-13
     assert np.max(np.abs(dp.strategy.values - frac)) <= 1e-8
+
+
+@st.composite
+def collinear_two_asset_trees(draw):
+    """Two assets, T <= 2, 2-4 branches per node; at each node the moves lie
+    on one line through 0 with an up and a down move, or (from three
+    branches) span the plane around 0 as in `small_viable_trees`.  Dyadic
+    sizes keep a collinear node's increments exactly proportional."""
+    dyadic = st.integers(1, 24).map(lambda k: k / 64.0)
+    nodes = [{"parent": -1, "prob": 1.0, "prices": [1.0, 2.0]}]
+    frontier = [0]
+    for _ in range(draw(st.integers(1, 2))):
+        grown = []
+        for i in frontier:
+            nb = draw(st.integers(2, 4))
+            if nb == 2 or draw(st.booleans()):
+                slope = draw(st.sampled_from([-2.0, -0.5, 0.5, 1.0, 2.0]))
+                xs = [draw(dyadic), -draw(dyadic)]
+                xs += [draw(st.sampled_from([-1.0, 0.0, 1.0])) * draw(dyadic)
+                       for _ in range(nb - 2)]
+                rets = [[x, slope * x] for x in xs]
+            else:
+                p = [draw(dyadic), draw(dyadic)]
+                r = [-draw(dyadic), draw(dyadic)]
+                rets = [p, r, [-p[0] - r[0], -p[1] - r[1]]]
+                rets += [[draw(dyadic), -draw(dyadic)] for _ in range(nb - 3)]
+            w = np.array([draw(st.floats(0.1, 1.0)) for _ in range(nb)])
+            prices = nodes[i]["prices"]
+            for ret, q in zip(rets, w / w.sum()):
+                nodes.append({"parent": i, "prob": float(q),
+                              "prices": [s + x for s, x in zip(prices, ret)]})
+                grown.append(len(nodes) - 1)
+        frontier = grown
+    return build_tree({"nodes": nodes})
+
+
+# The tree-local basis has dim null(gains') full-rank columns in that null
+# space, and spans the SVD basis up to the perturbation bound: a unit vector x
+# lies within |gains' x| / sigma_min of the null space, sigma_min the smallest
+# nonzero singular value of the gains.  near_degenerate_tree fixes its one
+# martingale measure only up to eps / sigma_min ~ 1e-4 (sigma_min 3e-13): the
+# slack is what covers it; elsewhere it is ~1e-15.
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(tree=st.one_of(
+    st.builds(lambda seed, steps: random_viable_tree(np.random.default_rng(seed), steps),
+              st.integers(0, 2 ** 32 - 1), st.integers(1, 3)),
+    small_viable_trees(whole_percent),
+    collinear_two_asset_trees()))
+@example(tree=flat_node_tree())
+@example(tree=near_degenerate_tree())
+@example(tree=mixed_branching_tree())
+@example(tree=collinear_two_asset_tree())
+def test_martingale_basis_spans_the_null_space(tree):
+    A = tree.gains
+    N = _martingale_basis(tree, assert_market_viable(tree))
+    rank = np.linalg.matrix_rank(A)
+    assert N.shape == (tree.n_leaves, tree.n_leaves - rank)
+    assert np.linalg.matrix_rank(N) == N.shape[1]
+    assert np.abs(A.T @ N).max() <= 1e-12 * np.abs(A).max()
+    S = null_space(A.T)
+    Q = np.linalg.qr(N)[0]
+    sigma_min = np.linalg.svd(A, compute_uv=False)[rank - 1]
+    slack = (np.linalg.norm(A.T @ Q, 2) + np.linalg.norm(A.T @ S, 2)) / sigma_min
+    assert np.linalg.norm(S - Q @ (Q.T @ S), 2) <= 1e-10 + slack
+
+
+COMPLETE_TREES = {f"binomial_T{T}": (lambda T=T: branching_tree(1.0, [2.0, 0.5], [0.5, 0.5], T))
+                  for T in range(1, 11)}
+COMPLETE_TREES["two_asset_T3"] = lambda: branching_tree(
+    [1.0, 1.0], [[1.15, 1.10], [1.10, 0.85], [0.85, 0.95]], [0.3, 0.3, 0.4], 3)
+
+
+@pytest.mark.parametrize("name", sorted(COMPLETE_TREES))
+def test_complete_trees_have_the_interior_point_as_basis(name):
+    tree = COMPLETE_TREES[name]()
+    q0 = assert_market_viable(tree)
+    N = _martingale_basis(tree, q0)
+    assert N.shape == (tree.n_leaves, 1)
+    assert np.array_equal(N[:, 0], q0)
