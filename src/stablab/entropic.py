@@ -8,11 +8,12 @@ holdings.
 The dual side: leaf weights proportional to P * U'(terminal wealth) form the
 optimal martingale measure, and the entropy-minimal measure is computed
 independently by a reduced Newton iteration over the cone of unnormalized
-martingale measures.  It starts from an LP interior point, which also
-certifies that the market admits an equivalent martingale measure at all,
-and moves in a tree-local basis of that cone's span: the interior point plus
-one leaf vector per kernel vector of each node's one-step martingale
-conditions, so a complete tree leaves only the scale to find.
+martingale measures.  Martingale measures are products of one-step ones, so
+viability, the Newton's start (the product of each node's vertex centroid),
+probes and price bounds come from the few vertices of each node's one-step
+polytope, with no global LP.  The Newton moves in a tree-local basis: the
+start plus one leaf vector per kernel vector of each node's one-step
+martingale conditions, so a complete tree leaves only the scale to find.
 
 One damped-Newton core, `_newton`, serves the primal, the entropy dual, and
 the fraction solver and the opportunity process of `positive`: Newton steps
@@ -22,12 +23,14 @@ Armijo search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
-from scipy.optimize import brentq, linprog
+from scipy.optimize import brentq
 
 from .market import (AdaptedProcess, Measure, ScenarioTree, Strategy, _child_sums,
-                     conditional_probs, martingale_residual, node_weights, wealth_additive)
+                     _path_products, conditional_probs, martingale_residual, node_weights,
+                     wealth_additive)
 from .utilities import UtilityOnR
 
 __all__ = [
@@ -40,10 +43,11 @@ __all__ = [
 
 GRAD_TOL = 1e-12      # absolute gradient sup-norm of the primal and the entropy dual
 NEWTON_STEPS = 200
+VERTEX_TOL = 1e-12    # one-step vertex: drift over the node's largest move, least weight
 
 
 class NoMartingaleMeasure(RuntimeError):
-    """The tree admits no equivalent martingale measure (one-step arbitrage)."""
+    """No (equivalent) martingale measure; names the first arbitrage node and its date."""
 
 
 class NonConvergence(RuntimeError):
@@ -98,44 +102,76 @@ def gains_matrix(tree: ScenarioTree) -> np.ndarray:
     return tree.gains
 
 
-def _interior_martingale_point(tree: ScenarioTree):
-    """LP for max-min-weight point of the martingale polytope.
+def _node_vertices(tree: ScenarioTree):
+    """Per child block, date by date, (nodes, kids, verts), cached on the tree
+    as "node_vertices": verts (k, m, c) holds each node's m candidate vertices
+    of M_n = {q >= 0, 1'q = 1, dS_children' q = 0} as child weights, zero
+    rows where not a vertex.
 
-    Returns (q, t) with q a martingale measure whose smallest leaf weight is
-    maximal.  t <= 0 means the polytope has no interior, i.e. no equivalent
-    martingale measure exists.  q is read-only.
+    A candidate solves [dS_S'; 1'] q = e_{d+1} on a support S of at most d+1
+    children (one batched SVD per block and |S|, moves over the node's
+    largest |dS|): a vertex if S has full rank by scipy's null_space cutoff
+    and the drift and every weight clear VERTEX_TOL (so only on its own S).
     """
-    A = gains_matrix(tree)
-    L = tree.n_leaves
-    ncon = A.shape[1]
-    # variables [q_1..q_L, t]; maximize t
-    c = np.zeros(L + 1)
-    c[-1] = -1.0
-    A_eq = np.zeros((ncon + 1, L + 1))
-    A_eq[:ncon, :L] = A.T
-    A_eq[ncon, :L] = 1.0
-    b_eq = np.zeros(ncon + 1)
-    b_eq[ncon] = 1.0
-    A_ub = np.hstack([-np.eye(L), np.ones((L, 1))])
-    b_ub = np.zeros(L)
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=[(0.0, 1.0)] * L + [(0.0, 1.0)], method="highs")
-    if not res.success:
-        return None, -1.0
-    res.x.flags.writeable = False
-    return res.x[:L], float(res.x[-1])
+    d = tree.n_assets
+    e = np.eye(d + 1)[d]
+    out = []
+    for nodes, kids in (block for level in tree.child_blocks for block in level):
+        k, c = kids.shape
+        dS = tree.d_prices[kids]
+        dS = dS / np.maximum(np.abs(dS).max(axis=(1, 2)), np.finfo(float).tiny)[:, None, None]
+        verts = []
+        for s in range(1, min(d + 1, c) + 1):
+            supp = np.array(list(combinations(range(c), s)))
+            m = len(supp)
+            M = np.concatenate([dS[:, supp].transpose(0, 1, 3, 2), np.ones((k, m, 1, s))],
+                               axis=2)
+            u, sv, vh = np.linalg.svd(M, full_matrices=False)
+            good = sv[..., -1] > (d + 1) * np.finfo(float).eps * sv[..., 0]
+            # pseudo-inverse times e_{d+1}, plus one refinement step
+            pinv = np.divide(vh, sv[..., None], out=np.zeros_like(vh),
+                             where=good[..., None, None]).swapaxes(-1, -2) @ u.swapaxes(-1, -2)
+            q = pinv[..., d]
+            q += (pinv @ (e - (M @ q[..., None])[..., 0])[..., None])[..., 0]
+            q /= np.where(good, q.sum(axis=-1), 1.0)[..., None]
+            drift = np.abs(np.matmul(q[..., None, :], dS[:, supp])[..., 0, :]).max(axis=-1)
+            good &= (drift <= VERTEX_TOL) & np.all(q > VERTEX_TOL, axis=-1)
+            verts.append(np.zeros((k, m, c)))
+            verts[-1][:, np.arange(m)[:, None], supp] = np.where(good[..., None], q, 0.0)
+        verts = np.concatenate(verts, axis=1)
+        verts.flags.writeable = False
+        out.append((nodes, kids, verts))
+    return out
+
+
+def _arbitrage(tree: ScenarioTree) -> NoMartingaleMeasure:
+    """The error naming the lowest node with a child on no vertex's support."""
+    node = min(int(nodes[~verts.any(axis=1).all(axis=1)].min(initial=tree.n_nodes))
+               for nodes, _, verts in tree.cached("node_vertices", _node_vertices))
+    return NoMartingaleMeasure("tree admits no equivalent martingale measure: one-step "
+                               f"arbitrage at node {node} (date {tree.time[node]})")
+
+
+def _centroid_measure(tree: ScenarioTree):
+    """`assert_market_viable`'s measure (read-only), or None."""
+    cond = np.ones(tree.n_nodes)
+    for _, kids, verts in tree.cached("node_vertices", _node_vertices):
+        cond[kids] = verts.sum(axis=1) / np.maximum(verts.any(axis=2).sum(axis=1), 1)[:, None]
+    if np.any(cond <= 0.0):
+        return None
+    q0 = _path_products(tree, cond)[tree.leaves]
+    q0.flags.writeable = False
+    return q0
 
 
 def assert_market_viable(tree: ScenarioTree) -> np.ndarray:
-    """Return an interior martingale measure, or raise NoMartingaleMeasure.
-
-    The LP runs once per tree; its result, failure included, is kept on the tree.
-    """
-    q, t = tree.cached("interior_martingale_point", _interior_martingale_point)
-    if q is None or t <= 1e-12:
-        raise NoMartingaleMeasure(
-            "tree admits no equivalent martingale measure (one-step arbitrage)")
-    return q
+    """The product of every node's vertex centroid, an equivalent martingale
+    measure, or NoMartingaleMeasure where a centroid has a zero weight (all
+    others exceed VERTEX_TOL / #vertices, at any depth).  Kept on the tree."""
+    q0 = tree.cached("centroid_measure", _centroid_measure)
+    if q0 is None:
+        raise _arbitrage(tree)
+    return q0
 
 
 # ----------------------------------------------------------------------
@@ -269,7 +305,7 @@ def _dual_scale(m: Measure, P: np.ndarray, utility: UtilityOnR) -> float:
 def _martingale_basis(tree: ScenarioTree, q0: np.ndarray) -> np.ndarray:
     """(L, L - rank(gains)) basis of null(gains'), built node by node.
 
-    Column 0 is the interior martingale measure q0.  Every other column
+    Column 0 is the equivalent martingale measure q0.  Every other column
     belongs to one non-terminal node n and one vector k of the kernel of the
     (d+1, c) matrix [dS_children'; 1'] at n: leaf l below child c of n gets
     k_c * q0_l / Q0(c), where Q0 are the node weights of q0, and every other
@@ -322,15 +358,13 @@ def minimal_entropy_measure(tree: ScenarioTree, utility: UtilityOnR) -> DualMeas
     """Minimize the generalized entropy E_P[V(dmu/dP)] over the cone of
     unnormalized martingale measures.
 
-    Substituting mu = y*m turns the joint scale/measure problem into a plain
-    convex program over {mu >= 0, gains have zero mu-expectation}: its unique
-    minimizer is P * U'(optimal terminal wealth), so y = sum(mu) and
-    m = mu/y reproduce extract_dual's pair for every family member, without
-    touching the strategy-space solver.  Newton over mu = mu0 + N t, with N
-    the tree-local martingale basis of `_martingale_basis` (q0 plus one
-    column per one-step kernel vector), started from the LP interior point
-    q0 at its optimal scale, positivity enforced by line search.  On a
-    complete tree N is q0 alone and the start is already the optimum.
+    With mu = y*m, a convex program over {mu >= 0, gains have zero
+    mu-expectation} whose unique minimizer P * U'(optimal terminal wealth)
+    reproduces extract_dual's pair (y = sum(mu), m = mu/y) for every family
+    member, without the strategy-space solver.  Newton over mu = mu0 + N t,
+    N from `_martingale_basis`, starts from the vertex-centroid measure q0 at
+    its optimal scale; the line search keeps mu > 0.  On a complete tree N
+    is q0 alone and the start is already the optimum.
     """
     q0 = assert_market_viable(tree)
     P = tree.path_prob[tree.leaves]
@@ -402,83 +436,51 @@ def verify_optimality(tree: ScenarioTree, utility: UtilityOnR, sol: PrimalSoluti
 # probe measures
 
 
-def _polish_vertex(C: np.ndarray, b: np.ndarray,
-                   q: np.ndarray) -> tuple[np.ndarray | None, bool]:
-    """Re-solve the active equality system on the LP support to machine precision.
-
-    Returns the polished point (None if the support system does not give an
-    accurate probability vector) and whether the martingale polytope is that
-    single point as far as the probe tolerances can tell.  That needs full
-    support and full column rank, by the rank of the same least-squares
-    solve, and a margin: any point within the 1e-9 residual tolerance of
-    C q = b lies within sqrt(rows) * 1e-9 / (smallest singular value) of the
-    solution, and it must keep every entry above the 1e-9 support threshold.
-    Then no other LP vertex passes this polish or the raw-point fallback.
-    """
-    supp = q > 1e-9
-    if not np.any(supp):
-        return None, False
-    qs, _, rank, sv = np.linalg.lstsq(C[:, supp], b, rcond=None)
-    if np.any(qs < -1e-10):
-        return None, False
-    out = np.zeros_like(q)
-    out[supp] = np.clip(qs, 0.0, None)
-    if abs(out.sum() - 1.0) > 1e-9 or np.max(np.abs(C @ out - b)) > 1e-9:
-        return None, False
-    q = out / out.sum()
-    # 2e-9: the support threshold plus slack for the raw point's normalization
-    single = rank == q.size and sv[-1] * (q.min() - 2e-9) > np.sqrt(len(b)) * 1e-9
-    return q, bool(single)
+def _cheapest_vertices(tree: ScenarioTree, cost: np.ndarray):
+    """(min of cost . q over martingale measures q, cond) by the backward pass
+    V_n = min over vertices v of v . V_children, cond[i] the argmin vertex's
+    weight on i (its `_path_products` is the minimizer).  V = inf at nodes all
+    of whose vertices, if any, reach such nodes; NoMartingaleMeasure at the root."""
+    V = np.zeros(tree.n_nodes)
+    V[tree.leaves] = cost
+    cond = np.ones(tree.n_nodes)
+    for nodes, kids, verts in reversed(tree.cached("node_vertices", _node_vertices)):
+        finite = np.isfinite(V[kids])
+        vals = np.matmul(verts, np.where(finite, V[kids], 0.0)[:, :, None])[:, :, 0]
+        vals[~verts.any(axis=2) | np.any((verts > 0.0) & ~finite[:, None, :], axis=2)] = np.inf
+        V[nodes] = vals.min(axis=1)
+        cond[kids] = verts[np.arange(len(nodes)), vals.argmin(axis=1)]
+    if V[0] == np.inf:
+        raise _arbitrage(tree)
+    return float(V[0]), cond
 
 
 def martingale_polytope_probes(tree: ScenarioTree, n_vertices: int = 8,
                                n_interior: int = 4, seed: int = 0) -> list[Measure]:
     """Vertices of the martingale polytope plus random interior mixtures.
 
-    Vertices come from LPs with random objectives (polished to machine
-    precision on their support); interior points are Dirichlet mixtures of
-    the vertices found.  Deterministic for a fixed seed.
-
-    When a polished vertex shows that the polytope is a single point (the
-    complete-market case, e.g. every binomial lattice, unless C q = b is too
-    ill-conditioned to tell at the polish tolerances), each later LP would
-    return that vertex again and the dedupe would drop it, so such a tree
-    costs one LP and one polish.  The random objectives are still drawn, so
-    the generator reaches the Dirichlet mixtures in the same state and every
-    probe is bit for bit what the full loop gives.
+    Each vertex minimizes a random leaf cost by one `_cheapest_vertices`
+    pass; interior points are Dirichlet mixtures of them.  Deterministic for
+    a fixed seed.  With one vertex per node (a complete market) the polytope
+    is a point that one pass finds; the other costs are still drawn, so the
+    mixtures come out the same.
     """
-    A = gains_matrix(tree)
-    L = tree.n_leaves
-    C = np.vstack([np.ones((1, L)), A.T])
-    b = np.zeros(C.shape[0])
-    b[0] = 1.0
+    single_point = all(np.all(verts.any(axis=2).sum(axis=1) == 1)
+                       for _, _, verts in tree.cached("node_vertices", _node_vertices))
     rng = np.random.default_rng(seed)
     vertices = []
     seen = set()
-    single_point = False
     for _ in range(max(n_vertices, 1) * 3):
         if len(vertices) >= n_vertices:
             break
-        cost = rng.standard_normal(L)
-        if single_point:
+        cost = rng.standard_normal(tree.n_leaves)
+        if single_point and vertices:
             continue
-        res = linprog(cost, A_eq=C, b_eq=b, bounds=[(0.0, 1.0)] * L, method="highs")
-        if not res.success:
-            continue
-        q, single_point = _polish_vertex(C, b, res.x)
-        if q is None:
-            # keep the raw LP point if it is accurate enough on its own
-            raw = np.clip(res.x, 0.0, None)
-            raw = raw / raw.sum()
-            if np.max(np.abs(C @ raw - b)) > 1e-10:
-                continue
-            q = raw
+        q = _path_products(tree, _cheapest_vertices(tree, cost)[1])[tree.leaves]
         key = tuple(np.round(q, 10))
         if key not in seen:
             seen.add(key)
             vertices.append(q)
-    if not vertices:
-        raise NoMartingaleMeasure("polytope probing found no martingale measure")
     probes = [Measure(v) for v in vertices]
     V = np.vstack(vertices)
     for _ in range(n_interior):
@@ -488,17 +490,9 @@ def martingale_polytope_probes(tree: ScenarioTree, n_vertices: int = 8,
 
 
 def martingale_price_bounds(tree: ScenarioTree, payoff) -> tuple[float, float]:
-    """Exact no-arbitrage interval [min, max] of E_m[payoff] over martingale measures."""
+    """Exact no-arbitrage interval [min, max] of E_m[payoff] over martingale
+    measures: two backward passes over the per-node vertices."""
     payoff = np.asarray(payoff, dtype=float)
-    A = gains_matrix(tree)
-    L = tree.n_leaves
-    C = np.vstack([np.ones((1, L)), A.T])
-    b = np.zeros(C.shape[0])
-    b[0] = 1.0
-    out = []
-    for sign in (1.0, -1.0):
-        res = linprog(sign * payoff, A_eq=C, b_eq=b, bounds=[(0.0, 1.0)] * L, method="highs")
-        if not res.success:
-            raise NoMartingaleMeasure("price-bound LP infeasible")
-        out.append(sign * res.fun)
-    return out[0], out[1]
+    if not np.all(np.isfinite(payoff)):
+        raise ValueError("payoff must be finite")
+    return _cheapest_vertices(tree, payoff)[0], -_cheapest_vertices(tree, -payoff)[0]

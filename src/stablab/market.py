@@ -130,10 +130,7 @@ class ScenarioTree:
             paths[:, t - 1] = parent[paths[:, t]]
         self.paths = paths
 
-        path_prob = np.ones(n)
-        for nodes in self.levels[1:]:
-            path_prob[nodes] = path_prob[parent[nodes]] * prob[nodes]
-        self.path_prob = path_prob
+        self.path_prob = path_prob = _path_products(self, prob)
 
         # price increment from the parent, per node (root row is zero)
         d_prices = np.zeros_like(prices)
@@ -176,6 +173,14 @@ class ScenarioTree:
     def terminal_prices(self) -> np.ndarray:
         """(L, d) price vectors at the leaves, in leaf order."""
         return self.prices[self.leaves]
+
+
+def _path_products(tree: ScenarioTree, cond: np.ndarray) -> np.ndarray:
+    """Node weights of the measure whose step into node i has probability cond[i]."""
+    W = np.ones(tree.n_nodes)
+    for nodes in tree.levels[1:]:
+        W[nodes] = W[tree.parent[nodes]] * cond[nodes]
+    return W
 
 
 def _gains_scatter(tree: ScenarioTree) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Shared market builders, closed-form one-step optima, random tree generator,
-the probe loop that solves every LP, as a reference for the probes, the
-per-node loops of the one-step reductions and of the opportunity process, and
-the bisection for the indifference price, as references for those."""
+global LPs over the martingale polytope (the probe loop that solves every
+random-cost LP, and the two price-bound LPs) as references for the backward
+passes over per-node vertices, the per-node loops of the one-step reductions
+and of the opportunity process, and the bisection for the indifference
+price, as references for those."""
 import numpy as np
 from scipy.optimize import linprog
 
@@ -205,10 +207,29 @@ def reference_probes(tree, seed, lp=linprog):
     return probes
 
 
-def assert_same_probes(got, ref):
+def reference_price_bounds(tree, payoff):
+    """[min, max] of E_m[payoff] over the martingale polytope, one global LP each."""
+    A = gains_matrix(tree)
+    L = tree.n_leaves
+    C = np.vstack([np.ones((1, L)), A.T])
+    b = np.zeros(C.shape[0])
+    b[0] = 1.0
+    out = []
+    for sign in (1.0, -1.0):
+        res = linprog(sign * np.asarray(payoff, dtype=float), A_eq=C, b_eq=b,
+                      bounds=[(0.0, 1.0)] * L, method="highs")
+        if not res.success:
+            raise NoMartingaleMeasure("price-bound LP infeasible")
+        out.append(sign * res.fun)
+    return out[0], out[1]
+
+
+def assert_same_probes(got, ref, tol=1e-12):
+    """Same count and order, weights within tol: the backward pass and the
+    LP with its polish reach each vertex by different rounding."""
     assert len(got) == len(ref)
     for a, b in zip(got, ref):
-        assert np.array_equal(a.weights, b.weights)
+        assert np.max(np.abs(a.weights - b.weights)) <= tol
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,9 @@ import stablab.entropic as entropic
 from conftest import (assert_same_probes, collinear_two_asset_tree,
                       depth_first_two_asset_tree, flat_node_tree, mixed_branching_tree,
                       near_degenerate_tree, one_step_binomial, one_step_theta,
-                      one_step_trinomial, random_viable_tree, reference_probes,
-                      three_step_binomial, trinomial_tree, two_asset_tree, two_step_binomial)
+                      one_step_trinomial, random_viable_tree, reference_price_bounds,
+                      reference_probes, three_step_binomial, trinomial_tree, two_asset_tree,
+                      two_step_binomial)
 from stablab import (Measure, NoMartingaleMeasure, NonConvergence,
                      PrimalSolution, Strategy, branching_tree, build_tree,
                      extract_dual, gains_matrix, generalized_entropy, make_exponential,
@@ -28,6 +29,33 @@ def arbitrage_tree():
         {"parent": 0, "prob": 0.5, "prices": [1.5]},
         {"parent": 0, "prob": 0.5, "prices": [1.1]},
     ]})
+
+
+def deep_arbitrage_tree(flat_root_move=False):
+    """Two-step tree whose date-1 node 2 moves up on both branches; with
+    flat_root_move the root gets a third, flat move, so martingale measures
+    exist that never reach node 2, but no equivalent one."""
+    moves = (2.0, 0.5, 1.0) if flat_root_move else (2.0, 0.5)
+    nodes = [{"parent": -1, "prob": 1.0, "prices": [1.0]}]
+    nodes += [{"parent": 0, "prob": 1.0 / len(moves), "prices": [s]} for s in moves]
+    for parent, factors in zip(range(1, len(moves) + 1), ((2.0, 0.5), (1.2, 1.1), (2.0, 0.5))):
+        for f in factors:
+            nodes.append({"parent": parent, "prob": 0.5,
+                          "prices": [nodes[parent]["prices"][0] * f]})
+    return build_tree({"nodes": nodes})
+
+
+def polish_tree():
+    """Root moves to 1.5, 0.5, 1.5 and 1.000000001, then x1.5 or x0.5: one
+    root vertex puts 2e-9 on the down move, near absolute tolerances of 1e-9."""
+    nodes = [{"parent": -1, "prob": 1.0, "prices": [1.0]}]
+    for s in (1.5, 0.5, 1.5, 1.000000001):
+        nodes.append({"parent": 0, "prob": 0.25, "prices": [s]})
+    for parent in range(1, 5):
+        for f in (1.5, 0.5):
+            nodes.append({"parent": parent, "prob": 0.5,
+                          "prices": [nodes[parent]["prices"][0] * f]})
+    return build_tree({"nodes": nodes})
 
 
 def test_gains_matrix_reproduces_wealth():
@@ -284,12 +312,37 @@ def test_complete_market_measure_is_unique():
 
 def test_no_martingale_measure_raises():
     tree = arbitrage_tree()
-    # the viability LP runs once per tree; its failure must stick
+    # viability is decided once per tree; its failure must stick
     for _ in range(2):
-        with pytest.raises(NoMartingaleMeasure):
+        with pytest.raises(NoMartingaleMeasure, match=r"equivalent .* node 0 \(date 0\)"):
             solve_primal(tree, make_exponential(1.0))
+    assert tree.cached("centroid_measure", None) is None
     with pytest.raises(NoMartingaleMeasure):
         minimal_entropy_measure(tree, make_exponential(1.0))
+    with pytest.raises(NoMartingaleMeasure, match=r"node 0 \(date 0\)"):
+        martingale_polytope_probes(tree)
+
+
+def test_no_martingale_measure_names_the_failing_node():
+    # node 2 cannot be reached by a martingale measure, so none exists at all
+    tree = deep_arbitrage_tree()
+    call = np.maximum(tree.terminal_prices()[:, 0] - 1.0, 0.0)
+    for solve in (lambda: solve_primal(tree, make_exponential(1.0)),
+                  lambda: martingale_polytope_probes(tree),
+                  lambda: martingale_price_bounds(tree, call)):
+        with pytest.raises(NoMartingaleMeasure, match=r"node 2 \(date 1\)"):
+            solve()
+    # a flat root move leaves martingale measures that skip node 2
+    tree = deep_arbitrage_tree(flat_root_move=True)
+    with pytest.raises(NoMartingaleMeasure, match=r"node 2 \(date 1\)"):
+        entropic.assert_market_viable(tree)
+    flat = np.flatnonzero(tree.paths[:, 1] == 3)
+    for m in martingale_polytope_probes(tree):
+        assert martingale_residual(tree, m) <= 1e-15
+        assert m.weights[flat].sum() == pytest.approx(1.0, abs=1e-15)
+    call = np.maximum(tree.terminal_prices()[:, 0] - 1.0, 0.0)
+    assert martingale_price_bounds(tree, call) == pytest.approx(
+        reference_price_bounds(tree, call), abs=1e-12)
 
 
 def test_polytope_probes():
@@ -328,12 +381,18 @@ PROBE_TREES.update(crr_T6=lambda: crr(6), trinomial_T3=lambda: trinomial_tree(3)
 def test_probes_match_the_full_lp_loop(name):
     tree = PROBE_TREES[name]()
     for seed in (0, 1, 3):
-        assert_same_probes(martingale_polytope_probes(tree, seed=seed),
-                           reference_probes(tree, seed=seed))
+        probes = martingale_polytope_probes(tree, seed=seed)
+        if name == "near_degenerate":
+            # sigma_min 3.1e-13: the LP's vertices are themselves defined by
+            # its tolerances, so only the drift is compared
+            assert all(martingale_residual(tree, m) <= 1e-12 for m in probes)
+        else:
+            assert_same_probes(probes, reference_probes(tree, seed=seed))
 
 
-# a two-asset tree with three branches per node is complete; the near
-# degenerate one is too, but not by a margin the polish can tell
+# Each backward pass solves one random-cost LP.  A two-asset tree with three
+# branches per node is complete; the near degenerate one is too, but its pair
+# supports pass the drift test within VERTEX_TOL, so it is no single point.
 @pytest.mark.parametrize("make_tree, one_lp", [
     (three_step_binomial, True),
     (lambda: crr(6), True),
@@ -345,38 +404,92 @@ def test_probes_match_the_full_lp_loop(name):
 ])
 def test_probe_lp_count(monkeypatch, make_tree, one_lp):
     tree = make_tree()
-    calls = []
+    passes, lps = [], []
+    cheapest = entropic._cheapest_vertices
 
-    def counted(*args, **kwargs):
-        calls.append(1)
+    def counted_pass(*args):
+        passes.append(1)
+        return cheapest(*args)
+
+    def counted_lp(*args, **kwargs):
+        lps.append(1)
         return linprog(*args, **kwargs)
 
-    monkeypatch.setattr(entropic, "linprog", counted)
+    monkeypatch.setattr(entropic, "_cheapest_vertices", counted_pass)
     martingale_polytope_probes(tree, seed=0)
-    n_lps = len(calls)
-    calls.clear()
-    reference_probes(tree, 0, lp=counted)
+    reference_probes(tree, 0, lp=counted_lp)
     if one_lp:
-        assert n_lps == 1 < len(calls)
+        assert len(passes) == 1 < len(lps)
     else:
-        assert n_lps == len(calls) > 1
+        assert len(passes) == len(lps) > 1
+
+
+def node_vertices(tree):
+    """{node: (its vertices, as rows of child weights)}."""
+    return {int(i): v[v.any(axis=1)] for nodes, _, verts in entropic._node_vertices(tree)
+            for i, v in zip(nodes, verts)}
 
 
 def test_single_point_flag_needs_a_well_conditioned_full_rank():
-    # (tree, C has full column rank, flag)
+    # (tree, C = [1'; gains'] has full column rank, one vertex per node)
     for tree, full_rank, single in ((one_step_trinomial(), False, False),
                                     (one_step_binomial(), True, True),
                                     (two_step_binomial(), True, True),
                                     (near_degenerate_tree(), True, False)):
-        L = tree.n_leaves
-        C = np.vstack([np.ones((1, L)), gains_matrix(tree).T])
-        b = np.zeros(C.shape[0])
-        b[0] = 1.0
-        assert bool(np.linalg.matrix_rank(C) == L) is full_rank
-        q0 = entropic.assert_market_viable(tree)  # full support
-        q, flag = entropic._polish_vertex(C, b, q0)
-        assert q is not None and flag is single
-        assert np.max(np.abs(C @ q - b)) <= 1e-12
+        C = np.vstack([np.ones((1, tree.n_leaves)), gains_matrix(tree).T])
+        assert bool(np.linalg.matrix_rank(C) == tree.n_leaves) is full_rank
+        counts = [len(v) for v in node_vertices(tree).values()]
+        assert all(n == 1 for n in counts) is single
+    # near degenerate: the full support plus two pairs whose drifts, 6.2e-13
+    # and 3.1e-13 of the largest move, lie within VERTEX_TOL
+    verts = node_vertices(near_degenerate_tree())[0]
+    assert sorted(tuple(np.flatnonzero(v)) for v in verts) == [(0, 1), (0, 1, 2), (0, 2)]
+
+
+def test_node_vertex_counts():
+    # binomial: q_up = 1/3 at every node
+    for v in node_vertices(three_step_binomial()).values():
+        assert np.allclose(v, [[1.0 / 3.0, 2.0 / 3.0]], rtol=0.0, atol=1e-15)
+    # one-step trinomial (+1, 0, -1/2): the flat move alone, or up and down
+    verts = node_vertices(one_step_trinomial())[0]
+    assert np.allclose(verts, [[0.0, 1.0, 0.0], [1.0 / 3.0, 0.0, 2.0 / 3.0]],
+                       rtol=0.0, atol=1e-15)
+    # the flat node's vertices are its unit vectors
+    assert np.array_equal(node_vertices(flat_node_tree())[1], np.eye(2))
+    # collinear root: the pairs across 0 on the line; below, each four-way
+    # node's two pairs of exactly opposite moves
+    verts = node_vertices(collinear_two_asset_tree())
+    assert np.allclose(verts[0], [[1.0 / 3.0, 0.0, 2.0 / 3.0], [0.0, 2.0 / 3.0, 1.0 / 3.0]],
+                       rtol=0.0, atol=1e-15)
+    for i in (1, 2, 3):
+        assert np.allclose(verts[i], [[0.5, 0.0, 0.0, 0.5], [0.0, 0.5, 0.5, 0.0]],
+                           rtol=0.0, atol=1e-15)
+
+
+def test_probes_resolve_small_vertex_weights():
+    tree = polish_tree()
+    u = make_exponential(1.0)
+    sol = solve_primal(tree, u)
+    probes = martingale_polytope_probes(tree)
+    assert all(martingale_residual(tree, m) <= 1e-12 for m in probes)
+    report = verify_optimality(tree, u, sol, extract_dual(tree, u, sol))
+    assert report.supermartingale_slack <= 1e-12
+
+
+@pytest.mark.parametrize("steps", [11, 12])
+def test_deep_binomial_polytope_is_one_point(steps):
+    # 2048 and 4096 leaves: a complete tree is one point, which one pass finds
+    tree = binomial(steps)
+    ups = (steps + np.log2(tree.terminal_prices()[:, 0]).round().astype(int)) // 2
+    unique = (1.0 / 3.0) ** ups * (2.0 / 3.0) ** (steps - ups)
+    probes = martingale_polytope_probes(tree)
+    assert len(probes) == 5
+    for m in probes:
+        assert np.max(np.abs(m.weights - unique) / unique) <= 1e-12
+    call = np.maximum(tree.terminal_prices()[:, 0] - 1.0, 0.0)
+    lo, hi = martingale_price_bounds(tree, call)
+    assert lo == pytest.approx(hi, rel=1e-12)
+    assert lo == pytest.approx(unique @ call, rel=1e-12)
 
 
 def test_verify_optimality_rejects_non_martingale_probe():
@@ -411,6 +524,8 @@ def test_price_bounds():
     # q_up ranges over (0, 1/3] on the martingale family
     assert lo3 == pytest.approx(0.0, abs=1e-9)
     assert hi3 == pytest.approx(1.0 / 3.0, abs=1e-9)
+    with pytest.raises(ValueError, match="finite"):
+        martingale_price_bounds(tri, np.array([1.0, np.nan, 0.0]))
 
 
 # besides random trees: the incomplete depth-ladder shapes, a date with three
