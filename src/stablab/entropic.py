@@ -17,20 +17,31 @@ martingale conditions, so a complete tree leaves only the scale to find.
 
 One damped-Newton core, `_newton`, serves the primal, the entropy dual, and
 the fraction solver and the opportunity process of `positive`: Newton steps
-with a least-squares and a steepest-descent fallback, and a backtracking
-Armijo search.
+with a steepest-descent fallback, and a backtracking Armijo search.  Each
+solver supplies its own step.  The primal and the fraction solver share one
+Newton system, min sum_l (a_l/2) s_l^2 + b_l s_l + sum_n h_n' E_n h_n / 2,
+s_l the gains of the step along leaf l's path.  On small trees (K*d up to
+DENSE_NEWTON_MAX) they factor its dense (K*d)^2 matrix; on larger ones
+`_tree_step` solves it exactly by one backward Riccati pass over the child
+blocks and one forward pass, in O(K*d^3), with every product with the gains
+a gather or a `bincount` along the leaf paths, so no (L, K*d) array is built.
+Each node holds its assets in a frame from the SVD of its children's moves;
+holdings the moves cannot see get no gradient and a unit diagonal, so they
+stay zero.  The entropy dual and the opportunity process solve their own
+dense systems by `_dense_step`, least squares where a matrix is singular.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .market import (AdaptedProcess, Measure, ScenarioTree, Strategy, _child_sums,
-                     _path_products, conditional_probs, martingale_residual, node_weights,
-                     wealth_additive)
+                     _gains_scatter, _path_products, conditional_probs, martingale_residual,
+                     node_weights, wealth_additive)
 from .utilities import UtilityOnR
 
 __all__ = [
@@ -43,6 +54,7 @@ __all__ = [
 
 GRAD_TOL = 1e-12      # absolute gradient sup-norm of the primal and the entropy dual
 NEWTON_STEPS = 200
+DENSE_NEWTON_MAX = 128    # K*d up to which primal and fraction steps factor the dense Hessian
 VERTEX_TOL = 1e-12    # one-step vertex: drift over the node's largest move, least weight
 
 
@@ -178,27 +190,34 @@ def assert_market_viable(tree: ScenarioTree) -> np.ndarray:
 # damped Newton core
 
 
+def _dense_step(hess, grad):
+    """The Newton step -hess^-1 grad by LU, for one matrix or a stack of
+    independent blocks; grad holds one column or more per matrix, (..., n, m).
+    A singular matrix takes the least-squares (minimum-norm) step, block by
+    block."""
+    try:
+        return np.linalg.solve(hess, -grad)
+    except np.linalg.LinAlgError:
+        return -(np.linalg.pinv(hess) @ grad)
+
+
 def _newton(x, objective, derivatives, tol, what):
     """Minimize a smooth convex function by damped Newton steps.
 
     objective(x) is the value, inf where x is infeasible; derivatives(x)
-    returns (grad, residual, hessian), hessian a zero-argument callable so
-    the converged iterate never builds one.  Stops once residual <= tol.
-    A singular Hessian falls back to least squares, and a direction that is
-    not a finite descent direction to the scaled steepest-descent step.
+    returns (grad, residual, step), step a zero-argument callable giving the
+    Newton direction, so the converged iterate never builds its system.
+    Stops once residual <= tol.  A direction that is not a finite descent
+    direction falls back to the scaled steepest-descent step.
     Returns (x, value, residual, iterations); raises NonConvergence when the
     line search stalls or NEWTON_STEPS steps do not reach the tolerance.
     """
     val = objective(x)
     for it in range(1, NEWTON_STEPS + 1):
-        grad, residual, hessian = derivatives(x)
+        grad, residual, newton_step = derivatives(x)
         if residual <= tol:
             return x, val, residual, it
-        hess = hessian()
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        step = newton_step()
         slope = float(grad @ step)
         if not np.isfinite(slope) or slope >= 0.0:
             step = -grad / max(1.0, float(np.max(np.abs(grad))))
@@ -219,6 +238,163 @@ def _newton(x, objective, derivatives, tol, what):
 
 
 # ----------------------------------------------------------------------
+# the Newton system of the primal and the fraction solver
+
+
+@dataclass(frozen=True)
+class _Moves:
+    """One kind of per-node move (price or return increments) laid out for
+    the stacked holdings h (K, d) of the non-terminal nodes.
+
+    Each node holds its assets in a frame: the right singular vectors of its
+    children's moves, the identity where those have full rank by scipy's
+    null_space cutoff max(c, d) * eps * sigma_max.  `node` is each node's
+    move in its parent's frame, the components outside the row space set to
+    exactly 0; `null` marks those redundant holdings.  frames and null are
+    None when every node has full rank, and then `node` is the move itself.
+    cols[l, t] is the column of the node at date t on leaf l's path, `leaf`
+    the move taken there, and slots the flat (column, asset) index of each
+    (leaf, date, asset), of size K*d.
+    """
+
+    node: np.ndarray
+    leaf: np.ndarray
+    cols: np.ndarray
+    slots: np.ndarray
+    size: int
+    frames: np.ndarray | None
+    null: np.ndarray | None
+
+    def gains(self, h, w):
+        """Per leaf l, sum_t h[cols[l, t]] . w[l, t]: the gains matrix of the
+        per-leaf moves w (L, T, d) times the stacked holdings h."""
+        return np.einsum("ltd,ltd->l", h.reshape(-1, w.shape[2])[self.cols], w)
+
+    def adjoint(self, r, w):
+        """The transposed gains matrix of w times the leaf vector r: one
+        bincount over the (leaf, date) slots."""
+        return np.bincount(self.slots, (r[:, None, None] * w).ravel(), self.size)
+
+    def unit(self):
+        """(K, d, d) blocks with 1 on the diagonal of each redundant holding, or None."""
+        if self.null is None:
+            return None
+        return self.null[:, :, None] * np.eye(self.null.shape[1])
+
+    def to_frame(self, h):
+        """(K, d) holdings in the node frames, redundant ones dropped."""
+        if self.frames is None:
+            return h
+        z = np.matmul(h[:, None, :], self.frames)[:, 0]
+        z[self.null] = 0.0
+        return z
+
+    def from_frame(self, z):
+        if self.frames is None:
+            return z
+        return np.matmul(self.frames, z[..., None])[..., 0]
+
+
+def _layout(tree: ScenarioTree, move: np.ndarray) -> _Moves:
+    """The `_Moves` of the per-node moves `move` (n, d): one batched SVD per child block."""
+    K, d = tree.nonterminal.shape[0], tree.n_assets
+    col = np.full(tree.n_nodes, -1, dtype=np.int64)
+    col[tree.nonterminal] = np.arange(K)
+    framed, frames, null = move, None, None
+    for nodes, kids in (block for level in tree.child_blocks for block in level):
+        _, sv, vh = np.linalg.svd(move[kids])
+        rank = np.sum(sv > max(kids.shape[1], d) * np.finfo(float).eps * sv[:, :1], axis=1)
+        low = rank < d
+        if not low.any():
+            continue
+        if frames is None:
+            framed = move.copy()
+            frames = np.tile(np.eye(d), (K, 1, 1))
+            null = np.zeros((K, d), dtype=bool)
+        V = vh[low].transpose(0, 2, 1)
+        drop = np.arange(d) >= rank[low][:, None]
+        framed[kids[low]] = np.where(drop[:, None, :], 0.0, np.matmul(move[kids[low]], V))
+        frames[col[nodes[low]]] = V
+        null[col[nodes[low]]] = drop
+    cols = col[tree.paths[:, :-1]]
+    slots = (cols[..., None] * d + np.arange(d)).ravel()
+    out = _Moves(framed, framed[tree.paths[:, 1:]], cols, slots, K * d, frames, null)
+    for a in (out.node, out.leaf, cols, slots) + ((frames, null) if frames is not None else ()):
+        a.flags.writeable = False
+    return out
+
+
+def _price_moves(tree: ScenarioTree) -> _Moves:
+    """The primal's layout of the price increments, cached on the tree."""
+    return tree.cached("price_moves", lambda t: _layout(t, t.d_prices))
+
+
+def _return_moves(tree: ScenarioTree) -> _Moves:
+    """The fraction solver's layout of the return increments, cached on the tree."""
+    return tree.cached("return_moves", lambda t: _layout(t, t.d_returns))
+
+
+def _dense_route(tree: ScenarioTree) -> bool:
+    """Whether the primal and fraction steps factor the dense (K*d)^2 Hessian
+    (K*d <= DENSE_NEWTON_MAX, where that is faster) or run `_tree_step`."""
+    return tree.nonterminal.shape[0] * tree.n_assets <= DENSE_NEWTON_MAX
+
+
+def _tree_step(tree: ScenarioTree, move, a, b, extra=None):
+    """Minimizer h (K*d,) of sum_l (a_l/2) s_l^2 + b_l s_l + sum_n h_n' E_n h_n / 2,
+    s_l = sum over the nodes n on leaf l's path of h_n . move[child of n on it].
+
+    One backward Riccati pass over the child blocks, dates last first: a
+    node's cost to go is a_n x^2 / 2 + b_n x in the gains x accrued above it,
+    with M = sum_c a_c w_c w_c' + E_n, u = sum_c a_c w_c, v = sum_c b_c w_c,
+    one batched (k, d, d) solve for M^-1 [u v], a_n = sum a_c - u' M^-1 u and
+    b_n = sum b_c - u' M^-1 v.  Then one forward pass h_n = -M^-1 (u x_n + v),
+    x_child = x_n + h_n . w_child.  Exact, in O(K d^3); extra (K, d, d) is
+    E per non-terminal node, or None for zero blocks.
+    """
+    A = np.zeros(tree.n_nodes)
+    B = np.zeros(tree.n_nodes)
+    A[tree.leaves] = a
+    B[tree.leaves] = b
+    col = np.zeros(tree.n_nodes, dtype=np.int64)
+    col[tree.nonterminal] = np.arange(tree.nonterminal.shape[0])
+    gain = np.zeros((tree.n_nodes, tree.n_assets, 2))
+    for level in reversed(tree.child_blocks):
+        for nodes, kids in level:
+            w = move[kids]
+            ac, bc = A[kids], B[kids]
+            M = np.matmul(w.transpose(0, 2, 1), w * ac[..., None])
+            if extra is not None:
+                M += extra[col[nodes]]
+            uv = np.stack([np.einsum("kc,kcd->kd", ac, w), np.einsum("kc,kcd->kd", bc, w)],
+                          axis=2)
+            gain[nodes] = sol = -_dense_step(M, uv)
+            A[nodes] = ac.sum(axis=1) - np.einsum("kd,kd->k", uv[..., 0], sol[..., 0])
+            B[nodes] = bc.sum(axis=1) - np.einsum("kd,kd->k", uv[..., 0], sol[..., 1])
+    x = np.zeros(tree.n_nodes)
+    h = np.zeros((tree.n_nodes, tree.n_assets))
+    for level in tree.child_blocks:
+        for nodes, kids in level:
+            h[nodes] = -(gain[nodes, :, 0] * x[nodes, None] + gain[nodes, :, 1])
+            x[kids] = x[nodes, None] + np.matmul(move[kids], h[nodes, :, None])[..., 0]
+    return h[tree.nonterminal].ravel()
+
+
+def _holding_step(tree: ScenarioTree, dense, move, a, b, grad, extra=None):
+    """Newton step of the system above: by `_tree_step` when dense is None,
+    else by factoring dense' diag(a) dense + blockdiag(E), dense the (L, K*d)
+    gains matrix, whose transpose times b is grad."""
+    if dense is None:
+        return _tree_step(tree, move, a, b, extra)
+    hess = dense.T @ (dense * a[:, None])
+    if extra is not None:
+        K = extra.shape[0]
+        nodes = np.arange(K)
+        hess.reshape(K, extra.shape[1], K, extra.shape[1])[nodes, :, nodes, :] += extra
+    return _dense_step(hess, grad[:, None])[:, 0]
+
+
+# ----------------------------------------------------------------------
 # primal solver
 
 
@@ -231,28 +407,38 @@ def solve_primal(tree: ScenarioTree, utility: UtilityOnR, endowment=0.0, *,
     """
     xi = np.broadcast_to(np.asarray(endowment, dtype=float), (tree.n_leaves,)).copy()
     assert_market_viable(tree)
-    A = gains_matrix(tree)
+    moves = _price_moves(tree)
     P = tree.path_prob[tree.leaves]
     K = tree.nonterminal.shape[0]
     d = tree.n_assets
+    unit = moves.unit()
+    if _dense_route(tree):
+        A = gains_matrix(tree) if moves.frames is None else _gains_scatter(tree, moves.leaf)
+        gains, adjoint = A.__matmul__, A.T.__matmul__
+    else:
+        A = None
+        gains, adjoint = partial(moves.gains, w=moves.leaf), partial(moves.adjoint, w=moves.leaf)
 
     if initial is not None:
-        h = initial.values[tree.nonterminal].reshape(K * d).astype(float).copy()
+        h = moves.to_frame(initial.values[tree.nonterminal].astype(float)).reshape(K * d).copy()
     else:
         h = np.zeros(K * d)
 
     def objective(hvec):
-        return -float(P @ utility.value(A @ hvec + xi))
+        return -float(P @ utility.value(gains(hvec) + xi))
 
     def derivatives(hvec):
-        total = A @ hvec + xi
-        grad = -(A.T @ (P * utility.marginal(total)))
+        total = gains(hvec) + xi
+        b = -(P * utility.marginal(total))
+        grad = adjoint(b)
         gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
-        return grad, gnorm, lambda: -(A.T @ (A * (P * utility.curvature(total))[:, None]))
+        return grad, gnorm, lambda: _holding_step(tree, A, moves.node,
+                                                  -(P * utility.curvature(total)), b, grad, unit)
 
     h, _, gnorm, it = _newton(h, objective, derivatives, GRAD_TOL, "primal")
+    h = moves.from_frame(h.reshape(K, d))
     values = np.zeros((tree.n_nodes, d))
-    values[tree.nonterminal] = h.reshape(K, d)
+    values[tree.nonterminal] = h
     strategy = Strategy(values, "shares")
     wealth = wealth_additive(tree, strategy, 0.0)
     total = wealth.at_leaves(tree) + xi
@@ -380,8 +566,9 @@ def minimal_entropy_measure(tree: ScenarioTree, utility: UtilityOnR) -> DualMeas
     def derivatives(t):
         z = (mu0 + N @ t) / P
         grad = N.T @ np.asarray(utility.conjugate_prime(z))
-        return grad, float(np.max(np.abs(grad))), \
-            lambda: N.T @ (N * (np.asarray(utility.conjugate_curvature(z)) / P)[:, None])
+        return grad, float(np.max(np.abs(grad))), lambda: _dense_step(
+            N.T @ (N * (np.asarray(utility.conjugate_curvature(z)) / P)[:, None]),
+            grad[:, None])[:, 0]
 
     t, _, _, _ = _newton(np.zeros(N.shape[1]), objective, derivatives, GRAD_TOL, "entropy")
     mu = mu0 + N @ t

@@ -183,14 +183,19 @@ def _path_products(tree: ScenarioTree, cond: np.ndarray) -> np.ndarray:
     return W
 
 
-def _gains_scatter(tree: ScenarioTree) -> np.ndarray:
-    """Row k: the price increment each non-terminal node on leaf k's path adds."""
+def _gains_scatter(tree: ScenarioTree, leaf_moves=None) -> np.ndarray:
+    """Row k: the move each non-terminal node on leaf k's path adds.
+
+    leaf_moves (L, T, d) holds the move at each date of each leaf's path,
+    by default the price increments."""
     K, d, L = tree.nonterminal.shape[0], tree.n_assets, tree.n_leaves
     col = np.full(tree.n_nodes, -1, dtype=np.int64)
     col[tree.nonterminal] = np.arange(K)
+    if leaf_moves is None:
+        leaf_moves = tree.d_prices[tree.paths[:, 1:]]
     A = np.zeros((L, K, d))
     # a node occurs at most once on a path, so every entry is written once
-    A[np.arange(L)[:, None], col[tree.paths[:, :-1]]] = tree.d_prices[tree.paths[:, 1:]]
+    A[np.arange(L)[:, None], col[tree.paths[:, :-1]]] = leaf_moves
     A = A.reshape(L, K * d)
     A.flags.writeable = False
     return A

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropic import _newton, assert_market_viable, solve_primal
+from .entropic import (_dense_route, _dense_step, _holding_step, _newton, _return_moves,
+                       assert_market_viable, solve_primal)
 from .market import (AdaptedProcess, Measure, ScenarioTree, Strategy, _child_sums,
-                     conditional_probs, wealth_multiplicative)
+                     _gains_scatter, conditional_probs, wealth_multiplicative)
 from .utilities import UtilityOnRPlus, make_power
 
 __all__ = [
@@ -76,20 +77,22 @@ class RatioDiagnostics:
 # fraction-strategy solver
 
 
-def _log_wealth(tree: ScenarioTree, cols: np.ndarray, pi: np.ndarray, keep: bool = False):
+def _log_wealth(moves, pi: np.ndarray, keep: bool = False):
     """Log-wealth per leaf for stacked fractions pi (K*d,), one step per date.
 
-    cols[l, t] is the non-terminal index of the node at date t on leaf l's
-    path.  Returns (logX, w): w is None, or with keep the (L, T, d)
-    sensitivities w[l, t] = dR(child)/(1 + pi_k . dR(child)) of that node's
-    step.  Returns (None, None) if some growth factor is not positive.
+    moves is the tree's `entropic._return_moves` layout.  Returns (logX, w):
+    w is None, or with keep the (L, T, d) sensitivities
+    w[l, t] = dR(child)/(1 + pi_k . dR(child)) of the step of node k at date
+    t on leaf l's path.  Returns (None, None) if some growth factor is not
+    positive.
     """
-    pim = pi.reshape(-1, tree.n_assets)
-    logX = np.zeros(tree.n_leaves)
-    w = np.empty(cols.shape + (tree.n_assets,)) if keep else None
-    for t in range(tree.horizon):
-        dR = tree.d_returns[tree.paths[:, t + 1]]
-        g = 1.0 + np.einsum("la,la->l", pim[cols[:, t]], dR)
+    L, T, d = moves.leaf.shape
+    pim = pi.reshape(-1, d)
+    logX = np.zeros(L)
+    w = np.empty((L, T, d)) if keep else None
+    for t in range(T):
+        dR = moves.leaf[:, t]
+        g = 1.0 + np.einsum("la,la->l", pim[moves.cols[:, t]], dR)
         if np.any(g <= 0.0):
             return None, None
         logX += np.log(g)
@@ -104,24 +107,25 @@ def solve_power_field(tree: ScenarioTree, utility: UtilityOnRPlus, x0: float = 1
 
     `field` weights the leaves (default all ones).  The Newton iteration
     minimizes the negated objective and stops once the gradient, relative
-    to the objective's marginal scale, is below POWER_TOL.
+    to the objective's marginal scale, is below POWER_TOL.  Its steps solve
+    the primal's Newton system (`entropic._holding_step`) with the iterate's
+    sensitivities as moves.
     """
     if x0 <= 0.0:
         raise ValueError("initial capital must be positive")
     assert_market_viable(tree)
+    moves = _return_moves(tree)
     P = tree.path_prob[tree.leaves]
     D = np.ones(tree.n_leaves) if field is None else np.asarray(field.weights, dtype=float)
     K = tree.nonterminal.shape[0]
     d = tree.n_assets
-    L = tree.n_leaves
-    col_of = np.full(tree.n_nodes, -1)
-    col_of[tree.nonterminal] = np.arange(K)
-    cols = col_of[tree.paths[:, :-1]]
+    dense = _dense_route(tree)
+    unit = moves.unit()
     # same-node Hessian blocks: one flat (k, a, b) slot per (leaf, date, a, b)
-    slots = (cols[..., None] * (d * d) + np.arange(d * d)).ravel()
+    slots = (moves.cols[..., None] * (d * d) + np.arange(d * d)).ravel()
 
     def objective(pvec):
-        logX, _ = _log_wealth(tree, cols, pvec)
+        logX, _ = _log_wealth(moves, pvec)
         if logX is None:
             return np.inf
         with np.errstate(over="ignore"):
@@ -129,33 +133,33 @@ def solve_power_field(tree: ScenarioTree, utility: UtilityOnRPlus, x0: float = 1
         return -val if np.isfinite(val) else np.inf
 
     def derivatives(pvec):
-        logX, w = _log_wealth(tree, cols, pvec, keep=True)
+        logX, w = _log_wealth(moves, pvec, keep=True)
         # W[l, (k, a)] = w[l, t, a] for the node k at date t on leaf l's path
-        W = np.zeros((L, K, d))
-        W[np.arange(L)[:, None], cols] = w
-        W = W.reshape(L, K * d)
+        W = _gains_scatter(tree, w) if dense else None
         X = np.exp(np.log(x0) + logX)
         mXp = P * D * np.asarray(utility.marginal(X)) * X
-        grad = -(W.T @ mXp)
+        grad = -(W.T @ mXp) if dense else moves.adjoint(-mXp, w)
         gnorm = float(np.max(np.abs(grad))) / float(np.sum(np.abs(mXp))) if grad.size else 0.0
 
-        def hessian():
+        def step():
             cA = P * D * np.asarray(utility.curvature(X)) * X * X
-            hess = W.T @ (W * (cA + mXp)[:, None])
             # same-node second derivatives of X vanish (each node hits a path
-            # once): take sum_l mXp_l w_l w_l' off each node's block, summed
+            # once): add sum_l mXp_l w_l w_l' to each node's block, summed
             # over the (leaf, date) pairs, as each leaf lies on T node paths only
             outer = w[..., :, None] * (w * mXp[:, None, None])[..., None, :]
             same = np.bincount(slots, outer.ravel(), K * d * d).reshape(K, d, d)
-            nodes = np.arange(K)
-            hess.reshape(K, d, K, d)[nodes, :, nodes, :] -= same
-            return -hess
+            move = None
+            if not dense:
+                move = np.zeros((tree.n_nodes, d))
+                move[tree.paths[:, 1:]] = w
+            return _holding_step(tree, W, move, -(cA + mXp), -mXp, grad,
+                                 same if unit is None else same + unit)
 
-        return grad, gnorm, hessian
+        return grad, gnorm, step
 
     pi, val, gnorm, it = _newton(np.zeros(K * d), objective, derivatives, POWER_TOL, "fraction")
     values = np.zeros((tree.n_nodes, d))
-    values[tree.nonterminal] = pi.reshape(K, d)
+    values[tree.nonterminal] = moves.from_frame(pi.reshape(K, d))
     strategy = Strategy(values, "fractions")
     wealth = wealth_multiplicative(tree, strategy, x0)
     terminal = wealth.at_leaves(tree)
@@ -172,9 +176,11 @@ def _one_step_min(cond, dR, Lc, p):
     """Per node n of a block, min over pi_n of sum_c cond * Lc * (1 + pi_n . dR_c)^p.
 
     cond and Lc are (k, c), dR is (k, c, d); convex for p < 0.  The nodes are
-    independent: one Newton iteration over the stacked (k*d,) fractions with
-    a block-diagonal Hessian, stopped by the worst node's gradient relative
-    to its value * max(1, -p).  Returns the (k,) values and (k, d) fractions.
+    independent: one Newton iteration over the stacked (k*d,) fractions whose
+    steps are one batched (k, d, d) solve (a singular block, such as a node
+    without moves, takes its minimum-norm step), stopped by the worst node's
+    gradient relative to its value * max(1, -p).  Returns the (k,) values
+    and (k, d) fractions.
     """
     k, _, d = dR.shape
     w0 = cond * Lc
@@ -198,13 +204,11 @@ def _one_step_min(cond, dR, Lc, p):
         grad = p * np.matmul(gp[:, None, :], w)[:, 0]
         scale = np.maximum(gp.sum(axis=1), 1e-300) * max(1.0, -p)
 
-        def hessian():
-            hess = np.zeros((k, d, k, d))
-            hess[np.arange(k), :, np.arange(k), :] = p * (p - 1.0) * np.matmul(
-                w.transpose(0, 2, 1), w * gp[..., None])
-            return hess.reshape(k * d, k * d)
+        def step():
+            hess = p * (p - 1.0) * np.matmul(w.transpose(0, 2, 1), w * gp[..., None])
+            return _dense_step(hess, grad[..., None]).ravel()
 
-        return grad.ravel(), float(np.max(np.max(np.abs(grad), axis=1) / scale)), hessian
+        return grad.ravel(), float(np.max(np.max(np.abs(grad), axis=1) / scale)), step
 
     pi = _newton(np.zeros(k * d), objective, derivatives, OPPORTUNITY_TOL,
                  "opportunity")[0].reshape(k, d)

@@ -2,8 +2,9 @@
 global LPs over the martingale polytope (the probe loop that solves every
 random-cost LP, and the two price-bound LPs) as references for the backward
 passes over per-node vertices, the per-node loops of the one-step reductions
-and of the opportunity process, and the bisection for the indifference
-price, as references for those."""
+and of the opportunity process, the bisection for the indifference price,
+and the dense Newton route of the primal and fraction solvers, as references
+for those."""
 import numpy as np
 from scipy.optimize import linprog
 
@@ -11,6 +12,7 @@ from stablab import (AdaptedProcess, Measure, NoMartingaleMeasure, ScenarioTree,
                      Strategy, bracket_distance, branching_tree, build_tree,
                      conditional_expectation, conditional_probs, gains_matrix,
                      martingale_residual, node_weights, ratio_defects, solve_primal)
+import stablab.entropic as entropic
 from stablab.entropic import _wealth_martingale_defect
 from stablab.positive import _admissible_box
 
@@ -159,6 +161,31 @@ def collinear_two_asset_tree() -> ScenarioTree:
         for f, q in zip(factors, (0.2, 0.3, 0.3, 0.2)):
             nodes.append({"parent": parent, "prob": q, "prices": [s[0] * f[0], s[1] * f[1]]})
     return build_tree({"nodes": nodes})
+
+
+def near_collinear_two_asset_tree() -> ScenarioTree:
+    """`collinear_two_asset_tree` with the root moves x * (1, 1/2) for
+    x = 0.2, 0.05, -0.1, built as prices 1 + x and 2 + x/2: the second
+    asset's increments are half the first's only up to rounding, so the
+    primal Hessian is singular only up to rounding."""
+    factors = [[1.15, 1.10], [1.10, 0.85], [0.90, 1.15], [0.85, 0.90]]
+    nodes = [{"parent": -1, "prob": 1.0, "prices": [1.0, 2.0]}]
+    for x, q in zip((0.2, 0.05, -0.1), (0.3, 0.3, 0.4)):
+        nodes.append({"parent": 0, "prob": q, "prices": [1.0 + x, 2.0 + x / 2.0]})
+    for parent in (1, 2, 3):
+        s = nodes[parent]["prices"]
+        for f, q in zip(factors, (0.2, 0.3, 0.3, 0.2)):
+            nodes.append({"parent": parent, "prob": q, "prices": [s[0] * f[0], s[1] * f[1]]})
+    return build_tree({"nodes": nodes})
+
+
+def on_route(monkeypatch, dense, solve, *args):
+    """solve(*args) with the primal and fraction Newton steps on the dense
+    route (the reference) or, with dense False, on the tree-sparse one,
+    whatever the tree's size."""
+    with monkeypatch.context() as m:
+        m.setattr(entropic, "DENSE_NEWTON_MAX", np.iinfo(np.int64).max if dense else -1)
+        return solve(*args)
 
 
 def reference_probes(tree, seed, lp=linprog):

@@ -222,28 +222,17 @@ def test_extract_dual_rejects_bad_solution():
         extract_dual(tree, u, bogus)
 
 
-def test_flat_node_takes_the_least_squares_step(monkeypatch):
-    # the flat node's holding has no gains, so the primal and fraction
-    # Hessians are singular; the entropy Hessian N' diag N is not
+def test_flat_node_holds_nothing():
+    # the flat node's holding has no gains: its frame drops it, so the primal
+    # and fraction steps leave it exactly 0; the entropy Hessian N' diag N is
+    # not singular
     tree = flat_node_tree()
     u = make_exponential(1.0)
-    calls = []
-    lstsq = np.linalg.lstsq
-
-    def counting_lstsq(*args, **kw):
-        calls.append(args[0].shape)
-        return lstsq(*args, **kw)
-
-    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
     sol = solve_primal(tree, u)
-    primal_calls = len(calls)
     power = solve_power_field(tree, make_power(-2.0))
-    power_calls = len(calls) - primal_calls
     entropy = minimal_entropy_measure(tree, u)
-    monkeypatch.undo()
-    assert primal_calls > 0 and power_calls > 0
-    assert abs(sol.strategy.values[1, 0]) <= 1e-12
-    assert abs(power.strategy.values[1, 0]) <= 1e-12
+    assert sol.strategy.values[1, 0] == 0.0
+    assert power.strategy.values[1, 0] == 0.0
     dual = extract_dual(tree, u, sol)
     rep = verify_optimality(tree, u, sol, dual)
     assert rep.first_order_residual <= 1e-10
@@ -256,7 +245,9 @@ def test_newton_exhausts_its_steps():
     # a linear objective has no minimizer: every step is accepted, none converges
     with pytest.raises(NonConvergence, match="did not reach gradient tolerance") as exc:
         entropic._newton(np.zeros(1), lambda x: float(x[0]),
-                         lambda x: (np.ones(1), 1.0, lambda: np.zeros((1, 1))),
+                         lambda x: (np.ones(1), 1.0,
+                                    lambda: entropic._dense_step(np.zeros((1, 1)),
+                                                                 np.ones((1, 1)))[:, 0]),
                          1e-12, "linear")
     assert exc.value.residual == 1.0
 
@@ -267,7 +258,9 @@ def test_newton_reports_a_stalled_line_search():
 
     with pytest.raises(NonConvergence, match="line search stalled") as exc:
         entropic._newton(np.zeros(2), objective,
-                         lambda x: (np.array([1.0, -2.0]), 2.0, lambda: np.eye(2)),
+                         lambda x: (np.array([1.0, -2.0]), 2.0,
+                                    lambda: entropic._dense_step(np.eye(2),
+                                                                 np.array([[1.0], [-2.0]]))[:, 0]),
                          1e-12, "walled")
     assert exc.value.residual == 2.0
 

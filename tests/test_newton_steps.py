@@ -1,0 +1,104 @@
+"""The primal and fraction solvers' two Newton routes: the tree-sparse step
+against the dense one (the reference, `conftest.on_route`), holdings that the
+moves cannot see, and a lattice too large for the dense route."""
+import numpy as np
+import pytest
+
+import stablab.entropic as entropic
+import stablab.positive as positive
+from conftest import (collinear_two_asset_tree, flat_node_tree, near_collinear_two_asset_tree,
+                      on_route)
+from stablab import (branching_tree, build_tree, extract_dual, make_exponential,
+                     make_perturbed_exponential,
+                     make_power, opportunity_process, solve_power_field, solve_primal,
+                     verify_optimality)
+from stablab.entropic import GRAD_TOL, _dense_route
+
+U2D05 = {"s0": 1.0, "u": 2.0, "d": 0.5, "q": 0.5}
+TWO_FACTORS = [[1.15, 1.10], [1.10, 0.85], [0.90, 1.15], [0.85, 0.90]]
+
+
+def lattice(steps):
+    return build_tree({"lattice": dict(U2D05, steps=steps)})
+
+
+# K*d on either side of DENSE_NEWTON_MAX = 128, and the depth_ladder shapes
+ROUTE_TREES = {
+    "binomial_T7": (lambda: lattice(7), True),                      # K*d = 127
+    "trinomial_T5": (lambda: branching_tree(1.0, [1.2, 1.0, 0.85], [0.25, 0.45, 0.3], 5),
+                     True),                                         # 121
+    "two_asset_T4": (lambda: branching_tree([1.0, 1.0], TWO_FACTORS,
+                                            [0.15, 0.35, 0.3, 0.2], 4), False),   # 170
+    "binomial_T8": (lambda: lattice(8), False),                     # 255
+    "trinomial_T6": (lambda: branching_tree(1.0, [1.2, 1.0, 0.85], [0.25, 0.45, 0.3], 6),
+                     False),                                        # 364
+    **{f"binomial_T{T}": (lambda T=T: lattice(T), T <= 6) for T in (4, 6, 9, 10)},
+    "collinear_two_asset": (collinear_two_asset_tree, True),
+}
+
+
+def forbid_dense_gains(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the tree route built a dense gains matrix")
+    for module, name in ((entropic, "gains_matrix"), (entropic, "_gains_scatter"),
+                         (positive, "_gains_scatter")):
+        monkeypatch.setattr(module, name, refuse)
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_TREES))
+def test_tree_route_matches_the_dense_route(name, monkeypatch):
+    make, dense_by_default = ROUTE_TREES[name]
+    tree = make()
+    assert _dense_route(tree) == dense_by_default
+    u = make_perturbed_exponential(0.3, alpha=1.2, a=0.2, omega=0.9)
+    power = make_power(-7.0)
+    with monkeypatch.context() as m:
+        forbid_dense_gains(m)
+        sol = on_route(m, False, solve_primal, tree, u)
+        pw = on_route(m, False, solve_power_field, tree, power)
+    assert "gains" not in tree._cache
+    ref = on_route(monkeypatch, True, solve_primal, tree, u)
+    ref_pw = on_route(monkeypatch, True, solve_power_field, tree, power)
+    for got, want in ((sol, ref), (pw, ref_pw)):
+        assert got.iterations == want.iterations
+        scale = np.abs(want.strategy.values).max()
+        assert np.abs(got.strategy.values - want.strategy.values).max() <= 1e-13 * scale
+        assert got.value == pytest.approx(want.value, rel=1e-14)
+
+
+def test_near_collinear_holdings_are_dropped():
+    # the root's two assets move together up to rounding: the frame keeps one
+    # holding, along the moves, and both solvers converge
+    tree = near_collinear_two_asset_tree()
+    u = make_perturbed_exponential(0.3, alpha=1.2, a=0.2, omega=0.9)
+    sol = solve_primal(tree, u)
+    rep = verify_optimality(tree, u, sol, extract_dual(tree, u, sol))
+    assert rep.first_order_residual <= 1e-10 and rep.martingale_defect <= 1e-10
+    assert rep.supermartingale_slack <= 1e-10
+    h = sol.strategy.values[0]
+    assert abs(h @ [1.0, -2.0]) <= 1e-12 * np.linalg.norm(h)
+    power = solve_power_field(tree, make_power(-2.0))
+    assert power.gradient_norm <= 1e-11
+    # the root returns are x * (1, 1/4)
+    pi = power.strategy.values[0]
+    assert abs(pi @ [1.0, -4.0]) <= 1e-12 * np.linalg.norm(pi)
+    assert power.value == pytest.approx(opportunity_process(tree, -2.0).value, rel=1e-10)
+
+
+def test_flat_node_holds_nothing_on_the_tree_route(monkeypatch):
+    tree = flat_node_tree()
+    sol = on_route(monkeypatch, False, solve_primal, tree, make_perturbed_exponential(0.2))
+    power = on_route(monkeypatch, False, solve_power_field, tree, make_power(-2.0))
+    assert sol.strategy.values[1, 0] == 0.0 and power.strategy.values[1, 0] == 0.0
+    assert sol.gradient_norm <= GRAD_TOL and power.gradient_norm <= 1e-11
+
+
+def test_t13_lattice_solves_without_the_gains():
+    # K = 8191: the dense (L, K) gains alone would take 537 MB
+    tree = lattice(13)
+    sol = solve_primal(tree, make_exponential(1.0))
+    power = solve_power_field(tree, make_power(-2.0))
+    dp = opportunity_process(tree, -2.0)
+    assert "gains" not in tree._cache
+    assert sol.gradient_norm <= GRAD_TOL
+    assert power.value == pytest.approx(dp.value, rel=1e-10)

@@ -1,8 +1,8 @@
 """Property tests over random small trees: the martingale polytope probes and
 price bounds against the global LPs, the level-wise one-step reductions
 against their per-node loops, the block-wise opportunity process against its
-node-by-node recursion, and the tree-local martingale basis against the SVD
-null space."""
+node-by-node recursion, the tree-local martingale basis against the SVD
+null space, and the tree-sparse Newton step against the dense solve."""
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,13 +11,13 @@ from scipy.linalg import null_space
 
 from conftest import (assert_reductions_match_references, assert_same_probes,
                       collinear_two_asset_tree, flat_node_tree, mixed_branching_tree,
-                      near_degenerate_tree, random_viable_tree,
+                      near_degenerate_tree, random_viable_tree, trinomial_tree, two_asset_tree,
                       reference_opportunity_process, reference_price_bounds,
                       reference_probes)
 from stablab import (Measure, UtilityField, branching_tree, build_tree, make_power,
                      martingale_polytope_probes, martingale_price_bounds,
                      martingale_residual, opportunity_process)
-from stablab.entropic import (VERTEX_TOL, _martingale_basis, _node_vertices,
+from stablab.entropic import (VERTEX_TOL, _martingale_basis, _node_vertices, _tree_step,
                               assert_market_viable)
 
 
@@ -270,3 +270,29 @@ def test_complete_trees_have_the_interior_point_as_basis(name):
     N = _martingale_basis(tree, q0)
     assert N.shape == (tree.n_leaves, 1)
     assert np.array_equal(N[:, 0], q0)
+
+
+# The Riccati pass eliminates the nodes of the Newton system G' diag(a) G +
+# blockdiag(E), G the gains, deepest first, and so solves it exactly; E makes
+# it regular where G has a zero column (the flat node).
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tree=st.one_of(small_viable_trees(whole_percent), viable_branching_trees(),
+                      st.sampled_from([flat_node_tree(), mixed_branching_tree(),
+                                       trinomial_tree(3), two_asset_tree(2),
+                                       branching_tree(1.0, [2.0, 0.5], [0.5, 0.5], 4)])),
+       seed=st.integers(0, 2 ** 32 - 1), blocks=st.booleans())
+def test_tree_step_solves_the_newton_system(tree, seed, blocks):
+    rng = np.random.default_rng(seed)
+    G = tree.gains
+    K, d = tree.nonterminal.shape[0], tree.n_assets
+    a = rng.uniform(0.1, 2.0, tree.n_leaves)
+    b = rng.standard_normal(tree.n_leaves)
+    extra = None
+    H = G.T @ (G * a[:, None])
+    if blocks or np.linalg.matrix_rank(H) < K * d:
+        root = rng.standard_normal((K, d, d)) * np.abs(G).max()
+        extra = root @ root.transpose(0, 2, 1)
+        H.reshape(K, d, K, d)[np.arange(K), :, np.arange(K), :] += extra
+    want = np.linalg.solve(H, -(G.T @ b))
+    got = _tree_step(tree, tree.d_prices, a, b, extra)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
