@@ -20,7 +20,7 @@ from .utilities import (RatioCertificate, SandwichAudit, UtilityField,
                         rescale_to_unit_alpha, shifted_inverse_mix)
 from .entropic import (DualMeasure, NoMartingaleMeasure, NonConvergence,
                        OptimalityReport, PrimalSolution, extract_dual,
-                       gains_matrix, generalized_entropy,
+                       generalized_entropy,
                        martingale_polytope_probes, martingale_price_bounds,
                        minimal_entropy_measure, solve_primal,
                        verify_optimality)
@@ -51,7 +51,7 @@ __all__ = [
     "make_power", "make_power_family_member", "rescale_to_unit_alpha",
     "shifted_inverse_mix",
     "DualMeasure", "NoMartingaleMeasure", "NonConvergence", "OptimalityReport",
-    "PrimalSolution", "extract_dual", "gains_matrix", "generalized_entropy",
+    "PrimalSolution", "extract_dual", "generalized_entropy",
     "martingale_polytope_probes", "martingale_price_bounds",
     "minimal_entropy_measure", "solve_primal", "verify_optimality",
     "NumeraireAudit", "OpportunityProcess", "PositiveSolution",

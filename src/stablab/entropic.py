@@ -20,34 +20,36 @@ the fraction solver and the opportunity process of `positive`: Newton steps
 with a steepest-descent fallback, and a backtracking Armijo search.  Each
 solver supplies its own step.  The primal and the fraction solver share one
 Newton system, min sum_l (a_l/2) s_l^2 + b_l s_l + sum_n h_n' E_n h_n / 2,
-s_l the gains of the step along leaf l's path.  On small trees (K*d up to
-DENSE_NEWTON_MAX) they factor its dense (K*d)^2 matrix; on larger ones
-`_tree_step` solves it exactly by one backward Riccati pass over the child
-blocks and one forward pass, in O(K*d^3), with every product with the gains
-a gather or a `bincount` along the leaf paths, so no (L, K*d) array is built.
-Each node holds its assets in a frame from the SVD of its children's moves;
-holdings the moves cannot see get no gradient and a unit diagonal, so they
-stay zero.  The entropy dual and the opportunity process solve their own
-dense systems by `_dense_step`, least squares where a matrix is singular.
+s_l the gains of the step along leaf l's path.  The gains belong to one path
+layout per kind of move, `_Moves`, and only this module picks the route: on
+small trees (K*d up to DENSE_NEWTON_MAX) the solvers factor the dense
+(K*d)^2 matrix built from the layout's (L, K*d) gains matrix; on larger ones
+`_tree_step` solves the system exactly by one backward Riccati pass over the
+child blocks and one forward pass, in O(K*d^3), with every product with the
+gains a gather or a `bincount` along the leaf paths, so no (L, K*d) array is
+built.  Each node holds its assets in a frame from the SVD of its children's
+moves; holdings the moves cannot see get no gradient and a unit diagonal, so
+they stay zero; the opportunity process uses the same frames.  The entropy
+dual and the opportunity process solve their own dense systems by
+`_dense_step`, least squares where a matrix is singular.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .market import (AdaptedProcess, Measure, ScenarioTree, Strategy, _child_sums,
-                     _gains_scatter, _path_products, conditional_probs, martingale_residual,
-                     node_weights, wealth_additive)
+                     _path_products, conditional_probs, martingale_residual, node_weights,
+                     wealth_additive)
 from .utilities import UtilityOnR
 
 __all__ = [
     "PrimalSolution", "DualMeasure", "OptimalityReport",
     "NoMartingaleMeasure", "NonConvergence",
-    "gains_matrix", "solve_primal", "extract_dual", "minimal_entropy_measure",
+    "solve_primal", "extract_dual", "minimal_entropy_measure",
     "generalized_entropy", "verify_optimality",
     "martingale_polytope_probes", "martingale_price_bounds",
 ]
@@ -107,11 +109,6 @@ class OptimalityReport:
 
 # ----------------------------------------------------------------------
 # geometry shared by primal and dual
-
-
-def gains_matrix(tree: ScenarioTree) -> np.ndarray:
-    """(L, K*d) map from stacked non-terminal holdings to terminal gains (cached, read-only)."""
-    return tree.gains
 
 
 def _node_vertices(tree: ScenarioTree):
@@ -254,7 +251,8 @@ class _Moves:
     None when every node has full rank, and then `node` is the move itself.
     cols[l, t] is the column of the node at date t on leaf l's path, `leaf`
     the move taken there, and slots the flat (column, asset) index of each
-    (leaf, date, asset), of size K*d.
+    (leaf, date, asset), of size K*d.  `dense` is the (L, K*d) gains matrix of
+    `leaf`, built on first use (the dense route only).
     """
 
     node: np.ndarray
@@ -264,6 +262,21 @@ class _Moves:
     size: int
     frames: np.ndarray | None
     null: np.ndarray | None
+
+    def matrix(self, w):
+        """The (L, K*d) gains matrix of the per-leaf moves w (L, T, d): row l
+        holds w[l, t] in the columns of the node at date t on leaf l's path."""
+        L, _, d = w.shape
+        A = np.zeros((L, self.size // d, d))
+        # a node occurs at most once on a path, so every entry is written once
+        A[np.arange(L)[:, None], self.cols] = w
+        return A.reshape(L, self.size)
+
+    @cached_property
+    def dense(self):
+        A = self.matrix(self.leaf)
+        A.flags.writeable = False
+        return A
 
     def gains(self, h, w):
         """Per leaf l, sum_t h[cols[l, t]] . w[l, t]: the gains matrix of the
@@ -380,18 +393,22 @@ def _tree_step(tree: ScenarioTree, move, a, b, extra=None):
     return h[tree.nonterminal].ravel()
 
 
-def _holding_step(tree: ScenarioTree, dense, move, a, b, grad, extra=None):
-    """Newton step of the system above: by `_tree_step` when dense is None,
-    else by factoring dense' diag(a) dense + blockdiag(E), dense the (L, K*d)
-    gains matrix, whose transpose times b is grad."""
-    if dense is None:
+def _holding_step(tree: ScenarioTree, moves: _Moves, w, a, b, extra=None):
+    """Newton step of the system above for the per-leaf moves w (L, T, d) of
+    the layout `moves`: on the dense route by factoring G' diag(a) G +
+    blockdiag(E) against G' b, G the gains matrix of w (the cached one when w
+    is the layout's own), else by `_tree_step` on w scattered to its nodes."""
+    if not _dense_route(tree):
+        move = np.zeros((tree.n_nodes, tree.n_assets))
+        move[tree.paths[:, 1:]] = w
         return _tree_step(tree, move, a, b, extra)
-    hess = dense.T @ (dense * a[:, None])
+    G = moves.dense if w is moves.leaf else moves.matrix(w)
+    hess = G.T @ (G * a[:, None])
     if extra is not None:
         K = extra.shape[0]
         nodes = np.arange(K)
         hess.reshape(K, extra.shape[1], K, extra.shape[1])[nodes, :, nodes, :] += extra
-    return _dense_step(hess, grad[:, None])[:, 0]
+    return _dense_step(hess, (G.T @ b)[:, None])[:, 0]
 
 
 # ----------------------------------------------------------------------
@@ -413,10 +430,8 @@ def solve_primal(tree: ScenarioTree, utility: UtilityOnR, endowment=0.0, *,
     d = tree.n_assets
     unit = moves.unit()
     if _dense_route(tree):
-        A = gains_matrix(tree) if moves.frames is None else _gains_scatter(tree, moves.leaf)
-        gains, adjoint = A.__matmul__, A.T.__matmul__
+        gains, adjoint = moves.dense.__matmul__, moves.dense.T.__matmul__
     else:
-        A = None
         gains, adjoint = partial(moves.gains, w=moves.leaf), partial(moves.adjoint, w=moves.leaf)
 
     if initial is not None:
@@ -432,8 +447,8 @@ def solve_primal(tree: ScenarioTree, utility: UtilityOnR, endowment=0.0, *,
         b = -(P * utility.marginal(total))
         grad = adjoint(b)
         gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
-        return grad, gnorm, lambda: _holding_step(tree, A, moves.node,
-                                                  -(P * utility.curvature(total)), b, grad, unit)
+        return grad, gnorm, lambda: _holding_step(tree, moves, moves.leaf,
+                                                  -(P * utility.curvature(total)), b, unit)
 
     h, _, gnorm, it = _newton(h, objective, derivatives, GRAD_TOL, "primal")
     h = moves.from_frame(h.reshape(K, d))
@@ -472,20 +487,6 @@ def generalized_entropy(tree: ScenarioTree, m: Measure, utility: UtilityOnR) -> 
     """E_P[V(dm/dP)] for the conjugate V of the given utility."""
     P = tree.path_prob[tree.leaves]
     return float(P @ np.asarray(utility.conjugate(m.weights / P)))
-
-
-def _dual_scale(m: Measure, P: np.ndarray, utility: UtilityOnR) -> float:
-    """Minimizer y of E_P[V(y * dm/dP)]: root of E_P[(dm/dP) V'(y dm/dP)]."""
-    z = m.weights / P
-
-    def slope(y):
-        return float(m.weights @ np.asarray(utility.conjugate_prime(y * z)))
-
-    lo, hi = 1e-8, 1e8
-    flo, fhi = slope(lo), slope(hi)
-    if flo > 0.0 or fhi < 0.0:  # pragma: no cover - certificates keep this bracketed
-        raise NonConvergence("dual scale bracketing failed", max(abs(flo), abs(fhi)))
-    return float(brentq(slope, lo, hi, xtol=1e-15, rtol=1e-15))
 
 
 def _martingale_basis(tree: ScenarioTree, q0: np.ndarray) -> np.ndarray:
@@ -547,15 +548,14 @@ def minimal_entropy_measure(tree: ScenarioTree, utility: UtilityOnR) -> DualMeas
     With mu = y*m, a convex program over {mu >= 0, gains have zero
     mu-expectation} whose unique minimizer P * U'(optimal terminal wealth)
     reproduces extract_dual's pair (y = sum(mu), m = mu/y) for every family
-    member, without the strategy-space solver.  Newton over mu = mu0 + N t,
-    N from `_martingale_basis`, starts from the vertex-centroid measure q0 at
-    its optimal scale; the line search keeps mu > 0.  On a complete tree N
-    is q0 alone and the start is already the optimum.
+    member, without the strategy-space solver.  Newton over mu = q0 + N t,
+    N from `_martingale_basis`, starts from the vertex-centroid measure q0;
+    N's column 0 is q0, so the Newton finds the scale too.  The line search
+    keeps mu > 0.  On a complete tree N is q0 alone and only the scale moves.
     """
-    q0 = assert_market_viable(tree)
+    mu0 = assert_market_viable(tree)
     P = tree.path_prob[tree.leaves]
-    N = _martingale_basis(tree, q0)
-    mu0 = _dual_scale(Measure(q0), P, utility) * q0
+    N = _martingale_basis(tree, mu0)
 
     def objective(t):
         mu = mu0 + N @ t

@@ -158,11 +158,6 @@ class ScenarioTree:
             self._cache[key] = build(self)
         return self._cache[key]
 
-    @property
-    def gains(self) -> np.ndarray:
-        """Read-only (L, K*d) map from stacked non-terminal holdings to terminal gains."""
-        return self.cached("gains", _gains_scatter)
-
     def market_measure(self) -> "Measure":
         """The tree's own measure, as leaf weights."""
         return Measure(self.path_prob[self.leaves].copy())
@@ -181,24 +176,6 @@ def _path_products(tree: ScenarioTree, cond: np.ndarray) -> np.ndarray:
     for nodes in tree.levels[1:]:
         W[nodes] = W[tree.parent[nodes]] * cond[nodes]
     return W
-
-
-def _gains_scatter(tree: ScenarioTree, leaf_moves=None) -> np.ndarray:
-    """Row k: the move each non-terminal node on leaf k's path adds.
-
-    leaf_moves (L, T, d) holds the move at each date of each leaf's path,
-    by default the price increments."""
-    K, d, L = tree.nonterminal.shape[0], tree.n_assets, tree.n_leaves
-    col = np.full(tree.n_nodes, -1, dtype=np.int64)
-    col[tree.nonterminal] = np.arange(K)
-    if leaf_moves is None:
-        leaf_moves = tree.d_prices[tree.paths[:, 1:]]
-    A = np.zeros((L, K, d))
-    # a node occurs at most once on a path, so every entry is written once
-    A[np.arange(L)[:, None], col[tree.paths[:, :-1]]] = leaf_moves
-    A = A.reshape(L, K * d)
-    A.flags.writeable = False
-    return A
 
 
 @dataclass(frozen=True)

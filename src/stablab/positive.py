@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropic import (_dense_route, _dense_step, _holding_step, _newton, _return_moves,
+from .entropic import (_dense_step, _holding_step, _newton, _return_moves,
                        assert_market_viable, solve_primal)
 from .market import (AdaptedProcess, Measure, ScenarioTree, Strategy, _child_sums,
-                     _gains_scatter, conditional_probs, wealth_multiplicative)
+                     conditional_probs, wealth_multiplicative)
 from .utilities import UtilityOnRPlus, make_power
 
 __all__ = [
@@ -119,7 +119,6 @@ def solve_power_field(tree: ScenarioTree, utility: UtilityOnRPlus, x0: float = 1
     D = np.ones(tree.n_leaves) if field is None else np.asarray(field.weights, dtype=float)
     K = tree.nonterminal.shape[0]
     d = tree.n_assets
-    dense = _dense_route(tree)
     unit = moves.unit()
     # same-node Hessian blocks: one flat (k, a, b) slot per (leaf, date, a, b)
     slots = (moves.cols[..., None] * (d * d) + np.arange(d * d)).ravel()
@@ -134,11 +133,9 @@ def solve_power_field(tree: ScenarioTree, utility: UtilityOnRPlus, x0: float = 1
 
     def derivatives(pvec):
         logX, w = _log_wealth(moves, pvec, keep=True)
-        # W[l, (k, a)] = w[l, t, a] for the node k at date t on leaf l's path
-        W = _gains_scatter(tree, w) if dense else None
         X = np.exp(np.log(x0) + logX)
         mXp = P * D * np.asarray(utility.marginal(X)) * X
-        grad = -(W.T @ mXp) if dense else moves.adjoint(-mXp, w)
+        grad = moves.adjoint(-mXp, w)
         gnorm = float(np.max(np.abs(grad))) / float(np.sum(np.abs(mXp))) if grad.size else 0.0
 
         def step():
@@ -148,11 +145,7 @@ def solve_power_field(tree: ScenarioTree, utility: UtilityOnRPlus, x0: float = 1
             # over the (leaf, date) pairs, as each leaf lies on T node paths only
             outer = w[..., :, None] * (w * mXp[:, None, None])[..., None, :]
             same = np.bincount(slots, outer.ravel(), K * d * d).reshape(K, d, d)
-            move = None
-            if not dense:
-                move = np.zeros((tree.n_nodes, d))
-                move[tree.paths[:, 1:]] = w
-            return _holding_step(tree, W, move, -(cA + mXp), -mXp, grad,
+            return _holding_step(tree, moves, w, -(cA + mXp), -mXp,
                                  same if unit is None else same + unit)
 
         return grad, gnorm, step
@@ -172,15 +165,14 @@ def solve_power_field(tree: ScenarioTree, utility: UtilityOnRPlus, x0: float = 1
 # opportunity process (pure power, dynamic programming)
 
 
-def _one_step_min(cond, dR, Lc, p):
+def _one_step_min(cond, dR, Lc, p, extra=None):
     """Per node n of a block, min over pi_n of sum_c cond * Lc * (1 + pi_n . dR_c)^p.
 
     cond and Lc are (k, c), dR is (k, c, d); convex for p < 0.  The nodes are
     independent: one Newton iteration over the stacked (k*d,) fractions whose
-    steps are one batched (k, d, d) solve (a singular block, such as a node
-    without moves, takes its minimum-norm step), stopped by the worst node's
-    gradient relative to its value * max(1, -p).  Returns the (k,) values
-    and (k, d) fractions.
+    steps are one batched (k, d, d) solve, extra (k, d, d) added to each
+    Hessian, stopped by the worst node's gradient relative to its value *
+    max(1, -p).  Returns the (k,) values and (k, d) fractions.
     """
     k, _, d = dR.shape
     w0 = cond * Lc
@@ -206,6 +198,8 @@ def _one_step_min(cond, dR, Lc, p):
 
         def step():
             hess = p * (p - 1.0) * np.matmul(w.transpose(0, 2, 1), w * gp[..., None])
+            if extra is not None:
+                hess += extra
             return _dense_step(hess, grad[..., None]).ravel()
 
         return grad.ravel(), float(np.max(np.max(np.abs(grad), axis=1) / scale)), step
@@ -222,20 +216,27 @@ def opportunity_process(tree: ScenarioTree, p: float, x0: float = 1.0,
 
     Terminal coefficients are the field weights (ones by default); the
     non-terminal nodes of each child block solve their one-step convex
-    minimizations in one Newton iteration, dates last first.  The recovered
-    strategy attains the global optimum, which the forward solver must match.
+    minimizations in one Newton iteration, dates last first.  Each node
+    holds its fractions in the frame of `entropic._return_moves`, as the
+    forward solver does: redundant holdings get a unit diagonal and stay 0.
+    The recovered strategy attains the global optimum, which the forward
+    solver must match.
     """
     if p >= 0.0:
         raise ValueError("exponent must be negative")
     assert_market_viable(tree)
+    moves = _return_moves(tree)
+    unit = moves.unit()
     Lvals = np.zeros(tree.n_nodes)
     Lvals[tree.leaves] = 1.0 if field is None else np.asarray(field.weights, dtype=float)
     frac = np.zeros((tree.n_nodes, tree.n_assets))
     _, cond = conditional_probs(tree, tree.market_measure())
     for level in reversed(tree.child_blocks):
         for nodes, kids in level:
-            Lvals[nodes], frac[nodes] = _one_step_min(cond[kids], tree.d_returns[kids],
-                                                      Lvals[kids], p)
+            Lvals[nodes], frac[nodes] = _one_step_min(
+                cond[kids], moves.node[kids], Lvals[kids], p,
+                None if unit is None else unit[np.searchsorted(tree.nonterminal, nodes)])
+    frac[tree.nonterminal] = moves.from_frame(frac[tree.nonterminal])
     value = Lvals[0] * x0 ** p / p
     return OpportunityProcess(values=AdaptedProcess(Lvals),
                               strategy=Strategy(frac, "fractions"),

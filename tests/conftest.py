@@ -3,15 +3,14 @@ global LPs over the martingale polytope (the probe loop that solves every
 random-cost LP, and the two price-bound LPs) as references for the backward
 passes over per-node vertices, the per-node loops of the one-step reductions
 and of the opportunity process, the bisection for the indifference price,
-and the dense Newton route of the primal and fraction solvers, as references
-for those."""
+the dense Newton route of the primal and fraction solvers, and the dense
+price-gains matrix built leaf by leaf, as references for those."""
 import numpy as np
 from scipy.optimize import linprog
 
 from stablab import (AdaptedProcess, Measure, NoMartingaleMeasure, ScenarioTree,
                      Strategy, bracket_distance, branching_tree, build_tree,
-                     conditional_expectation, conditional_probs, gains_matrix,
-                     martingale_residual, node_weights, ratio_defects, solve_primal)
+                     conditional_expectation, conditional_probs, martingale_residual, node_weights, ratio_defects, solve_primal)
 import stablab.entropic as entropic
 from stablab.entropic import _wealth_martingale_defect
 from stablab.positive import _admissible_box
@@ -188,9 +187,25 @@ def on_route(monkeypatch, dense, solve, *args):
         return solve(*args)
 
 
+def gains_per_leaf(tree):
+    """(L, K*d) map from stacked non-terminal holdings to terminal gains: one
+    slice update per leaf and date."""
+    K = tree.nonterminal.shape[0]
+    d = tree.n_assets
+    col_of = {int(node): k for k, node in enumerate(tree.nonterminal)}
+    A = np.zeros((tree.n_leaves, K * d))
+    for leaf_k in range(tree.n_leaves):
+        for t in range(tree.horizon):
+            node = tree.paths[leaf_k, t]
+            child = tree.paths[leaf_k, t + 1]
+            c0 = col_of[int(node)] * d
+            A[leaf_k, c0:c0 + d] += tree.d_prices[child]
+    return A
+
+
 def reference_probes(tree, seed, lp=linprog):
     """The default probe loop solving every random-cost LP, with a polish after each."""
-    A = gains_matrix(tree)
+    A = gains_per_leaf(tree)
     L = tree.n_leaves
     C = np.vstack([np.ones((1, L)), A.T])
     b = np.zeros(C.shape[0])
@@ -236,7 +251,7 @@ def reference_probes(tree, seed, lp=linprog):
 
 def reference_price_bounds(tree, payoff):
     """[min, max] of E_m[payoff] over the martingale polytope, one global LP each."""
-    A = gains_matrix(tree)
+    A = gains_per_leaf(tree)
     L = tree.n_leaves
     C = np.vstack([np.ones((1, L)), A.T])
     b = np.zeros(C.shape[0])

@@ -8,14 +8,15 @@ from scipy.optimize import linprog
 
 import stablab.entropic as entropic
 from conftest import (assert_same_probes, collinear_two_asset_tree,
-                      depth_first_two_asset_tree, flat_node_tree, mixed_branching_tree,
+                      depth_first_two_asset_tree, flat_node_tree, gains_per_leaf,
+                      mixed_branching_tree,
                       near_degenerate_tree, one_step_binomial, one_step_theta,
                       one_step_trinomial, random_viable_tree, reference_price_bounds,
                       reference_probes, three_step_binomial, trinomial_tree, two_asset_tree,
                       two_step_binomial)
 from stablab import (Measure, NoMartingaleMeasure, NonConvergence,
                      PrimalSolution, Strategy, branching_tree, build_tree,
-                     extract_dual, gains_matrix, generalized_entropy, make_exponential,
+                     extract_dual, generalized_entropy, make_exponential,
                      make_perturbed_exponential, make_power, martingale_polytope_probes,
                      martingale_price_bounds, martingale_residual,
                      minimal_entropy_measure, rescale_to_unit_alpha, solve_power_field,
@@ -59,39 +60,27 @@ def polish_tree():
 
 
 def test_gains_matrix_reproduces_wealth():
+    # the price layout's gains matrix, and its gather, map holdings to terminal wealth
     rng = np.random.default_rng(5)
     for _ in range(5):
         tree = random_viable_tree(rng)
-        A = gains_matrix(tree)
+        moves = entropic._price_moves(tree)
+        A = moves.dense
         h = rng.normal(size=A.shape[1])
         vals = np.zeros((tree.n_nodes, tree.n_assets))
         vals[tree.nonterminal] = h.reshape(-1, tree.n_assets)
         from stablab import wealth_additive
         X = wealth_additive(tree, Strategy(vals, "shares"))
         assert np.allclose(A @ h, X.at_leaves(tree), atol=1e-12)
-
-
-def gains_per_leaf(tree):
-    """Reference for gains_matrix: one slice update per leaf and date."""
-    K = tree.nonterminal.shape[0]
-    d = tree.n_assets
-    col_of = {int(node): k for k, node in enumerate(tree.nonterminal)}
-    A = np.zeros((tree.n_leaves, K * d))
-    for leaf_k in range(tree.n_leaves):
-        for t in range(tree.horizon):
-            node = tree.paths[leaf_k, t]
-            child = tree.paths[leaf_k, t + 1]
-            c0 = col_of[int(node)] * d
-            A[leaf_k, c0:c0 + d] += tree.d_prices[child]
-    return A
+        assert np.allclose(moves.gains(h, moves.leaf), X.at_leaves(tree), atol=1e-12)
 
 
 @pytest.mark.parametrize("make_tree", [depth_first_two_asset_tree, trinomial_tree])
 def test_gains_matrix_matches_per_leaf_loop(make_tree):
     tree = make_tree()
-    A = gains_matrix(tree)
+    A = entropic._price_moves(tree).dense
     assert np.array_equal(A, gains_per_leaf(tree))
-    assert gains_matrix(tree) is A
+    assert entropic._price_moves(tree).dense is A
     assert not A.flags.writeable
 
 
@@ -102,7 +91,7 @@ def test_gains_matrix_first_use_from_threads():
 
     def fill(k):
         start.wait(timeout=10)
-        out[k] = gains_matrix(tree)
+        out[k] = entropic._price_moves(tree).dense
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -116,7 +105,7 @@ def test_gains_matrix_first_use_from_threads():
         sys.setswitchinterval(switch)
     assert not any(th.is_alive() for th in threads)
     assert all(np.array_equal(a, gains_per_leaf(tree)) for a in out)
-    assert any(a is gains_matrix(tree) for a in out)
+    assert any(a is entropic._price_moves(tree).dense for a in out)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.7])
@@ -429,7 +418,7 @@ def test_single_point_flag_needs_a_well_conditioned_full_rank():
                                     (one_step_binomial(), True, True),
                                     (two_step_binomial(), True, True),
                                     (near_degenerate_tree(), True, False)):
-        C = np.vstack([np.ones((1, tree.n_leaves)), gains_matrix(tree).T])
+        C = np.vstack([np.ones((1, tree.n_leaves)), gains_per_leaf(tree).T])
         assert bool(np.linalg.matrix_rank(C) == tree.n_leaves) is full_rank
         counts = [len(v) for v in node_vertices(tree).values()]
         assert all(n == 1 for n in counts) is single

@@ -1,17 +1,16 @@
 """The primal and fraction solvers' two Newton routes: the tree-sparse step
 against the dense one (the reference, `conftest.on_route`), holdings that the
-moves cannot see, and a lattice too large for the dense route."""
+moves cannot see, in those solvers and in the opportunity process, and a
+lattice too large for the dense route."""
 import numpy as np
 import pytest
 
 import stablab.entropic as entropic
-import stablab.positive as positive
 from conftest import (collinear_two_asset_tree, flat_node_tree, near_collinear_two_asset_tree,
                       on_route)
 from stablab import (branching_tree, build_tree, extract_dual, make_exponential,
-                     make_perturbed_exponential,
-                     make_power, opportunity_process, solve_power_field, solve_primal,
-                     verify_optimality)
+                     make_perturbed_exponential, make_power, minimal_entropy_measure,
+                     opportunity_process, solve_power_field, solve_primal, verify_optimality)
 from stablab.entropic import GRAD_TOL, _dense_route
 
 U2D05 = {"s0": 1.0, "u": 2.0, "d": 0.5, "q": 0.5}
@@ -38,11 +37,10 @@ ROUTE_TREES = {
 
 
 def forbid_dense_gains(monkeypatch):
+    """Make building any (L, K*d) gains matrix fail: the layout builds them all."""
     def refuse(*args):
         raise AssertionError("the tree route built a dense gains matrix")
-    for module, name in ((entropic, "gains_matrix"), (entropic, "_gains_scatter"),
-                         (positive, "_gains_scatter")):
-        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(entropic._Moves, "matrix", refuse)
 
 
 @pytest.mark.parametrize("name", sorted(ROUTE_TREES))
@@ -56,7 +54,6 @@ def test_tree_route_matches_the_dense_route(name, monkeypatch):
         forbid_dense_gains(m)
         sol = on_route(m, False, solve_primal, tree, u)
         pw = on_route(m, False, solve_power_field, tree, power)
-    assert "gains" not in tree._cache
     ref = on_route(monkeypatch, True, solve_primal, tree, u)
     ref_pw = on_route(monkeypatch, True, solve_power_field, tree, power)
     for got, want in ((sol, ref), (pw, ref_pw)):
@@ -93,12 +90,33 @@ def test_flat_node_holds_nothing_on_the_tree_route(monkeypatch):
     assert sol.gradient_norm <= GRAD_TOL and power.gradient_norm <= 1e-11
 
 
-def test_t13_lattice_solves_without_the_gains():
-    # K = 8191: the dense (L, K) gains alone would take 537 MB
+def test_dp_holds_fractions_in_the_node_frames():
+    # the opportunity process takes the fraction solver's frames: on the
+    # near-collinear root it returns the same minimum-norm fractions, and the
+    # flat node holds exactly nothing
+    for tree in (near_collinear_two_asset_tree(), flat_node_tree()):
+        dp = opportunity_process(tree, -2.0)
+        power = solve_power_field(tree, make_power(-2.0))
+        scale = np.abs(power.strategy.values).max()
+        assert np.abs(dp.strategy.values - power.strategy.values).max() <= 1e-12 * scale
+    assert dp.strategy.values[1, 0] == 0.0
+
+
+def test_t13_lattice_solves_without_the_gains(monkeypatch):
+    # K = 8191: the dense (L, K) gains alone would take 537 MB; the whole
+    # rung, default probes included, runs without building any
+    forbid_dense_gains(monkeypatch)
     tree = lattice(13)
-    sol = solve_primal(tree, make_exponential(1.0))
+    u = make_exponential(1.0)
+    sol = solve_primal(tree, u)
+    dual = extract_dual(tree, u, sol)
+    rep = verify_optimality(tree, u, sol, dual)
+    entropy = minimal_entropy_measure(tree, u)
     power = solve_power_field(tree, make_power(-2.0))
     dp = opportunity_process(tree, -2.0)
-    assert "gains" not in tree._cache
     assert sol.gradient_norm <= GRAD_TOL
+    assert rep.first_order_residual <= 1e-10 and rep.martingale_defect <= 1e-10
+    assert rep.supermartingale_slack <= 1e-10 and rep.probe_slacks.size
+    assert entropy.y == pytest.approx(dual.y, rel=1e-12)
+    assert np.abs(entropy.measure.weights - dual.measure.weights).max() <= 1e-12
     assert power.value == pytest.approx(dp.value, rel=1e-10)

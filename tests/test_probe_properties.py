@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from scipy.linalg import null_space
 
 from conftest import (assert_reductions_match_references, assert_same_probes,
-                      collinear_two_asset_tree, flat_node_tree, mixed_branching_tree,
+                      collinear_two_asset_tree, flat_node_tree, gains_per_leaf,
+                      mixed_branching_tree,
                       near_degenerate_tree, random_viable_tree, trinomial_tree, two_asset_tree,
                       reference_opportunity_process, reference_price_bounds,
                       reference_probes)
@@ -244,7 +245,7 @@ def collinear_two_asset_trees(draw):
 @example(tree=mixed_branching_tree())
 @example(tree=collinear_two_asset_tree())
 def test_martingale_basis_spans_the_null_space(tree):
-    A = tree.gains
+    A = gains_per_leaf(tree)
     N = _martingale_basis(tree, assert_market_viable(tree))
     rank = np.linalg.matrix_rank(A)
     assert N.shape == (tree.n_leaves, tree.n_leaves - rank)
@@ -283,7 +284,7 @@ def test_complete_trees_have_the_interior_point_as_basis(name):
        seed=st.integers(0, 2 ** 32 - 1), blocks=st.booleans())
 def test_tree_step_solves_the_newton_system(tree, seed, blocks):
     rng = np.random.default_rng(seed)
-    G = tree.gains
+    G = gains_per_leaf(tree)
     K, d = tree.nonterminal.shape[0], tree.n_assets
     a = rng.uniform(0.1, 2.0, tree.n_leaves)
     b = rng.standard_normal(tree.n_leaves)
