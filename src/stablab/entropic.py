@@ -7,31 +7,30 @@ holdings.
 
 The dual side: leaf weights proportional to P * U'(terminal wealth) form the
 optimal martingale measure, and the entropy-minimal measure is computed
-independently by a reduced Newton iteration over the cone of unnormalized
+independently by a Newton iteration over the cone of unnormalized
 martingale measures.  Martingale measures are products of one-step ones, so
 viability, the Newton's start (the product of each node's vertex centroid),
 probes and price bounds come from the few vertices of each node's one-step
-polytope, with no global LP.  The Newton moves in a tree-local basis: the
-start plus one leaf vector per kernel vector of each node's one-step
-martingale conditions, so a complete tree leaves only the scale to find.
+polytope, with no global LP.
 
 One damped-Newton core, `_newton`, serves the primal, the entropy dual, and
 the fraction solver and the opportunity process of `positive`: Newton steps
 with a steepest-descent fallback, and a backtracking Armijo search.  Each
-solver supplies its own step.  The primal and the fraction solver share one
-Newton system, min sum_l (a_l/2) s_l^2 + b_l s_l + sum_n h_n' E_n h_n / 2,
-s_l the gains of the step along leaf l's path.  The gains belong to one path
-layout per kind of move, `_Moves`, and only this module picks the route: on
-small trees (K*d up to DENSE_NEWTON_MAX) the solvers factor the dense
-(K*d)^2 matrix built from the layout's (L, K*d) gains matrix; on larger ones
-`_tree_step` solves the system exactly by one backward Riccati pass over the
-child blocks and one forward pass, in O(K*d^3), with every product with the
-gains a gather or a `bincount` along the leaf paths, so no (L, K*d) array is
-built.  Each node holds its assets in a frame from the SVD of its children's
-moves; holdings the moves cannot see get no gradient and a unit diagonal, so
-they stay zero; the opportunity process uses the same frames.  The entropy
-dual and the opportunity process solve their own dense systems by
-`_dense_step`, least squares where a matrix is singular.
+solver supplies its own step.  The primal, the fraction solver and the
+entropy dual share one Newton system, min sum_l (a_l/2) s_l^2 + b_l s_l +
+sum_n h_n' E_n h_n / 2, s_l the gains of the step along leaf l's path: the
+entropy dual's step is equality-constrained Newton on the measure, whose
+multiplier solves that system.  The gains belong to one path layout per kind
+of move, `_Moves`, and only this module picks the route: on small trees (K*d
+up to DENSE_NEWTON_MAX) the solvers factor the dense (K*d)^2 matrix built
+from the layout's (L, K*d) gains matrix; on larger ones `_tree_step` solves
+the system exactly by one backward Riccati pass over the child blocks and
+one forward pass, in O(K*d^3), with every product with the gains a gather
+or a `bincount` along the leaf paths, so no (L, K*d) array is built.  Each
+node holds its assets in a frame from the SVD of its children's moves;
+holdings the moves cannot see get no gradient and a unit diagonal, so they
+stay zero; the opportunity process uses the same frames and solves its
+one-step blocks by `_dense_step`, least squares where a matrix is singular.
 """
 from __future__ import annotations
 
@@ -42,8 +41,7 @@ from itertools import combinations
 import numpy as np
 
 from .market import (AdaptedProcess, Measure, ScenarioTree, Strategy, _child_sums,
-                     _path_products, conditional_probs, martingale_residual, node_weights,
-                     wealth_additive)
+                     _path_products, conditional_probs, martingale_residual, wealth_additive)
 from .utilities import UtilityOnR
 
 __all__ = [
@@ -54,7 +52,7 @@ __all__ = [
     "martingale_polytope_probes", "martingale_price_bounds",
 ]
 
-GRAD_TOL = 1e-12      # absolute gradient sup-norm of the primal and the entropy dual
+GRAD_TOL = 1e-12      # absolute gradient sup-norm: the primal's, the entropy dual's on G' mu = 0
 NEWTON_STEPS = 200
 DENSE_NEWTON_MAX = 128    # K*d up to which primal and fraction steps factor the dense Hessian
 VERTEX_TOL = 1e-12    # one-step vertex: drift over the node's largest move, least weight
@@ -203,7 +201,7 @@ def _newton(x, objective, derivatives, tol, what):
 
     objective(x) is the value, inf where x is infeasible; derivatives(x)
     returns (grad, residual, step), step a zero-argument callable giving the
-    Newton direction, so the converged iterate never builds its system.
+    Newton direction, so a converged iterate need not build its system.
     Stops once residual <= tol.  A direction that is not a finite descent
     direction falls back to the scaled steepest-descent step.
     Returns (x, value, residual, iterations); raises NonConvergence when the
@@ -489,89 +487,45 @@ def generalized_entropy(tree: ScenarioTree, m: Measure, utility: UtilityOnR) -> 
     return float(P @ np.asarray(utility.conjugate(m.weights / P)))
 
 
-def _martingale_basis(tree: ScenarioTree, q0: np.ndarray) -> np.ndarray:
-    """(L, L - rank(gains)) basis of null(gains'), built node by node.
-
-    Column 0 is the equivalent martingale measure q0.  Every other column
-    belongs to one non-terminal node n and one vector k of the kernel of the
-    (d+1, c) matrix [dS_children'; 1'] at n: leaf l below child c of n gets
-    k_c * q0_l / Q0(c), where Q0 are the node weights of q0, and every other
-    leaf 0.  The gains of the column vanish node by node: the drift at n is
-    sum_c k_c dS_c = 0, every ancestor of n sees mass sum_c k_c = 0 on the
-    one child subtree holding n, and below each child the column is a
-    multiple of q0, itself a martingale measure.  One batched SVD per child
-    block gives the kernels; each node keeps its own rank, with scipy's
-    null_space cutoff max(d+1, c) * eps * sigma_max.  A complete tree (every
-    binomial lattice) has no kernels, so its basis is q0 alone.
-    """
-    L = tree.n_leaves
-    Q0 = node_weights(tree, Measure(q0))
-    slot = np.zeros(tree.n_nodes, dtype=np.int64)
-    row_of = np.full(tree.n_nodes, -1, dtype=np.int64)
-    rows, cols, vals = [np.arange(L)], [np.zeros(L, dtype=np.int64)], [q0]
-    width = 1
-    for t, level in enumerate(tree.child_blocks):
-        for nodes, kids in level:
-            k, c = kids.shape
-            M = np.concatenate([tree.d_prices[kids].transpose(0, 2, 1), np.ones((k, 1, c))],
-                               axis=1)
-            _, sv, vh = np.linalg.svd(M)
-            rank = np.sum(sv > max(M.shape[1:]) * np.finfo(float).eps * sv[:, :1], axis=1)
-            size = c - rank
-            if not size.any():
-                continue
-            # kernel vector j >= rank[i] of the block's node i is column first[i] + j
-            first = width + np.cumsum(size) - size - rank
-            width += int(size.sum())
-            row_of[nodes] = np.arange(k)
-            slot[kids] = np.arange(c)
-            at = row_of[tree.paths[:, t]]
-            row_of[nodes] = -1
-            under = np.flatnonzero(at >= 0)
-            i = at[under]
-            child = tree.paths[under, t + 1]
-            j = np.arange(c)
-            keep = j >= rank[i][:, None]
-            entries = vh[i, :, slot[child]] * (q0[under] / Q0[child])[:, None]
-            rows.append(np.broadcast_to(under[:, None], keep.shape)[keep])
-            cols.append((first[i][:, None] + j)[keep])
-            vals.append(entries[keep])
-    N = np.zeros((L, width))
-    N[np.concatenate(rows), np.concatenate(cols)] = np.concatenate(vals)
-    return N
-
-
 def minimal_entropy_measure(tree: ScenarioTree, utility: UtilityOnR) -> DualMeasure:
     """Minimize the generalized entropy E_P[V(dmu/dP)] over the cone of
     unnormalized martingale measures.
 
-    With mu = y*m, a convex program over {mu >= 0, gains have zero
-    mu-expectation} whose unique minimizer P * U'(optimal terminal wealth)
-    reproduces extract_dual's pair (y = sum(mu), m = mu/y) for every family
-    member, without the strategy-space solver.  Newton over mu = q0 + N t,
-    N from `_martingale_basis`, starts from the vertex-centroid measure q0;
-    N's column 0 is q0, so the Newton finds the scale too.  The line search
-    keeps mu > 0.  On a complete tree N is q0 alone and only the scale moves.
+    With mu = y*m, a convex program over {mu >= 0, G' mu = 0}, G the gains,
+    whose unique minimizer P * U'(optimal terminal wealth) reproduces
+    extract_dual's pair (y = sum(mu), m = mu/y) for every family member,
+    without the strategy-space solver.  Newton over mu itself, from the
+    vertex-centroid measure q0 (so it finds the scale too): each step solves
+    min F(mu + dmu) to second order subject to G' dmu = 0, F the entropy.  Its
+    multiplier lam minimizes sum_l (a_l/2) s_l^2 + b_l s_l, s = G lam, with
+    a = P / V''(mu/P) and b = a * V'(mu/P): the primal's system, so
+    `_holding_step` solves it on either route.  Then r = V'(mu/P) + G lam is
+    the gradient on the martingale set (it differs from V' by a vector of
+    range(G), so r . dmu is the slope of any dmu in null(G')), the residual
+    is its sup-norm, and the step is -a * r, of slope -sum_l a_l r_l^2 < 0
+    while the residual exceeds GRAD_TOL.  A non-finite step comes with a
+    non-finite r, so the line search rejects the fallback step -r too, and mu
+    never leaves null(G').  The line search keeps mu > 0.
     """
-    mu0 = assert_market_viable(tree)
+    mu = assert_market_viable(tree)
     P = tree.path_prob[tree.leaves]
-    N = _martingale_basis(tree, mu0)
+    moves = _price_moves(tree)
+    unit = moves.unit()
 
-    def objective(t):
-        mu = mu0 + N @ t
+    def objective(mu):
         if not np.all(mu > 0.0):
             return np.inf
         return float(P @ np.asarray(utility.conjugate(mu / P)))
 
-    def derivatives(t):
-        z = (mu0 + N @ t) / P
-        grad = N.T @ np.asarray(utility.conjugate_prime(z))
-        return grad, float(np.max(np.abs(grad))), lambda: _dense_step(
-            N.T @ (N * (np.asarray(utility.conjugate_curvature(z)) / P)[:, None]),
-            grad[:, None])[:, 0]
+    def derivatives(mu):
+        z = mu / P
+        a = P / np.asarray(utility.conjugate_curvature(z))
+        grad = np.asarray(utility.conjugate_prime(z))
+        lam = _holding_step(tree, moves, moves.leaf, a, a * grad, unit)
+        r = grad + moves.gains(lam, moves.leaf)
+        return r, float(np.max(np.abs(r))), lambda: -a * r
 
-    t, _, _, _ = _newton(np.zeros(N.shape[1]), objective, derivatives, GRAD_TOL, "entropy")
-    mu = mu0 + N @ t
+    mu, _, _, _ = _newton(mu, objective, derivatives, GRAD_TOL, "entropy")
     y = float(mu.sum())
     m = Measure(mu / y)
     return DualMeasure(measure=m, y=y, residual=martingale_residual(tree, m))

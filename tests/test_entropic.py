@@ -4,7 +4,7 @@ from itertools import chain
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import linprog, minimize
 
 import stablab.entropic as entropic
 from conftest import (assert_same_probes, collinear_two_asset_tree,
@@ -213,8 +213,8 @@ def test_extract_dual_rejects_bad_solution():
 
 def test_flat_node_holds_nothing():
     # the flat node's holding has no gains: its frame drops it, so the primal
-    # and fraction steps leave it exactly 0; the entropy Hessian N' diag N is
-    # not singular
+    # and fraction steps leave it exactly 0; the entropy dual's step solves
+    # the same system, which the zero gains column leaves regular there too
     tree = flat_node_tree()
     u = make_exponential(1.0)
     sol = solve_primal(tree, u)
@@ -252,6 +252,55 @@ def test_newton_reports_a_stalled_line_search():
                                                                  np.array([[1.0], [-2.0]]))[:, 0]),
                          1e-12, "walled")
     assert exc.value.residual == 2.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("every_time", [True, False])
+def test_entropy_fallback_never_leaves_the_martingale_set(monkeypatch, bad, every_time):
+    # a non-finite multiplier, even in one holding and on one step only,
+    # makes the step and the gradient on the martingale set non-finite, so the
+    # steepest-descent fallback is rejected too and no iterate leaves G' mu = 0
+    real = entropic._holding_step
+    calls = []
+
+    def broken(*args):
+        lam = real(*args)
+        calls.append(lam)
+        if every_time or len(calls) == 1:
+            lam[-1] = bad
+        return lam
+
+    monkeypatch.setattr(entropic, "_holding_step", broken)
+    with pytest.raises(NonConvergence, match="entropy line search stalled"):
+        minimal_entropy_measure(trinomial_tree(2), make_exponential(1.0))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("make", [lambda: trinomial_tree(2), mixed_branching_tree],
+                         ids=["trinomial_T2", "mixed_branching"])
+@pytest.mark.parametrize("utility", [make_exponential(1.0), make_perturbed_exponential(0.2)],
+                         ids=["exponential", "sine"])
+def test_minimal_entropy_matches_a_generic_constrained_solver(make, utility):
+    # an independent check of the multi-step entropy dual: SLSQP on
+    # E_P[V(mu/P)] under the dense constraints G' mu = 0, from mu = P
+    tree = make()
+    G = gains_per_leaf(tree)
+    P = tree.path_prob[tree.leaves]
+
+    def entropy(mu):
+        return float(P @ np.asarray(utility.conjugate(mu / P)))
+
+    ref = minimize(entropy, P, jac=lambda mu: np.asarray(utility.conjugate_prime(mu / P)),
+                   method="SLSQP", bounds=[(1e-9, None)] * tree.n_leaves,
+                   constraints=[{"type": "eq", "fun": lambda mu: G.T @ mu,
+                                 "jac": lambda mu: G.T}],
+                   options={"ftol": 1e-15, "maxiter": 1000})
+    assert ref.success
+    dual = minimal_entropy_measure(tree, utility)
+    mu = dual.y * dual.measure.weights
+    assert np.abs(mu - ref.x).max() <= 1e-7 * mu.max()
+    assert dual.y == pytest.approx(ref.x.sum(), rel=1e-7)
+    assert entropy(mu) <= entropy(ref.x) + 1e-14
 
 
 def test_generalized_entropy_frozen_value():

@@ -1,7 +1,9 @@
 """The primal and fraction solvers' two Newton routes: the tree-sparse step
 against the dense one (the reference, `conftest.on_route`), holdings that the
-moves cannot see, in those solvers and in the opportunity process, and a
-lattice too large for the dense route."""
+moves cannot see, in those solvers and in the opportunity process, and trees
+too large for the dense route."""
+import time
+
 import numpy as np
 import pytest
 
@@ -120,3 +122,19 @@ def test_t13_lattice_solves_without_the_gains(monkeypatch):
     assert entropy.y == pytest.approx(dual.y, rel=1e-12)
     assert np.abs(entropy.measure.weights - dual.measure.weights).max() <= 1e-12
     assert power.value == pytest.approx(dp.value, rel=1e-10)
+
+
+def test_t8_trinomial_entropy_dual_on_the_tree_step(monkeypatch):
+    # L = 6561: the perturbed entropy dual takes its steps from the primal's
+    # Riccati pass, with no gains matrix, in about 0.3 s on 2 CPUs (a dense
+    # null-space basis of the martingale conditions took 14 s and 513 MB)
+    forbid_dense_gains(monkeypatch)
+    tree = branching_tree(1.0, [1.2, 1.0, 0.85], [0.25, 0.45, 0.3], 8)
+    u = make_perturbed_exponential(0.2)
+    dual = extract_dual(tree, u, solve_primal(tree, u))
+    start = time.perf_counter()
+    entropy = minimal_entropy_measure(tree, u)
+    elapsed = time.perf_counter() - start
+    assert entropy.y == pytest.approx(dual.y, rel=1e-10)
+    assert entropy.residual <= 1e-14
+    assert elapsed < 1.5

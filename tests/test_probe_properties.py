@@ -1,13 +1,14 @@
 """Property tests over random small trees: the martingale polytope probes and
 price bounds against the global LPs, the level-wise one-step reductions
 against their per-node loops, the block-wise opportunity process against its
-node-by-node recursion, the tree-local martingale basis against the SVD
-null space, and the tree-sparse Newton step against the dense solve."""
+node-by-node recursion, the entropy dual's Newton step against the dense KKT
+solve, and the tree-sparse Newton step against the dense solve."""
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import null_space
+
+import stablab.entropic as entropic
 
 from conftest import (assert_reductions_match_references, assert_same_probes,
                       collinear_two_asset_tree, flat_node_tree, gains_per_leaf,
@@ -15,11 +16,11 @@ from conftest import (assert_reductions_match_references, assert_same_probes,
                       near_degenerate_tree, random_viable_tree, trinomial_tree, two_asset_tree,
                       reference_opportunity_process, reference_price_bounds,
                       reference_probes)
-from stablab import (Measure, UtilityField, branching_tree, build_tree, make_power,
-                     martingale_polytope_probes, martingale_price_bounds,
-                     martingale_residual, opportunity_process)
-from stablab.entropic import (VERTEX_TOL, _martingale_basis, _node_vertices, _tree_step,
-                              assert_market_viable)
+from stablab import (Measure, UtilityField, branching_tree, build_tree, make_exponential,
+                     make_perturbed_exponential, make_power, martingale_polytope_probes,
+                     martingale_price_bounds, martingale_residual, minimal_entropy_measure,
+                     opportunity_process)
+from stablab.entropic import VERTEX_TOL, _node_vertices, _tree_step, assert_market_viable
 
 
 def whole_percent(hi):
@@ -228,34 +229,57 @@ def collinear_two_asset_trees(draw):
     return build_tree({"nodes": nodes})
 
 
-# The tree-local basis has dim null(gains') full-rank columns in that null
-# space, and spans the SVD basis up to the perturbation bound: a unit vector x
-# lies within |gains' x| / sigma_min of the null space, sigma_min the smallest
-# nonzero singular value of the gains.  near_degenerate_tree fixes its one
-# martingale measure only up to eps / sigma_min ~ 1e-4 (sigma_min 3e-13): the
-# slack is what covers it; elsewhere it is ~1e-15.
+def first_entropy_step(tree, utility):
+    """(mu0, step) of `minimal_entropy_measure`'s first Newton step, at q0."""
+    seen = {}
+
+    def capture(x, objective, derivatives, tol, what):
+        _, _, step = derivatives(x)
+        seen.update(mu=x, step=step())
+        return x, objective(x), 0.0, 1
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(entropic, "_newton", capture)
+        minimal_entropy_measure(tree, utility)
+    return seen["mu"], seen["step"]
+
+
+# The entropy step is the equality-constrained Newton step of
+# F(mu) = E_P[V(mu/P)] on G' mu = 0, G the gains: dmu of the KKT system
+# [diag(V''/P) U; U' 0] [dmu; lam] = [-V'; 0], whose Hessian block is
+# diag(P/V'')^-1.  U is an orthonormal basis of range(G) from its SVD, the
+# same constraint as G' dmu = 0 where G has dependent columns (the flat node,
+# collinear moves) and with the KKT matrix conditioned like diag(V''/P), not
+# like kappa(G)^2.  Rounding in G fixes null(G') only up to eps * kappa(G),
+# kappa(G) its largest over its least nonzero singular value: the slack that
+# covers near_degenerate_tree (kappa 1.8e12); elsewhere it is ~1e-14.
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(tree=st.one_of(
     st.builds(lambda seed, steps: random_viable_tree(np.random.default_rng(seed), steps),
               st.integers(0, 2 ** 32 - 1), st.integers(1, 3)),
     small_viable_trees(whole_percent),
-    collinear_two_asset_trees()))
-@example(tree=flat_node_tree())
-@example(tree=near_degenerate_tree())
-@example(tree=mixed_branching_tree())
-@example(tree=collinear_two_asset_tree())
-def test_martingale_basis_spans_the_null_space(tree):
-    A = gains_per_leaf(tree)
-    N = _martingale_basis(tree, assert_market_viable(tree))
-    rank = np.linalg.matrix_rank(A)
-    assert N.shape == (tree.n_leaves, tree.n_leaves - rank)
-    assert np.linalg.matrix_rank(N) == N.shape[1]
-    assert np.abs(A.T @ N).max() <= 1e-12 * np.abs(A).max()
-    S = null_space(A.T)
-    Q = np.linalg.qr(N)[0]
-    sigma_min = np.linalg.svd(A, compute_uv=False)[rank - 1]
-    slack = (np.linalg.norm(A.T @ Q, 2) + np.linalg.norm(A.T @ S, 2)) / sigma_min
-    assert np.linalg.norm(S - Q @ (Q.T @ S), 2) <= 1e-10 + slack
+    collinear_two_asset_trees()),
+    utility=st.sampled_from([make_exponential(1.0), make_perturbed_exponential(0.2)]))
+@example(tree=flat_node_tree(), utility=make_exponential(1.0))
+@example(tree=near_degenerate_tree(), utility=make_exponential(1.0))
+@example(tree=mixed_branching_tree(), utility=make_perturbed_exponential(0.2))
+@example(tree=collinear_two_asset_tree(), utility=make_exponential(1.0))
+def test_entropy_step_solves_the_kkt_system(tree, utility):
+    mu, step = first_entropy_step(tree, utility)
+    G = gains_per_leaf(tree)
+    P = tree.path_prob[tree.leaves]
+    curv = np.asarray(utility.conjugate_curvature(mu / P)) / P
+    slope = np.asarray(utility.conjugate_prime(mu / P))
+    U, sv, _ = np.linalg.svd(G, full_matrices=False)
+    rank = int(np.sum(sv > max(G.shape) * np.finfo(float).eps * sv[0]))
+    U = U[:, :rank]
+    kkt = np.block([[np.diag(curv), U], [U.T, np.zeros((rank, rank))]])
+    want = np.linalg.solve(kkt, np.concatenate([-slope, np.zeros(rank)]))[:tree.n_leaves]
+    slack = np.finfo(float).eps * sv[0] / sv[rank - 1]
+    assert np.linalg.norm(step - want) <= (1e-10 + slack) * np.linalg.norm(want)
+    # the step keeps the gains' expectation at rounding level
+    scale = (np.abs(G).T @ np.abs(slope / curv)).max()
+    assert np.abs(G.T @ step).max() <= (1e-14 + slack) * scale
 
 
 COMPLETE_TREES = {f"binomial_T{T}": (lambda T=T: branching_tree(1.0, [2.0, 0.5], [0.5, 0.5], T))
@@ -266,11 +290,12 @@ COMPLETE_TREES["two_asset_T3"] = lambda: branching_tree(
 
 @pytest.mark.parametrize("name", sorted(COMPLETE_TREES))
 def test_complete_trees_have_the_interior_point_as_basis(name):
+    # a complete tree's martingale cone has the vertex centroid q0 as its
+    # basis, so the entropy Newton only finds the scale and returns q0
     tree = COMPLETE_TREES[name]()
     q0 = assert_market_viable(tree)
-    N = _martingale_basis(tree, q0)
-    assert N.shape == (tree.n_leaves, 1)
-    assert np.array_equal(N[:, 0], q0)
+    m = minimal_entropy_measure(tree, make_exponential(1.0)).measure.weights
+    assert np.abs(m - q0).max() <= 1e-13 * q0.max()
 
 
 # The Riccati pass eliminates the nodes of the Newton system G' diag(a) G +

@@ -48,7 +48,7 @@ def test_src_imports_no_lp_and_no_scipy_linalg():
 
 
 ROUTE_NAMES = {"DENSE_NEWTON_MAX", "_dense_route"}
-RETIRED = {"gains_matrix", "_gains_scatter"}
+RETIRED = {"gains_matrix", "_gains_scatter", "_martingale_basis"}
 
 
 def route_names(source: str) -> set[str]:
@@ -70,8 +70,9 @@ def route_names(source: str) -> set[str]:
 
 
 def retired_definitions(source: str) -> set[str]:
-    """Definitions of the retired global gains builders: the layout
-    `entropic._Moves` owns the gains matrix."""
+    """Definitions of the retired global gains builders and of the entropy
+    dual's null-space basis: the layout `entropic._Moves` owns the gains
+    matrix, and the entropy dual takes the primal's Newton step."""
     hits = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -95,6 +96,7 @@ def test_route_names_are_caught(source):
     "def gains_matrix(tree):\n    return None",
     "class ScenarioTree:\n    def _gains_scatter(self):\n        return None",
     "gains_matrix = lambda tree: None",
+    "def _martingale_basis(tree, q0):\n    return q0",
 ])
 def test_retired_definitions_are_caught(source):
     assert retired_definitions(source)
@@ -108,3 +110,55 @@ def test_only_entropic_knows_the_newton_route():
     assert not {p: h for p, h in hits.items() if h}
     retired = {str(p.relative_to(SRC)): retired_definitions(p.read_text()) for p in files}
     assert not {p: h for p, h in retired.items() if h}
+
+
+SOLVERS = {"_holding_step", "_tree_step", "_dense_step", "solve", "lstsq", "pinv", "inv"}
+DENSE_STEP_CALLERS = {"_holding_step", "_tree_step", "_one_step_min"}
+
+
+def step_problems(source: str) -> list[str]:
+    """Newton steps taken outside the shared system.
+
+    `minimal_entropy_measure` must reach a linear solve only through
+    `_holding_step`, and `_dense_step` (under any imported name) may be used
+    only by `_holding_step`, `_tree_step` and the opportunity process's
+    `_one_step_min`, each top-level definition counted with what it nests."""
+    module = ast.parse(source)
+    dense = {"_dense_step"} | {a.asname for node in ast.walk(module)
+                               if isinstance(node, ast.ImportFrom)
+                               for a in node.names if a.name == "_dense_step" and a.asname}
+    problems = []
+    for top in module.body:
+        if isinstance(top, (ast.Import, ast.ImportFrom)):
+            continue
+        used = {n.id for n in ast.walk(top) if isinstance(n, ast.Name)}
+        used |= {n.attr for n in ast.walk(top) if isinstance(n, ast.Attribute)}
+        owner = getattr(top, "name", "module level")
+        if used & dense and owner not in DENSE_STEP_CALLERS:
+            problems.append(f"{owner} uses _dense_step")
+        if owner == "minimal_entropy_measure" and (used & (SOLVERS | dense)) != {"_holding_step"}:
+            problems.append(f"minimal_entropy_measure solves by {sorted(used & (SOLVERS | dense))}")
+    return problems
+
+
+@pytest.mark.parametrize("source", [
+    "def minimal_entropy_measure(tree, u):\n    return _newton(x, f, g, 1e-12, 'entropy')",
+    "def minimal_entropy_measure(tree, u):\n    return _dense_step(hess, grad)",
+    "def minimal_entropy_measure(tree, u):\n    return np.linalg.solve(hess, grad)",
+    "def minimal_entropy_measure(tree, u):\n    def derivatives(mu):\n"
+    "        return _tree_step(tree, move, a, b)\n    return _holding_step(tree, m, w, a, b)",
+    "def solve_primal(tree, u):\n    return _dense_step(hess, grad)",
+    "step = _dense_step(hess, grad)",
+    "from .entropic import _dense_step as solve_block\n"
+    "def opportunity_process(tree, p):\n    return solve_block(hess, grad)",
+    "class Dual:\n    def step(self):\n        return entropic._dense_step(hess, grad)",
+])
+def test_stray_newton_steps_are_caught(source):
+    assert step_problems(source)
+
+
+def test_the_entropy_dual_takes_the_primal_step():
+    files = sorted(SRC.rglob("*.py"))
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in files}
+    assert "def minimal_entropy_measure" in sources["entropic.py"]
+    assert not {p: h for p, h in ((p, step_problems(s)) for p, s in sources.items()) if h}
