@@ -26,11 +26,13 @@ up to DENSE_NEWTON_MAX) the solvers factor the dense (K*d)^2 matrix built
 from the layout's (L, K*d) gains matrix; on larger ones `_tree_step` solves
 the system exactly by one backward Riccati pass over the child blocks and
 one forward pass, in O(K*d^3), with every product with the gains a gather
-or a `bincount` along the leaf paths, so no (L, K*d) array is built.  Each
-node holds its assets in a frame from the SVD of its children's moves;
-holdings the moves cannot see get no gradient and a unit diagonal, so they
-stay zero; the opportunity process uses the same frames and solves its
-one-step blocks by `_dense_step`, least squares where a matrix is singular.
+or a `bincount` along the leaf paths, so no (L, K*d) array is built.
+Per-node arrays of the system are stacked in `tree.column` order.  Each node
+holds its assets in a frame from the SVD of its children's moves, the
+identity where they have full rank; holdings the moves cannot see get no
+gradient and a unit diagonal, so they stay zero.  The opportunity process
+uses the same frames and solves its one-step blocks by `_dense_step`, least
+squares where a matrix is singular.
 """
 from __future__ import annotations
 
@@ -239,14 +241,16 @@ def _newton(x, objective, derivatives, tol, what):
 @dataclass(frozen=True)
 class _Moves:
     """One kind of per-node move (price or return increments) laid out for
-    the stacked holdings h (K, d) of the non-terminal nodes.
+    the stacked holdings h (K, d) of the non-terminal nodes, row
+    `tree.column` of each.
 
     Each node holds its assets in a frame: the right singular vectors of its
     children's moves, the identity where those have full rank by scipy's
     null_space cutoff max(c, d) * eps * sigma_max.  `node` is each node's
     move in its parent's frame, the components outside the row space set to
-    exactly 0; `null` marks those redundant holdings.  frames and null are
-    None when every node has full rank, and then `node` is the move itself.
+    exactly 0; `null` marks those redundant holdings and `unit` (K, d, d)
+    puts 1 on their diagonals.  Every layout carries all three: a full-rank
+    node has the identity frame, no null holding and a zero unit block.
     cols[l, t] is the column of the node at date t on leaf l's path, `leaf`
     the move taken there, and slots the flat (column, asset) index of each
     (leaf, date, asset), of size K*d.  `dense` is the (L, K*d) gains matrix of
@@ -258,8 +262,9 @@ class _Moves:
     cols: np.ndarray
     slots: np.ndarray
     size: int
-    frames: np.ndarray | None
-    null: np.ndarray | None
+    frames: np.ndarray
+    null: np.ndarray
+    unit: np.ndarray
 
     def matrix(self, w):
         """The (L, K*d) gains matrix of the per-leaf moves w (L, T, d): row l
@@ -286,51 +291,36 @@ class _Moves:
         bincount over the (leaf, date) slots."""
         return np.bincount(self.slots, (r[:, None, None] * w).ravel(), self.size)
 
-    def unit(self):
-        """(K, d, d) blocks with 1 on the diagonal of each redundant holding, or None."""
-        if self.null is None:
-            return None
-        return self.null[:, :, None] * np.eye(self.null.shape[1])
-
     def to_frame(self, h):
         """(K, d) holdings in the node frames, redundant ones dropped."""
-        if self.frames is None:
-            return h
         z = np.matmul(h[:, None, :], self.frames)[:, 0]
         z[self.null] = 0.0
         return z
 
     def from_frame(self, z):
-        if self.frames is None:
-            return z
         return np.matmul(self.frames, z[..., None])[..., 0]
 
 
 def _layout(tree: ScenarioTree, move: np.ndarray) -> _Moves:
     """The `_Moves` of the per-node moves `move` (n, d): one batched SVD per child block."""
     K, d = tree.nonterminal.shape[0], tree.n_assets
-    col = np.full(tree.n_nodes, -1, dtype=np.int64)
-    col[tree.nonterminal] = np.arange(K)
-    framed, frames, null = move, None, None
+    framed = move.copy()
+    frames = np.tile(np.eye(d), (K, 1, 1))
+    null = np.zeros((K, d), dtype=bool)
     for nodes, kids in (block for level in tree.child_blocks for block in level):
         _, sv, vh = np.linalg.svd(move[kids])
         rank = np.sum(sv > max(kids.shape[1], d) * np.finfo(float).eps * sv[:, :1], axis=1)
         low = rank < d
-        if not low.any():
-            continue
-        if frames is None:
-            framed = move.copy()
-            frames = np.tile(np.eye(d), (K, 1, 1))
-            null = np.zeros((K, d), dtype=bool)
         V = vh[low].transpose(0, 2, 1)
         drop = np.arange(d) >= rank[low][:, None]
         framed[kids[low]] = np.where(drop[:, None, :], 0.0, np.matmul(move[kids[low]], V))
-        frames[col[nodes[low]]] = V
-        null[col[nodes[low]]] = drop
-    cols = col[tree.paths[:, :-1]]
+        frames[tree.column[nodes[low]]] = V
+        null[tree.column[nodes[low]]] = drop
+    cols = tree.column[tree.paths[:, :-1]]
     slots = (cols[..., None] * d + np.arange(d)).ravel()
-    out = _Moves(framed, framed[tree.paths[:, 1:]], cols, slots, K * d, frames, null)
-    for a in (out.node, out.leaf, cols, slots) + ((frames, null) if frames is not None else ()):
+    out = _Moves(framed, framed[tree.paths[:, 1:]], cols, slots, K * d, frames, null,
+                 null[:, :, None] * np.eye(d))
+    for a in (out.node, out.leaf, cols, slots, frames, null, out.unit):
         a.flags.writeable = False
     return out
 
@@ -351,7 +341,7 @@ def _dense_route(tree: ScenarioTree) -> bool:
     return tree.nonterminal.shape[0] * tree.n_assets <= DENSE_NEWTON_MAX
 
 
-def _tree_step(tree: ScenarioTree, move, a, b, extra=None):
+def _tree_step(tree: ScenarioTree, move, a, b, extra):
     """Minimizer h (K*d,) of sum_l (a_l/2) s_l^2 + b_l s_l + sum_n h_n' E_n h_n / 2,
     s_l = sum over the nodes n on leaf l's path of h_n . move[child of n on it].
 
@@ -361,22 +351,18 @@ def _tree_step(tree: ScenarioTree, move, a, b, extra=None):
     one batched (k, d, d) solve for M^-1 [u v], a_n = sum a_c - u' M^-1 u and
     b_n = sum b_c - u' M^-1 v.  Then one forward pass h_n = -M^-1 (u x_n + v),
     x_child = x_n + h_n . w_child.  Exact, in O(K d^3); extra (K, d, d) is
-    E per non-terminal node, or None for zero blocks.
+    E per non-terminal node, in `tree.column` order.
     """
     A = np.zeros(tree.n_nodes)
     B = np.zeros(tree.n_nodes)
     A[tree.leaves] = a
     B[tree.leaves] = b
-    col = np.zeros(tree.n_nodes, dtype=np.int64)
-    col[tree.nonterminal] = np.arange(tree.nonterminal.shape[0])
     gain = np.zeros((tree.n_nodes, tree.n_assets, 2))
     for level in reversed(tree.child_blocks):
         for nodes, kids in level:
             w = move[kids]
             ac, bc = A[kids], B[kids]
-            M = np.matmul(w.transpose(0, 2, 1), w * ac[..., None])
-            if extra is not None:
-                M += extra[col[nodes]]
+            M = np.matmul(w.transpose(0, 2, 1), w * ac[..., None]) + extra[tree.column[nodes]]
             uv = np.stack([np.einsum("kc,kcd->kd", ac, w), np.einsum("kc,kcd->kd", bc, w)],
                           axis=2)
             gain[nodes] = sol = -_dense_step(M, uv)
@@ -391,21 +377,23 @@ def _tree_step(tree: ScenarioTree, move, a, b, extra=None):
     return h[tree.nonterminal].ravel()
 
 
-def _holding_step(tree: ScenarioTree, moves: _Moves, w, a, b, extra=None):
+def _holding_step(tree: ScenarioTree, moves: _Moves, w, a, b, extra):
     """Newton step of the system above for the per-leaf moves w (L, T, d) of
     the layout `moves`: on the dense route by factoring G' diag(a) G +
     blockdiag(E) against G' b, G the gains matrix of w (the cached one when w
-    is the layout's own), else by `_tree_step` on w scattered to its nodes."""
+    is the layout's own), else by `_tree_step` on the per-node moves (the
+    layout's own, or w scattered to its nodes)."""
+    own = w is moves.leaf
     if not _dense_route(tree):
-        move = np.zeros((tree.n_nodes, tree.n_assets))
-        move[tree.paths[:, 1:]] = w
+        move = moves.node
+        if not own:
+            move = np.zeros((tree.n_nodes, tree.n_assets))
+            move[tree.paths[:, 1:]] = w
         return _tree_step(tree, move, a, b, extra)
-    G = moves.dense if w is moves.leaf else moves.matrix(w)
+    G = moves.dense if own else moves.matrix(w)
     hess = G.T @ (G * a[:, None])
-    if extra is not None:
-        K = extra.shape[0]
-        nodes = np.arange(K)
-        hess.reshape(K, extra.shape[1], K, extra.shape[1])[nodes, :, nodes, :] += extra
+    K, d = extra.shape[:2]
+    hess.reshape(K, d, K, d)[np.arange(K), :, np.arange(K), :] += extra
     return _dense_step(hess, (G.T @ b)[:, None])[:, 0]
 
 
@@ -426,7 +414,6 @@ def solve_primal(tree: ScenarioTree, utility: UtilityOnR, endowment=0.0, *,
     P = tree.path_prob[tree.leaves]
     K = tree.nonterminal.shape[0]
     d = tree.n_assets
-    unit = moves.unit()
     if _dense_route(tree):
         gains, adjoint = moves.dense.__matmul__, moves.dense.T.__matmul__
     else:
@@ -446,7 +433,7 @@ def solve_primal(tree: ScenarioTree, utility: UtilityOnR, endowment=0.0, *,
         grad = adjoint(b)
         gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
         return grad, gnorm, lambda: _holding_step(tree, moves, moves.leaf,
-                                                  -(P * utility.curvature(total)), b, unit)
+                                                  -(P * utility.curvature(total)), b, moves.unit)
 
     h, _, gnorm, it = _newton(h, objective, derivatives, GRAD_TOL, "primal")
     h = moves.from_frame(h.reshape(K, d))
@@ -510,7 +497,6 @@ def minimal_entropy_measure(tree: ScenarioTree, utility: UtilityOnR) -> DualMeas
     mu = assert_market_viable(tree)
     P = tree.path_prob[tree.leaves]
     moves = _price_moves(tree)
-    unit = moves.unit()
 
     def objective(mu):
         if not np.all(mu > 0.0):
@@ -518,10 +504,12 @@ def minimal_entropy_measure(tree: ScenarioTree, utility: UtilityOnR) -> DualMeas
         return float(P @ np.asarray(utility.conjugate(mu / P)))
 
     def derivatives(mu):
-        z = mu / P
-        a = P / np.asarray(utility.conjugate_curvature(z))
-        grad = np.asarray(utility.conjugate_prime(z))
-        lam = _holding_step(tree, moves, moves.leaf, a, a * grad, unit)
+        # V'(z) = -I(z) and V''(z) = -1 / U''(I(z)), I the inverse marginal,
+        # solved once for both
+        x = np.asarray(utility.inverse_marginal(mu / P))
+        a = P / (-1.0 / np.asarray(utility.curvature(x)))
+        grad = -x
+        lam = _holding_step(tree, moves, moves.leaf, a, a * grad, moves.unit)
         r = grad + moves.gains(lam, moves.leaf)
         return r, float(np.max(np.abs(r))), lambda: -a * r
 

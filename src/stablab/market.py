@@ -44,11 +44,14 @@ class ScenarioTree:
     prob : (n,) float array, one-step transition probability from the parent
         (1.0 at the root)
     prices : (n, d) float array
-    children : list of int arrays, children[i] are the child node ids of i
     levels : list of int arrays, levels[t] are the node ids at date t, ascending
     child_blocks : per date 0..T-1, one (nodes, kids) block per child count c:
-        the date's nodes with c children, ascending, and their (k, c) child ids
+        the date's nodes with c children, ascending, and their (k, c) child ids;
+        every walk over a node's children goes through these blocks
     leaves : int array of node ids at the terminal date
+    nonterminal : int array of the other node ids, ascending
+    column : (n,) int array, the row of each non-terminal node in stacked
+        per-node arrays (column[nonterminal[k]] = k), -1 at the leaves
     paths : (L, T+1) int array, paths[k] is the node path from root to leaf k
     path_prob : (n,) float array, probability of reaching each node under the
         tree's own measure
@@ -88,7 +91,6 @@ class ScenarioTree:
         n_children = np.bincount(parent[1:], minlength=n)
         by_parent = np.argsort(parent[1:], kind="stable") + 1
         first_child = np.cumsum(n_children) - n_children
-        self.children = np.split(by_parent, first_child[1:])
         self.levels = np.split(np.argsort(time, kind="stable"),
                                np.cumsum(np.bincount(time))[:-1])
 
@@ -106,7 +108,7 @@ class ScenarioTree:
                 nodes = level[counts == c]
                 kids = by_parent[first_child[nodes, None] + np.arange(c)]
                 blocks[-1].append((nodes, kids))
-                # one row per node, so each row sums exactly as prob[children[i]].sum()
+                # one row per node, so each row sums exactly as a per-node sum does
                 p = prob[kids]
                 failed[nodes] = 1 if c < 2 else np.select(
                     [np.any((p <= PROB_FLOOR) | (p >= 1.0), axis=1),
@@ -140,12 +142,12 @@ class ScenarioTree:
         d_returns[1:] = d_prices[1:] / prices[parent[1:]]
         self.d_returns = d_returns
 
-        leaf_pos = np.full(n, -1, dtype=np.int64)
-        leaf_pos[self.leaves] = np.arange(self.n_leaves)
-        self.leaf_pos = leaf_pos
+        column = np.full(n, -1, dtype=np.int64)
+        column[self.nonterminal] = np.arange(self.nonterminal.shape[0])
+        self.column = column
 
         for a in (parent, time, prob, prices, paths, path_prob, d_prices, d_returns,
-                  leaf_pos, self.leaves, self.nonterminal, *self.children, *self.levels,
+                  column, self.leaves, self.nonterminal, *self.levels,
                   *(x for level in self.child_blocks for block in level for x in block)):
             a.flags.writeable = False
         self._cache = {}
@@ -161,9 +163,6 @@ class ScenarioTree:
     def market_measure(self) -> "Measure":
         """The tree's own measure, as leaf weights."""
         return Measure(self.path_prob[self.leaves].copy())
-
-    def nodes_at(self, t: int) -> np.ndarray:
-        return self.levels[t]
 
     def terminal_prices(self) -> np.ndarray:
         """(L, d) price vectors at the leaves, in leaf order."""

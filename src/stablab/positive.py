@@ -119,7 +119,6 @@ def solve_power_field(tree: ScenarioTree, utility: UtilityOnRPlus, x0: float = 1
     D = np.ones(tree.n_leaves) if field is None else np.asarray(field.weights, dtype=float)
     K = tree.nonterminal.shape[0]
     d = tree.n_assets
-    unit = moves.unit()
     # same-node Hessian blocks: one flat (k, a, b) slot per (leaf, date, a, b)
     slots = (moves.cols[..., None] * (d * d) + np.arange(d * d)).ravel()
 
@@ -145,8 +144,7 @@ def solve_power_field(tree: ScenarioTree, utility: UtilityOnRPlus, x0: float = 1
             # over the (leaf, date) pairs, as each leaf lies on T node paths only
             outer = w[..., :, None] * (w * mXp[:, None, None])[..., None, :]
             same = np.bincount(slots, outer.ravel(), K * d * d).reshape(K, d, d)
-            return _holding_step(tree, moves, w, -(cA + mXp), -mXp,
-                                 same if unit is None else same + unit)
+            return _holding_step(tree, moves, w, -(cA + mXp), -mXp, same + moves.unit)
 
         return grad, gnorm, step
 
@@ -165,7 +163,7 @@ def solve_power_field(tree: ScenarioTree, utility: UtilityOnRPlus, x0: float = 1
 # opportunity process (pure power, dynamic programming)
 
 
-def _one_step_min(cond, dR, Lc, p, extra=None):
+def _one_step_min(cond, dR, Lc, p, extra):
     """Per node n of a block, min over pi_n of sum_c cond * Lc * (1 + pi_n . dR_c)^p.
 
     cond and Lc are (k, c), dR is (k, c, d); convex for p < 0.  The nodes are
@@ -197,9 +195,7 @@ def _one_step_min(cond, dR, Lc, p, extra=None):
         scale = np.maximum(gp.sum(axis=1), 1e-300) * max(1.0, -p)
 
         def step():
-            hess = p * (p - 1.0) * np.matmul(w.transpose(0, 2, 1), w * gp[..., None])
-            if extra is not None:
-                hess += extra
+            hess = p * (p - 1.0) * np.matmul(w.transpose(0, 2, 1), w * gp[..., None]) + extra
             return _dense_step(hess, grad[..., None]).ravel()
 
         return grad.ravel(), float(np.max(np.max(np.abs(grad), axis=1) / scale)), step
@@ -226,16 +222,14 @@ def opportunity_process(tree: ScenarioTree, p: float, x0: float = 1.0,
         raise ValueError("exponent must be negative")
     assert_market_viable(tree)
     moves = _return_moves(tree)
-    unit = moves.unit()
     Lvals = np.zeros(tree.n_nodes)
     Lvals[tree.leaves] = 1.0 if field is None else np.asarray(field.weights, dtype=float)
     frac = np.zeros((tree.n_nodes, tree.n_assets))
     _, cond = conditional_probs(tree, tree.market_measure())
     for level in reversed(tree.child_blocks):
         for nodes, kids in level:
-            Lvals[nodes], frac[nodes] = _one_step_min(
-                cond[kids], moves.node[kids], Lvals[kids], p,
-                None if unit is None else unit[np.searchsorted(tree.nonterminal, nodes)])
+            Lvals[nodes], frac[nodes] = _one_step_min(cond[kids], moves.node[kids], Lvals[kids],
+                                                      p, moves.unit[tree.column[nodes]])
     frac[tree.nonterminal] = moves.from_frame(frac[tree.nonterminal])
     value = Lvals[0] * x0 ** p / p
     return OpportunityProcess(values=AdaptedProcess(Lvals),

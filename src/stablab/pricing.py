@@ -28,13 +28,13 @@ class PriceResult:
     bracket: tuple[float, float]
 
 
-def _check_claim(B) -> np.ndarray:
-    """B as a float array, after checking it is finite and nonnegative."""
+def _check_claim(B, error=ValueError) -> np.ndarray:
+    """B as a float array, if it is finite and nonnegative; raises `error` otherwise."""
     B = np.asarray(B, dtype=float)
     if not np.all(np.isfinite(B)):
-        raise ValueError("claim must be finite on every leaf")
+        raise error("claim must be finite on every leaf")
     if np.any(B < 0.0):
-        raise ValueError("claim must be nonnegative")
+        raise error("claim must be nonnegative")
     return B
 
 

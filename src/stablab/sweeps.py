@@ -26,7 +26,7 @@ from scipy.optimize import nnls
 from .entropic import extract_dual, minimal_entropy_measure, solve_primal
 from .market import (ScenarioTree, _child_sums, bracket_distance, build_tree,
                      conditional_probs)
-from .pricing import _check_tol, davis_price, indifference_price
+from .pricing import _check_claim, _check_tol, davis_price, indifference_price
 from .positive import (exponential_hedge, ratio_diagnostics,
                        scaled_strategy_distance, solve_power_field)
 from .utilities import (UtilityField, conjugate_sandwich_audit,
@@ -154,11 +154,7 @@ def make_claim(tree: ScenarioTree, claim) -> np.ndarray:
         B = np.asarray(claim, dtype=float)
         if B.shape != (tree.n_leaves,):
             raise ConfigError(f"explicit claim needs {tree.n_leaves} leaf values")
-    if not np.all(np.isfinite(B)):
-        raise ConfigError("claim must be finite")
-    if np.any(B < 0.0):
-        raise ConfigError("claim must be nonnegative")
-    return B
+    return _check_claim(B, ConfigError)
 
 
 def _delta_family(fam: dict):

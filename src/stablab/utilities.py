@@ -47,7 +47,8 @@ def _bracketed_root(f, fprime, lo, hi, iters: int = 100):
     """Solve f(x) = 0 componentwise for strictly decreasing f with f(lo) >= 0 >= f(hi).
 
     Newton steps safeguarded by the shrinking bracket; falls back to bisection
-    whenever the Newton candidate leaves the bracket.
+    whenever the Newton candidate leaves the bracket.  A candidate equal to
+    its iterate has converged, even where the iterate is a bracket end.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
@@ -60,7 +61,7 @@ def _bracketed_root(f, fprime, lo, hi, iters: int = 100):
         dfx = fprime(x)
         with np.errstate(divide="ignore", invalid="ignore"):
             xn = x - fx / dfx
-        inside = np.isfinite(xn) & (xn > lo) & (xn < hi)
+        inside = (xn == x) | (np.isfinite(xn) & (xn > lo) & (xn < hi))
         x_new = np.where(inside, xn, 0.5 * (lo + hi))
         if np.all(np.abs(x_new - x) <= 1e-16 * (1.0 + np.abs(x_new))):
             x = x_new

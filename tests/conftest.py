@@ -279,6 +279,14 @@ def assert_same_probes(got, ref, tol=1e-12):
 # library ran before it walked `child_blocks`, kept to check it bit for bit
 
 
+def child_lists(tree):
+    """Child ids of every node, ascending, read off `tree.parent` one node at a time."""
+    children = [[] for _ in range(tree.n_nodes)]
+    for i in range(1, tree.n_nodes):
+        children[tree.parent[i]].append(i)
+    return [np.array(ch, dtype=np.int64) for ch in children]
+
+
 def reference_node_weights(tree, m):
     w = np.zeros(tree.n_nodes)
     w[tree.leaves] = m.weights
@@ -289,10 +297,11 @@ def reference_node_weights(tree, m):
 
 def reference_conditional_probs(tree, m):
     """(W, cond) with cond[i] the child distribution of node i (None at leaves)."""
+    children = child_lists(tree)
     W = reference_node_weights(tree, m)
     cond = [None] * tree.n_nodes
     for i in tree.nonterminal:
-        ch = tree.children[i]
+        ch = children[i]
         if W[i] > 0.0:
             cond[i] = W[ch] / W[i]
         else:
@@ -301,27 +310,30 @@ def reference_conditional_probs(tree, m):
 
 
 def reference_conditional_expectation(tree, m, terminal):
+    children = child_lists(tree)
     W, cond = reference_conditional_probs(tree, m)
     val = np.zeros(tree.n_nodes)
     val[tree.leaves] = terminal
     for i in tree.nonterminal[::-1]:
-        ch = tree.children[i]
+        ch = children[i]
         val[i] = cond[i] @ val[ch]
     return val
 
 
 def reference_martingale_residual(tree, m):
+    children = child_lists(tree)
     W, cond = reference_conditional_probs(tree, m)
     worst = 0.0
     for i in tree.nonterminal:
         if W[i] <= 0.0:
             continue
-        drift = cond[i] @ tree.d_prices[tree.children[i]]
+        drift = cond[i] @ tree.d_prices[children[i]]
         worst = max(worst, float(np.max(np.abs(drift))))
     return worst
 
 
 def reference_bracket_distance(tree, m, a, b):
+    children = child_lists(tree)
     inc = tree.d_prices if a.mode == "shares" else tree.d_returns
     W, cond = reference_conditional_probs(tree, m)
     delta = a.values - b.values
@@ -329,7 +341,7 @@ def reference_bracket_distance(tree, m, a, b):
     for i in tree.nonterminal:
         if W[i] <= 0.0:
             continue
-        ch = tree.children[i]
+        ch = children[i]
         w = cond[i]
         proj = inc[ch] @ delta[i]
         mean = w @ proj
@@ -338,17 +350,19 @@ def reference_bracket_distance(tree, m, a, b):
 
 
 def reference_wealth_martingale_defect(tree, m, wealth):
+    children = child_lists(tree)
     W, cond = reference_conditional_probs(tree, m)
     worst = 0.0
     X = wealth.values
     for i in tree.nonterminal:
         if W[i] <= 0.0:
             continue
-        worst = max(worst, abs(float(cond[i] @ X[tree.children[i]]) - X[i]))
+        worst = max(worst, abs(float(cond[i] @ X[children[i]]) - X[i]))
     return worst
 
 
 def reference_ratio_defects(tree, aux, wealth, tilde, p):
+    children = child_lists(tree)
     W, cond = reference_conditional_probs(tree, aux)
     r = wealth.values / tilde.values
     rp = r ** p
@@ -356,17 +370,18 @@ def reference_ratio_defects(tree, aux, wealth, tilde, p):
     for i in tree.nonterminal:
         if W[i] <= 0.0:
             continue
-        ch = tree.children[i]
+        ch = children[i]
         sup_d = max(sup_d, float(cond[i] @ r[ch]) - r[i])
         sub_d = min(sub_d, float(cond[i] @ rp[ch]) - rp[i])
     return sup_d, sub_d
 
 
 def reference_admissible_box(tree):
+    children = child_lists(tree)
     d = tree.n_assets
     box = np.zeros((tree.n_nodes, d))
     for i in tree.nonterminal:
-        dR = tree.d_returns[tree.children[i]]
+        dR = tree.d_returns[children[i]]
         amax = np.max(np.abs(dR), axis=0)
         amax[amax == 0.0] = 1.0
         box[i] = 1.0 / (amax * d)
@@ -403,12 +418,13 @@ def reference_doob_audit(tree, Q, seed, trials, qs=(0.25, 0.5, 0.75)):
 def assert_reductions_match_references(tree, m, rng):
     """Every one-step reduction under m equals its per-node reference bit for bit,
     on random leaf values, strategies and positive wealths."""
+    children = child_lists(tree)
     W, cond = conditional_probs(tree, m)
     W_ref, cond_ref = reference_conditional_probs(tree, m)
     assert np.array_equal(node_weights(tree, m), W_ref) and np.array_equal(W, W_ref)
     assert cond.shape == tree.prob.shape and cond[0] == 1.0
     for i in tree.nonterminal:
-        assert np.array_equal(cond[tree.children[i]], cond_ref[i])
+        assert np.array_equal(cond[children[i]], cond_ref[i])
     x = rng.normal(size=tree.n_leaves)
     assert np.array_equal(conditional_expectation(tree, m, x).values,
                           reference_conditional_expectation(tree, m, x))
@@ -470,13 +486,14 @@ def reference_node_power_min(cond, dR, Lc, p, tol=1e-13, max_iter=100):
 
 def reference_opportunity_process(tree, p, x0=1.0, field=None):
     """(values, fractions, value, y, converged) of the node-by-node recursion."""
+    children = child_lists(tree)
     Lvals = np.zeros(tree.n_nodes)
     Lvals[tree.leaves] = 1.0 if field is None else np.asarray(field.weights, dtype=float)
     frac = np.zeros((tree.n_nodes, tree.n_assets))
     _, cond = conditional_probs(tree, tree.market_measure())
     converged = True
     for i in tree.nonterminal[::-1]:
-        ch = tree.children[i]
+        ch = children[i]
         Lvals[i], frac[i], ok = reference_node_power_min(cond[ch], tree.d_returns[ch],
                                                          Lvals[ch], p)
         converged = converged and ok

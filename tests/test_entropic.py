@@ -15,7 +15,7 @@ from conftest import (assert_same_probes, collinear_two_asset_tree,
                       reference_probes, three_step_binomial, trinomial_tree, two_asset_tree,
                       two_step_binomial)
 from stablab import (Measure, NoMartingaleMeasure, NonConvergence,
-                     PrimalSolution, Strategy, branching_tree, build_tree,
+                     PrimalSolution, Strategy, UtilityOnR, branching_tree, build_tree,
                      extract_dual, generalized_entropy, make_exponential,
                      make_perturbed_exponential, make_power, martingale_polytope_probes,
                      martingale_price_bounds, martingale_residual,
@@ -301,6 +301,30 @@ def test_minimal_entropy_matches_a_generic_constrained_solver(make, utility):
     assert np.abs(mu - ref.x).max() <= 1e-7 * mu.max()
     assert dual.y == pytest.approx(ref.x.sum(), rel=1e-7)
     assert entropy(mu) <= entropy(ref.x) + 1e-14
+
+
+def test_entropy_step_solves_the_inverse_marginal_once(monkeypatch):
+    # each Newton iteration solves U'(x) = mu/P once for its gradient and
+    # curvature; every other solve is one entropy evaluation of the line search
+    calls = {"inverse_marginal": 0, "conjugate": 0}
+    for name in calls:
+        def counted(self, y, real=getattr(UtilityOnR, name), name=name):
+            calls[name] += 1
+            return real(self, y)
+        monkeypatch.setattr(UtilityOnR, name, counted)
+    iterations = []
+    newton = entropic._newton
+
+    def counted_newton(*args):
+        out = newton(*args)
+        iterations.append(out[3])
+        return out
+
+    monkeypatch.setattr(entropic, "_newton", counted_newton)
+    tree = build_tree({"lattice": {"s0": 1.0, "u": 2.0, "d": 0.5, "q": 0.5, "steps": 8}})
+    minimal_entropy_measure(tree, make_perturbed_exponential(0.2))
+    assert len(iterations) == 1
+    assert calls["inverse_marginal"] == calls["conjugate"] + iterations[0]
 
 
 def test_generalized_entropy_frozen_value():

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from conftest import (assert_reductions_match_references, depth_first_two_asset_tree,
-                      one_step_binomial, one_step_trinomial, random_viable_tree,
+from conftest import (assert_reductions_match_references, child_lists,
+                      depth_first_two_asset_tree, mixed_branching_tree, one_step_binomial,
+                      one_step_trinomial, random_viable_tree,
                       reference_doob_audit, trinomial_tree, two_asset_tree,
                       two_step_binomial)
 from stablab import (AdmissibilityViolation, Measure, ScenarioTree, Strategy,
@@ -25,7 +26,7 @@ def test_lattice_expansion():
     assert np.allclose(sorted(tree.terminal_prices()[:, 0]), [0.25, 1.0, 1.0, 4.0])
     # increments from the parent
     assert tree.d_prices[0, 0] == 0.0
-    up = tree.children[0][0]
+    up = child_lists(tree)[0][0]
     assert tree.prices[up, 0] == 2.0 and tree.d_prices[up, 0] == 1.0
 
 
@@ -47,9 +48,9 @@ def test_level_layout_on_depth_first_ids():
     assert len(tree.levels) == tree.horizon + 1
     for t, nodes in enumerate(tree.levels):
         assert np.array_equal(nodes, np.flatnonzero(tree.time == t))
-        assert np.array_equal(tree.nodes_at(t), nodes)
+    children = child_lists(tree)
     for i in range(tree.n_nodes):
-        assert np.array_equal(tree.children[i], np.flatnonzero(tree.parent == i))
+        assert np.array_equal(children[i], np.flatnonzero(tree.parent == i))
     # per-node references for the dates build_tree derives and the products
     # walked level by level
     time = np.zeros(tree.n_nodes, dtype=np.int64)
@@ -66,6 +67,7 @@ def test_child_blocks_reproduce_children_and_levels():
     trees = [depth_first_two_asset_tree(), trinomial_tree(3), one_step_binomial()]
     for tree in trees + [random_viable_tree(rng, steps=3) for _ in range(5)]:
         assert len(tree.child_blocks) == tree.horizon
+        children = child_lists(tree)
         for t, level in enumerate(tree.child_blocks):
             nodes = np.concatenate([nodes for nodes, _ in level])
             assert np.array_equal(np.sort(nodes), tree.levels[t])
@@ -74,7 +76,7 @@ def test_child_blocks_reproduce_children_and_levels():
             for nodes, kids in level:
                 assert np.all(np.diff(nodes) > 0) and kids.shape[0] == nodes.size
                 for i, row in zip(nodes, kids):
-                    assert np.array_equal(row, tree.children[i])
+                    assert np.array_equal(row, children[i])
                 assert not nodes.flags.writeable and not kids.flags.writeable
         assert isinstance(tree.child_blocks, tuple)
         assert all(isinstance(level, tuple) for level in tree.child_blocks)
@@ -88,10 +90,30 @@ def test_tree_arrays_are_read_only():
         tree.d_prices[1, 0] = 0.0
     arrays = [tree.parent, tree.time, tree.prob, tree.prices, tree.d_prices,
               tree.d_returns, tree.paths, tree.path_prob, tree.leaves,
-              tree.nonterminal, tree.leaf_pos, *tree.children, *tree.levels]
+              tree.nonterminal, tree.column, *tree.levels]
     assert not any(a.flags.writeable for a in arrays)
     # the tree keeps its own copies; the caller's arrays stay writable
     assert parent.flags.writeable and prices.flags.writeable
+
+
+def test_column_inverts_the_nonterminal_ids():
+    rng = np.random.default_rng(9)
+    trees = [depth_first_two_asset_tree(), mixed_branching_tree(), one_step_binomial()]
+    for tree in trees + [random_viable_tree(rng, steps=3) for _ in range(3)]:
+        K = tree.nonterminal.shape[0]
+        assert tree.column.shape == (tree.n_nodes,)
+        assert np.array_equal(tree.column[tree.nonterminal], np.arange(K))
+        assert np.all(tree.column[tree.leaves] == -1)
+        assert not tree.column.flags.writeable
+
+
+def test_no_per_node_lists_on_a_tree():
+    # per-node data lives in arrays; a Python list or tuple attribute holds
+    # at most one entry per date
+    for tree in (depth_first_two_asset_tree(), trinomial_tree(3), two_step_binomial()):
+        sizes = {name: len(value) for name, value in vars(tree).items()
+                 if isinstance(value, (list, tuple))}
+        assert sizes and max(sizes.values()) <= tree.horizon + 1, sizes
 
 
 def test_build_tree_nodes_form_and_file_round_trip(tmp_path):
@@ -204,8 +226,9 @@ def test_node_weights_and_conditional_probs():
     _, cond = conditional_probs(tree, m)
     assert cond.shape == tree.prob.shape
     assert np.allclose(cond, tree.prob)
+    children = child_lists(tree)
     for i in tree.nonterminal:
-        assert abs(cond[tree.children[i]].sum() - 1.0) < 1e-12
+        assert abs(cond[children[i]].sum() - 1.0) < 1e-12
 
 
 def _zeroed(weights, keep):
@@ -229,7 +252,7 @@ def test_one_step_reductions_match_per_node_loops():
         measures = [tree.market_measure(), Measure(rng.dirichlet(np.ones(L))),
                     _zeroed(P, keep), Measure(np.eye(L)[-1]),
                     # the whole subtree below the root's first child is unreached
-                    _zeroed(P, tree.paths[:, 1] != tree.children[0][0])]
+                    _zeroed(P, tree.paths[:, 1] != child_lists(tree)[0][0])]
         for m in measures:
             assert_reductions_match_references(tree, m, rng)
 
@@ -255,8 +278,9 @@ def test_conditional_expectation_tower_and_linearity():
         assert ex.at_root() == pytest.approx(float(w @ x), abs=1e-12)
         # tower: conditional values themselves average correctly one level up
         W = node_weights(tree, m)
+        children = child_lists(tree)
         for i in tree.nonterminal:
-            ch = tree.children[i]
+            ch = children[i]
             if W[i] > 0:
                 assert ex.values[i] == pytest.approx(
                     float(W[ch] @ ex.values[ch]) / W[i], abs=1e-10)
@@ -339,15 +363,16 @@ def test_admissibility_names_lowest_offending_node():
     # a date-2 node early in the id order, and the last date-1 node: the
     # first violating date holds a higher node id than the deeper violation
     deep, shallow = tree.levels[2][0], tree.levels[1][-1]
+    children = child_lists(tree)
     for node in (deep, shallow):
-        r = tree.d_returns[tree.children[node][0]]
+        r = tree.d_returns[children[node][0]]
         pi[node] = -10.0 * r / (r @ r)
     with pytest.raises(AdmissibilityViolation) as ref:
         wealth_multiplicative_per_node(tree, pi, 1.0)
     with pytest.raises(AdmissibilityViolation) as got:
         wealth_multiplicative(tree, Strategy(pi, "fractions"), 1.0)
     assert str(got.value) == str(ref.value)
-    assert f"at node {tree.children[deep][0]} " in str(got.value)
+    assert f"at node {children[deep][0]} " in str(got.value)
 
 
 def test_wealth_multiplicative_and_admissibility():

@@ -104,6 +104,26 @@ def test_dp_holds_fractions_in_the_node_frames():
     assert dp.strategy.values[1, 0] == 0.0
 
 
+def test_every_layout_carries_frames():
+    # frames, null and unit are arrays on every tree: the identity, False and
+    # zero blocks on full-rank nodes, so no solver branches on their absence
+    trees = (lattice(3), branching_tree([1.0, 1.0], TWO_FACTORS, [0.15, 0.35, 0.3, 0.2], 2),
+             flat_node_tree(), near_collinear_two_asset_tree())
+    for tree in trees:
+        K, d = tree.nonterminal.shape[0], tree.n_assets
+        for moves in (entropic._price_moves(tree), entropic._return_moves(tree)):
+            assert moves.frames.shape == (K, d, d)
+            assert moves.null.shape == (K, d) and moves.null.dtype == bool
+            assert np.array_equal(moves.unit, moves.null[:, :, None] * np.eye(d))
+            assert not any(a.flags.writeable for a in (moves.frames, moves.null, moves.unit))
+            full = ~moves.null.any(axis=1)
+            assert np.array_equal(moves.frames[full],
+                                  np.broadcast_to(np.eye(d), (full.sum(), d, d)))
+    # the first two trees have full rank everywhere, the last two do not
+    assert not any(entropic._price_moves(tree).null.any() for tree in trees[:2])
+    assert all(entropic._price_moves(tree).null.any() for tree in trees[2:])
+
+
 def test_t13_lattice_solves_without_the_gains(monkeypatch):
     # K = 8191: the dense (L, K) gains alone would take 537 MB; the whole
     # rung, default probes included, runs without building any

@@ -313,7 +313,7 @@ def test_tree_step_solves_the_newton_system(tree, seed, blocks):
     K, d = tree.nonterminal.shape[0], tree.n_assets
     a = rng.uniform(0.1, 2.0, tree.n_leaves)
     b = rng.standard_normal(tree.n_leaves)
-    extra = None
+    extra = np.zeros((K, d, d))
     H = G.T @ (G * a[:, None])
     if blocks or np.linalg.matrix_rank(H) < K * d:
         root = rng.standard_normal((K, d, d)) * np.abs(G).max()

@@ -43,6 +43,7 @@ def delta_doc(**overrides):
     lambda d: d.update(claim={"kind": "mystery"}),
     lambda d: d.update(claim=[1.0, 2.0]),
     lambda d: d.update(claim=[1.0, -2.0, 0.0, 0.0]),
+    lambda d: d.update(claim=[1.0, float("inf"), 0.0, 0.0]),
     lambda d: d.update(family={"kind": "sine", "a": 40.0}),
     lambda d: d.update(tol=-1.0),
     lambda d: d.update(tol=float("nan")),

@@ -76,6 +76,22 @@ def test_inverse_marginal_round_trip(u):
         u.inverse_marginal(-1.0)
 
 
+def test_inverse_marginal_stops_once_every_entry_converges(monkeypatch):
+    # one curvature call per root-finding iteration: an entry whose Newton
+    # candidate lands on its own iterate (a bracket end) has converged and
+    # must not restart a bisection, so the vector takes as long as a single
+    # value does (7 iterations each on this grid)
+    calls = []
+    curvature = UtilityOnR.curvature
+    monkeypatch.setattr(UtilityOnR, "curvature",
+                        lambda self, x: calls.append(1) or curvature(self, x))
+    u = make_perturbed_exponential(0.2)
+    y = np.linspace(0.05, 3.0, 256)
+    x = u.inverse_marginal(y)
+    assert len(calls) <= 8
+    assert np.max(np.abs(np.asarray(u.marginal(x)) - y) / y) <= 4.0 * np.finfo(float).eps
+
+
 def test_exponential_conjugate_closed_form():
     for alpha in (1.0, 1.5, 3.0):
         u = make_exponential(alpha)
