@@ -8,6 +8,7 @@ configuration or validation error, 3 solver failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -209,7 +210,9 @@ def _cmd_audit(args) -> int:
 # parser and dispatch
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="stablab",
         description="Utility-maximization stability laboratory on scenario trees.")

@@ -498,15 +498,24 @@ def minimal_entropy_measure(tree: ScenarioTree, utility: UtilityOnR) -> DualMeas
     P = tree.path_prob[tree.leaves]
     moves = _price_moves(tree)
 
+    # the inverse marginal x = I(mu/P) of the last mu evaluated; the line
+    # search evaluates an iterate last just before it is accepted
+    solved = {}
+
     def objective(mu):
         if not np.all(mu > 0.0):
             return np.inf
-        return float(P @ np.asarray(utility.conjugate(mu / P)))
+        z = mu / P
+        x = np.asarray(utility.inverse_marginal(z))
+        solved.update(mu=mu, x=x)
+        # V(z) = U(I(z)) - z I(z), as `conjugate` computes it for z > 0
+        return float(P @ (np.asarray(utility.value(x)) - z * x))
 
     def derivatives(mu):
-        # V'(z) = -I(z) and V''(z) = -1 / U''(I(z)), I the inverse marginal,
-        # solved once for both
-        x = np.asarray(utility.inverse_marginal(mu / P))
+        # V'(z) = -I(z) and V''(z) = -1 / U''(I(z)), from the x the objective
+        # solved for this mu
+        x = solved["x"] if solved.get("mu") is mu else \
+            np.asarray(utility.inverse_marginal(mu / P))
         a = P / (-1.0 / np.asarray(utility.curvature(x)))
         grad = -x
         lam = _holding_step(tree, moves, moves.leaf, a, a * grad, moves.unit)

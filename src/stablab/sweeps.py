@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .entropic import extract_dual, minimal_entropy_measure, solve_primal
-from .market import (ScenarioTree, _child_sums, bracket_distance, build_tree,
+from .market import (ScenarioTree, bracket_distance, build_tree,
                      conditional_probs)
 from .pricing import _check_claim, _check_tol, davis_price, indifference_price
 from .positive import (exponential_hedge, ratio_diagnostics,
@@ -440,6 +440,11 @@ def shipped_families():
     )
 
 
+# the audit takes as many trials per block as keep block * n_nodes * (T+1)
+# within this many doubles, so its memory does not grow with the trial count
+AUDIT_BLOCK_DOUBLES = 2 ** 18
+
+
 def audit_probabilistic_lemmas(tree: ScenarioTree, seed: int = 42,
                                trials: int = 1000,
                                qs=(0.25, 0.5, 0.75)) -> AuditReport:
@@ -449,6 +454,18 @@ def audit_probabilistic_lemmas(tree: ScenarioTree, seed: int = 42,
     centered martingale from random terminal values, A a nondecreasing
     adapted drift, so Z_0 = 0 and Z is a supermartingale.  The bound checked
     is E[sup_t |Z_t|^q] <= 2^q / (1-q) * E[|Z_T|]^q for each exponent q.
+
+    Trials run in blocks of AUDIT_BLOCK_DOUBLES / (n_nodes * (T+1)).  The
+    draws stay per trial and in order: normal leaf values, then n_nodes + 1
+    uniforms r on [0, 1) whose first gives the scale 0.5 + 1.5 r and the
+    rest the drift increments 0.5 r, bit for bit what `uniform(0.5, 2)`
+    and `uniform(0, 0.5, n_nodes)` draw.  Each block takes one backward pass
+    for M, one pass per date for A, one max for the path suprema and one
+    weighted sum per exponent.  Every weighted sum is an elementwise product
+    summed along the last axis of a C-ordered array, so each trial's row
+    equals its own `(w * v).sum()`.  No BLAS dot: its rounding depends on
+    the operands' memory layout (a strided row and its contiguous copy
+    give different bits).
     """
     if trials < 100:
         raise ValueError("audits need at least 100 trials")
@@ -456,27 +473,40 @@ def audit_probabilistic_lemmas(tree: ScenarioTree, seed: int = 42,
     rng = np.random.default_rng(seed)
     violations = 0
     max_ratio = 0.0
+    n, L = tree.n_nodes, tree.n_leaves
     leaves = tree.leaves
     qw = Q.weights
     _, cond = conditional_probs(tree, Q)
-    M = np.zeros(tree.n_nodes)
-    for _ in range(trials):
-        M[leaves] = rng.normal(size=tree.n_leaves) * rng.uniform(0.5, 2.0)
-        _child_sums(tree, cond, M, out=M)
-        drift = np.zeros(tree.n_nodes)
-        inc = rng.uniform(0.0, 0.5, size=tree.n_nodes)
+    block = max(1, AUDIT_BLOCK_DOUBLES // (n * tree.paths.shape[1]))
+    for start in range(0, trials, block):
+        b = min(block, trials - start)
+        xi = np.empty((b, L))
+        draws = np.empty((b, n + 1))
+        for j in range(b):
+            xi[j] = rng.normal(size=L)
+            rng.random(out=draws[j])
+        M = np.zeros((b, n))
+        M[:, leaves] = xi * (0.5 + 1.5 * draws[:, :1])
+        # np.take gathers in C order; M[:, kids] would gather column-major,
+        # and numpy sums such rows in another order
+        for level in reversed(tree.child_blocks):
+            for nodes, kids in level:
+                M[:, nodes] = (cond[kids] * np.take(M, kids, axis=1)).sum(axis=-1)
+        inc = 0.5 * draws[:, 1:]
+        drift = np.zeros((b, n))
         for nodes in tree.levels[1:]:
-            drift[nodes] = drift[tree.parent[nodes]] + inc[nodes]
-        Z = M - M[0] - drift
-        path_sup = np.max(np.abs(Z[tree.paths]), axis=1)
-        zT = float(qw @ np.abs(Z[leaves]))
+            drift[:, nodes] = drift[:, tree.parent[nodes]] + inc[:, nodes]
+        absZ = np.abs(M - M[:, :1] - drift)
+        path_sup = np.max(np.take(absZ, tree.paths, axis=1), axis=-1)
+        zT = (qw * np.take(absZ, leaves, axis=1)).sum(axis=-1).tolist()
         for q in qs:
-            lhs = float(qw @ path_sup ** q)
-            rhs = 2.0 ** q / (1.0 - q) * zT ** q
-            if rhs > 0.0:
-                max_ratio = max(max_ratio, lhs / rhs)
-            if lhs > rhs * (1.0 + 1e-12) + 1e-15:
-                violations += 1
+            lhs = (qw * path_sup ** q).sum(axis=-1)
+            # Python's scalar pow; numpy's vector power can differ by an ulp
+            rhs = 2.0 ** q / (1.0 - q) * np.array([z ** q for z in zT])
+            pos = rhs > 0.0
+            if np.any(pos):
+                max_ratio = max(max_ratio, float(np.max(lhs[pos] / rhs[pos])))
+            violations += int(np.count_nonzero(lhs > rhs * (1.0 + 1e-12) + 1e-15))
     sandwich = 0.0
     fams = shipped_families()
     for _, fam in fams:

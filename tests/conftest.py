@@ -389,14 +389,20 @@ def reference_admissible_box(tree):
 
 
 def reference_doob_audit(tree, Q, seed, trials, qs=(0.25, 0.5, 0.75)):
-    """(violations, max ratio) of the audit's supermartingale trials, node by node."""
+    """(violations, max ratio) of the audit's supermartingale trials, trial by
+    trial and node by node, from the draws normal, uniform, uniform per trial;
+    every weighted sum is `(w * v).sum()`."""
+    children = child_lists(tree)
+    _, cond = reference_conditional_probs(tree, Q)
     rng = np.random.default_rng(seed)
     violations = 0
     max_ratio = 0.0
     qw = Q.weights
     for _ in range(trials):
-        xi = rng.normal(size=tree.n_leaves) * rng.uniform(0.5, 2.0)
-        M = reference_conditional_expectation(tree, Q, xi)
+        M = np.zeros(tree.n_nodes)
+        M[tree.leaves] = rng.normal(size=tree.n_leaves) * rng.uniform(0.5, 2.0)
+        for i in tree.nonterminal[::-1]:
+            M[i] = (cond[i] * M[children[i]]).sum()
         M = M - M[0]
         drift = np.zeros(tree.n_nodes)
         inc = rng.uniform(0.0, 0.5, size=tree.n_nodes)
@@ -404,9 +410,9 @@ def reference_doob_audit(tree, Q, seed, trials, qs=(0.25, 0.5, 0.75)):
             drift[i] = drift[tree.parent[i]] + inc[i]
         Z = M - drift
         path_sup = np.max(np.abs(Z[tree.paths]), axis=1)
-        zT = float(qw @ np.abs(Z[tree.leaves]))
+        zT = float((qw * np.abs(Z[tree.leaves])).sum())
         for q in qs:
-            lhs = float(qw @ path_sup ** q)
+            lhs = float((qw * path_sup ** q).sum())
             rhs = 2.0 ** q / (1.0 - q) * zT ** q
             if rhs > 0.0:
                 max_ratio = max(max_ratio, lhs / rhs)

@@ -172,6 +172,23 @@ def test_unknown_subcommand_exits_via_argparse(capsys):
     capsys.readouterr()
 
 
+def test_main_reuses_one_parser(tmp_path, capsys):
+    # the parser is built once; an argparse exit leaves it fit for the next call
+    assert cli_mod.build_parser() is cli_mod.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--trials", "120", "--tol", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1" in capsys.readouterr().err
+    assert main(["audit", "--out", str(tmp_path), "--trials", "120", "--seed", "3"]) == 0
+    assert "audit: 120 trials" in capsys.readouterr().out
+    doc = read_json(tmp_path, "audit.json")
+    assert (doc["trials"], doc["seed"], doc["ok"]) == (120, 3, True)
+    assert main(["audit", "--out", str(tmp_path), "--trials", "50"]) == 2
+    assert "at least 100 trials" in capsys.readouterr().err
+    assert main(["audit", "--out", str(tmp_path)]) == 0
+    assert read_json(tmp_path, "audit.json")["seed"] == 42
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--config", f"{CONFIGS}/solve_exponential.json", "--tol", "5"],
     ["solve", "--config", f"{CONFIGS}/solve_exponential.json", "--seed", "9"],

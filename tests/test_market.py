@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import stablab.sweeps as sweeps
+
 from conftest import (assert_reductions_match_references, child_lists,
                       depth_first_two_asset_tree, mixed_branching_tree, one_step_binomial,
                       one_step_trinomial, random_viable_tree,
@@ -257,12 +259,27 @@ def test_one_step_reductions_match_per_node_loops():
             assert_reductions_match_references(tree, m, rng)
 
 
-def test_audit_matches_per_node_loop():
-    tree = two_asset_tree(2)
-    report = audit_probabilistic_lemmas(tree, seed=4, trials=100)
-    Q = minimal_entropy_measure(tree, make_exponential(1.0)).measure
-    assert (report.doob_violations, report.doob_max_ratio) == \
-        reference_doob_audit(tree, Q, seed=4, trials=100)
+# binomial T2 and T5, trinomial T3, two-asset T2
+AUDIT_TREES = (
+    two_step_binomial,
+    lambda: build_tree({"lattice": {"s0": 1.0, "u": 2.0, "d": 0.5, "q": 0.5, "steps": 5}}),
+    lambda: trinomial_tree(3),
+    lambda: two_asset_tree(2),
+)
+
+
+def test_audit_matches_per_node_loop(monkeypatch):
+    # 300 trials: one block by default, then 43 blocks of 7 (the last one short)
+    for make in AUDIT_TREES:
+        tree = make()
+        Q = minimal_entropy_measure(tree, make_exponential(1.0)).measure
+        for seed in range(1, 6):
+            ref = reference_doob_audit(tree, Q, seed=seed, trials=300)
+            for block in (sweeps.AUDIT_BLOCK_DOUBLES, 7 * tree.n_nodes * tree.paths.shape[1]):
+                with monkeypatch.context() as patch:
+                    patch.setattr(sweeps, "AUDIT_BLOCK_DOUBLES", block)
+                    report = audit_probabilistic_lemmas(tree, seed=seed, trials=300)
+                assert (report.doob_violations, report.doob_max_ratio) == ref
 
 
 def test_conditional_expectation_tower_and_linearity():

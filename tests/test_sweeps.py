@@ -1,11 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import two_step_binomial
 from stablab import (AuditReport, ConfigError, SweepReport,
-                     audit_probabilistic_lemmas, fit_rate, load_config,
+                     audit_probabilistic_lemmas, build_tree, fit_rate, load_config,
                      report_csv, report_json, shipped_families, sweep_delta,
                      sweep_p)
 from stablab.sweeps import DELTA_COLUMNS, P_COLUMNS, _run_grid
@@ -301,6 +302,19 @@ def test_audit_ok_on_binomial():
 def test_audit_requires_enough_trials():
     with pytest.raises(ValueError):
         audit_probabilistic_lemmas(two_step_binomial(), trials=50)
+
+
+def test_audit_memory_is_bounded_by_its_blocks():
+    # all 4000 trials at once hold 4000 x 256 x 9 path values (74 MB)
+    tree = build_tree({"lattice": {"s0": 1.0, "u": 2.0, "d": 0.5, "q": 0.5, "steps": 8}})
+    tracemalloc.start()
+    try:
+        rep = audit_probabilistic_lemmas(tree, seed=3, trials=4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.trials == 4000 and rep.ok
+    assert peak <= 16 * 2 ** 20
 
 
 def test_shipped_families_are_unique():
