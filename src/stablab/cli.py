@@ -18,7 +18,7 @@ import numpy as np
 from .entropic import extract_dual, solve_primal, verify_optimality
 from .market import TreeValidationError
 from .positive import opportunity_process, solve_power_field
-from .pricing import _check_tol, davis_price, indifference_price
+from .pricing import _check_tol, _indifference, davis_price
 from .sweeps import (ConfigError, SCHEMA_VERSION, audit_probabilistic_lemmas,
                      config_number, load_config, make_claim, market_tree,
                      report_csv, report_json, sweep_delta, sweep_p)
@@ -149,7 +149,7 @@ def _cmd_price(args) -> int:
     sol = solve_primal(tree, utility, x0)
     dual = extract_dual(tree, utility, sol)
     davis = davis_price(dual, B)
-    indiff = indifference_price(tree, utility, x0, B, tol=tol)
+    indiff = _indifference(tree, utility, x0, B, tol, sol, dual)
     out = {
         "schema_version": SCHEMA_VERSION,
         "davis": davis.price,

@@ -69,6 +69,7 @@ class NonConvergence(RuntimeError):
 
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (residual {residual:.3e})")
+        self.message = message
         self.residual = residual
 
 
@@ -424,11 +425,20 @@ def solve_primal(tree: ScenarioTree, utility: UtilityOnR, endowment=0.0, *,
     else:
         h = np.zeros(K * d)
 
+    # the terminal wealth of the last h evaluated; the line search evaluates
+    # an iterate last just before it is accepted
+    solved = {}
+
     def objective(hvec):
-        return -float(P @ utility.value(gains(hvec) + xi))
+        total = gains(hvec) + xi
+        solved.update(h=hvec, total=total)
+        # a step far out along a loss overflows U to -inf (or nan): the line
+        # search rejects it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return -float(P @ utility.value(total))
 
     def derivatives(hvec):
-        total = gains(hvec) + xi
+        total = solved["total"] if solved.get("h") is hvec else gains(hvec) + xi
         b = -(P * utility.marginal(total))
         grad = adjoint(b)
         gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0

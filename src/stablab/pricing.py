@@ -1,23 +1,30 @@
 """Davis (fair) prices and indifference buyer's prices for terminal claims.
 
 The Davis price is the claim's expectation under the agent's dual measure.
-The indifference price solves u(x0 + B - p) = u(x0) with Brent's method: the
-value is smooth and strictly decreasing in p (cash translation), and the
-claim's leafwise range [min B, max B] always brackets the root.  Each value
-re-solves the primal with the previous optimum as warm start.
+The indifference price p is the root of g(p) = V(x0 + B - p) - V(x0), V the
+optimal value.  g is concave and decreasing, with g'(p) = -y_p, y_p =
+E_P[U'(X*_p)] the marginal utility of the optimal wealth with the claim
+bought at p, and weak duality with the base problem's dual measure Q gives
+g(E_Q[B]) <= 0.  So Newton's method p <- p + g(p)/y_p, started at the Davis
+price E_Q[B], falls monotonically to the root and never solves at the ends
+of the claim's range [min B, max B].  Each iterate is one primal solve,
+warm-started from the previous optimum; on a complete market the Davis price
+is already the root, and the price costs one solve.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .entropic import DualMeasure, solve_primal
+from .entropic import DualMeasure, NonConvergence, PrimalSolution, extract_dual, solve_primal
 from .market import ScenarioTree
 from .utilities import UtilityOnR
 
 __all__ = ["PriceResult", "davis_price", "indifference_price"]
+
+PRICE_STEP_TOL = 1e-12   # Newton step at which the price stops, relative to max(1, |p|)
+PRICE_STEPS = 50         # Newton iterations before the price gives up
 
 
 @dataclass(frozen=True)
@@ -59,36 +66,37 @@ def indifference_price(tree: ScenarioTree, utility: UtilityOnR, x0: float, B,
     _check_tol(tol)
     B = _check_claim(np.broadcast_to(np.asarray(B, dtype=float), (tree.n_leaves,)))
     base = solve_primal(tree, utility, x0)
+    return _indifference(tree, utility, x0, B, tol, base, extract_dual(tree, utility, base))
+
+
+def _indifference(tree: ScenarioTree, utility: UtilityOnR, x0: float, B: np.ndarray,
+                  tol: float, base: PrimalSolution, dual: DualMeasure) -> PriceResult:
+    """The indifference price of the checked leaf claim B, given the solve
+    without the claim at x0 and its dual: Newton from the Davis price."""
+    P = tree.path_prob[tree.leaves]
     lo, hi = float(np.min(B)), float(np.max(B))
-
+    # a constant claim is priced outright by cash translation
+    p = lo if hi - lo <= 0.0 else min(max(float(dual.measure.weights @ B), lo), hi)
     warm = base.strategy
-    gaps = {}
-
-    def gap(p):
-        # value with the claim bought at p minus the value without it; one solve per p
-        nonlocal warm
-        if p not in gaps:
+    for it in range(1, PRICE_STEPS + 1):
+        where = f"indifference Newton iteration {it} at price {p!r}"
+        try:
             sol = solve_primal(tree, utility, x0 + B - p, initial=warm)
-            warm = sol.strategy
-            gaps[p] = sol.value - base.value
-        return gaps[p]
-
-    if hi - lo <= 0.0:
-        # constant claim: cash translation gives the price outright
-        return PriceResult(price=lo, method="indifference", residual=abs(gap(lo)),
-                           bracket=(lo, hi))
-
-    flo, fhi = gap(lo), gap(hi)
-    # value is decreasing in the price paid, so flo >= 0 >= fhi
-    if flo < -1e-12 or fhi > 1e-12:
-        raise RuntimeError(
-            f"indifference bracket failed: value differences ({flo:.3e}, {fhi:.3e})")
-    # an endpoint whose gap has the wrong sign within that slack is the price
-    ends = {lo: max(flo, 0.0), hi: min(fhi, 0.0)}
-    price = float(brentq(lambda p: ends[p] if p in ends else gap(p), lo, hi,
-                         xtol=1e-15, rtol=1e-15))
-    residual = abs(gap(price))
+        except NonConvergence as e:
+            raise NonConvergence(f"{where}: {e.message}", e.residual) from e
+        warm = sol.strategy
+        gap = sol.value - base.value
+        step = gap / float(P @ utility.marginal(sol.total))
+        if hi - lo <= 0.0 or abs(step) <= PRICE_STEP_TOL * max(1.0, abs(p)):
+            break
+        # g is concave with g(p) <= 0 from the Davis price on, so every step falls
+        if not step < 0.0:
+            raise NonConvergence(f"{where}: step {step:.3e} does not fall", abs(gap))
+        p = max(p + step, lo)
+    else:
+        raise NonConvergence(f"{where}: no convergence in {PRICE_STEPS} steps", abs(gap))
+    residual = abs(gap)
     if residual > tol:
         raise RuntimeError(f"indifference residual {residual:.3e} above tolerance {tol:.1e}")
-    return PriceResult(price=price, method="indifference", residual=residual,
+    return PriceResult(price=p, method="indifference", residual=residual,
                        bracket=(lo, hi))

@@ -26,7 +26,7 @@ from scipy.optimize import nnls
 from .entropic import extract_dual, minimal_entropy_measure, solve_primal
 from .market import (ScenarioTree, bracket_distance, build_tree,
                      conditional_probs)
-from .pricing import _check_claim, _check_tol, davis_price, indifference_price
+from .pricing import _check_claim, _check_tol, _indifference, davis_price
 from .positive import (exponential_hedge, ratio_diagnostics,
                        scaled_strategy_distance, solve_power_field)
 from .utilities import (UtilityField, conjugate_sandwich_audit,
@@ -248,7 +248,7 @@ def sweep_delta(spec: SweepSpec) -> SweepReport:
     base = solve_primal(tree, U0, spec.x0)
     Q = extract_dual(tree, U0, base)
     davis0 = davis_price(Q, B).price
-    indiff0 = indifference_price(tree, U0, spec.x0, B, tol=spec.tol).price
+    indiff0 = _indifference(tree, U0, spec.x0, B, spec.tol, base, Q).price
 
     def one(delta: float) -> dict:
         U = fam(delta)
@@ -262,7 +262,7 @@ def sweep_delta(spec: SweepSpec) -> SweepReport:
             "value_err": abs(sol.value - base.value),
             "bracket_dist": bracket_distance(tree, Q.measure, sol.strategy, base.strategy),
             "davis_err": abs(davis_price(dual, B).price - davis0),
-            "indiff_err": abs(indifference_price(tree, U, spec.x0, B, tol=spec.tol).price
+            "indiff_err": abs(_indifference(tree, U, spec.x0, B, spec.tol, sol, dual).price
                               - indiff0),
             "dq_l1": float(np.sum(np.abs(dual.measure.weights - Q.measure.weights))),
         }

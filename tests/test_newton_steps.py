@@ -65,6 +65,42 @@ def test_tree_route_matches_the_dense_route(name, monkeypatch):
         assert got.value == pytest.approx(want.value, rel=1e-14)
 
 
+def solve_counting_gains(monkeypatch, dense, tree, u, reuse):
+    """solve_primal on a route with its gains products counted; with reuse
+    False, every Newton step recomputes the wealth its line search found for
+    the same holdings."""
+    count = [0]
+    gains, newton = entropic._Moves.gains, entropic._newton
+
+    def counted(self, h, w):
+        count[0] += 1
+        return gains(self, h, w)
+
+    def fresh(x, objective, derivatives, tol, what):
+        return newton(x, objective, lambda h: derivatives(h.copy()), tol, what)
+
+    with monkeypatch.context() as m:
+        m.setattr(entropic._Moves, "gains", counted)
+        if not reuse:
+            m.setattr(entropic, "_newton", fresh)
+        return on_route(m, dense, solve_primal, tree, u), count[0]
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_TREES))
+def test_primal_reuses_the_line_search_wealth(name, monkeypatch):
+    # each accepted iterate takes one gains product, in the line search; the
+    # Newton step reuses its wealth and so takes the same steps
+    tree = ROUTE_TREES[name][0]()
+    u = make_perturbed_exponential(0.3, alpha=1.2, a=0.2, omega=0.9)
+    for dense in (True, False):
+        sol, count = solve_counting_gains(monkeypatch, dense, tree, u, True)
+        ref, ref_count = solve_counting_gains(monkeypatch, dense, tree, u, False)
+        assert np.array_equal(sol.strategy.values, ref.strategy.values)
+        assert sol.value == ref.value and sol.iterations == ref.iterations
+        if not dense:
+            assert count < ref_count and ref_count - count == sol.iterations
+
+
 def test_near_collinear_holdings_are_dropped():
     # the root's two assets move together up to rounding: the frame keeps one
     # holding, along the moves, and both solvers converge

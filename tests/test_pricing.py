@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ import pytest
 import stablab.pricing
 from conftest import (one_step_trinomial, reference_indifference_price, trinomial_tree,
                       two_asset_tree, two_step_binomial)
-from stablab import (NonConvergence, build_tree, davis_price, extract_dual,
-                     indifference_price, make_exponential, make_perturbed_exponential,
-                     martingale_price_bounds, solve_primal)
+from stablab import (DualMeasure, Measure, NonConvergence, build_tree, davis_price,
+                     extract_dual, indifference_price, make_exponential,
+                     make_perturbed_exponential, martingale_price_bounds, solve_primal)
+from stablab.pricing import _indifference
 
 
 def call_claim(tree, strike=1.0):
@@ -157,12 +159,14 @@ def test_noise_level_claim_prices_at_an_endpoint(tree, level):
 
 @pytest.mark.parametrize("steps", [6, 8])
 def test_price_takes_few_solves(monkeypatch, steps):
+    # complete market: the Davis price is the root, so the base solve and one
+    # solve there price the call
     tree = crr_tree(steps)
     count = counting_solves(monkeypatch)
     for strike in (0.9, 1.0, 1.1):
         count[0] = 0
         indifference_price(tree, make_exponential(1.0), 0.0, call_claim(tree, strike))
-        assert count[0] <= 12
+        assert count[0] <= 3
 
 
 def test_constant_claim_takes_two_solves(monkeypatch):
@@ -171,10 +175,71 @@ def test_constant_claim_takes_two_solves(monkeypatch):
     assert count[0] == 2
 
 
-def test_wide_lattice_call_still_fails_at_an_endpoint():
-    # u=2/d=0.5 at T=4: the primal at an endpoint stops just above its gradient
-    # tolerance, before any root finding starts
-    tree = build_tree({"lattice": {"s0": 1.0, "u": 2.0, "d": 0.5, "q": 0.5, "steps": 4}})
-    with pytest.raises(NonConvergence, match=r"primal Newton did not reach gradient "
-                                             r"tolerance \(residual 2\.910e-10\)"):
+@pytest.mark.parametrize("steps", [4, 5, 6, 8])
+def test_wide_lattice_call_prices_at_the_bounds(monkeypatch, steps):
+    # u=2/d=0.5: the primal solves at the claim's range ends fail, and the
+    # Newton iteration from the Davis price never makes them
+    tree = build_tree({"lattice": {"s0": 1.0, "u": 2.0, "d": 0.5, "q": 0.5, "steps": steps}})
+    B = call_claim(tree)
+    count = counting_solves(monkeypatch)
+    res = indifference_price(tree, make_exponential(1.0), 0.0, B)
+    assert count[0] <= 3
+    lo, hi = martingale_price_bounds(tree, B)
+    assert abs(res.price - lo) <= 1e-10 and abs(res.price - hi) <= 1e-10
+
+
+@pytest.mark.parametrize("x0", [20.0, 40.0])
+def test_price_where_the_value_rounds_flat_raises(x0):
+    # far out on the exponential, the value rounds to its supremum and the
+    # primal stops before it hedges: the dual's martingale check refuses to
+    # price from it rather than return a wrong price (the true one is 1/3)
+    tree = two_step_binomial()
+    with pytest.raises(NonConvergence, match="dual measure is not a martingale measure"):
+        indifference_price(tree, make_exponential(1.0), x0, call_claim(tree))
+
+
+def test_newton_failure_names_the_iterate(monkeypatch):
+    tree = one_step_trinomial()
+    u = make_exponential(1.0)
+    B = call_claim(tree)
+    calls = [0]
+
+    def failing(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] == 2:
+            raise NonConvergence("primal Newton did not reach gradient tolerance", 2.5e-10)
+        return solve_primal(*args, **kwargs)
+
+    # the first iterate is the Davis price
+    davis = davis_price(dual_for(tree, u), B).price
+    monkeypatch.setattr(stablab.pricing, "solve_primal", failing)
+    with pytest.raises(NonConvergence, match=rf"^indifference Newton iteration 1 at price "
+                                             rf"{re.escape(repr(davis))}: primal Newton did not "
+                                             r"reach gradient tolerance \(residual 2\.500e-10\)$") \
+            as err:
+        indifference_price(tree, u, 0.0, B)
+    assert err.value.residual == 2.5e-10
+
+
+def test_newton_refuses_a_start_below_the_price():
+    # the Davis price bounds the root from above; a start at min B lies below
+    # it, so the first step rises, and the price stops rather than climb
+    tree = one_step_trinomial()
+    u = make_exponential(1.0)
+    B = call_claim(tree)
+    base = solve_primal(tree, u)
+    low = DualMeasure(Measure((B == B.min()) / np.sum(B == B.min())), 1.0, 0.0)
+    with pytest.raises(NonConvergence, match=r"^indifference Newton iteration 1 at price 0\.0: "
+                                             r"step \d\.\d{3}e-\d\d does not fall") as err:
+        _indifference(tree, u, 0.0, B, 1e-9, base, low)
+    assert err.value.residual > 0.0
+
+
+def test_newton_gives_up_after_its_steps(monkeypatch):
+    # the incomplete trinomial needs more than one Newton step
+    tree = one_step_trinomial()
+    monkeypatch.setattr(stablab.pricing, "PRICE_STEPS", 1)
+    with pytest.raises(NonConvergence, match=r"^indifference Newton iteration 1 at price "
+                                             r"\S+: no convergence in 1 steps") as err:
         indifference_price(tree, make_exponential(1.0), 0.0, call_claim(tree))
+    assert err.value.residual > 0.0

@@ -9,17 +9,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stablab.entropic as entropic
+import stablab.pricing
 
 from conftest import (assert_reductions_match_references, assert_same_probes,
                       collinear_two_asset_tree, flat_node_tree, gains_per_leaf,
                       mixed_branching_tree,
                       near_degenerate_tree, random_viable_tree, trinomial_tree, two_asset_tree,
-                      reference_opportunity_process, reference_price_bounds,
-                      reference_probes)
-from stablab import (Measure, UtilityField, branching_tree, build_tree, make_exponential,
-                     make_perturbed_exponential, make_power, martingale_polytope_probes,
-                     martingale_price_bounds, martingale_residual, minimal_entropy_measure,
-                     opportunity_process)
+                      reference_indifference_price, reference_opportunity_process,
+                      reference_price_bounds, reference_probes)
+from stablab import (Measure, UtilityField, branching_tree, build_tree, indifference_price,
+                     make_exponential, make_perturbed_exponential, make_power,
+                     martingale_polytope_probes, martingale_price_bounds, martingale_residual,
+                     minimal_entropy_measure, opportunity_process, solve_primal)
 from stablab.entropic import VERTEX_TOL, _node_vertices, _tree_step, assert_market_viable
 
 
@@ -322,3 +323,38 @@ def test_tree_step_solves_the_newton_system(tree, seed, blocks):
     want = np.linalg.solve(H, -(G.T @ b))
     got = _tree_step(tree, tree.d_prices, a, b, extra)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@st.composite
+def trinomial_calls(draw):
+    """A trinomial `branching_tree` (an up, a middle and a down factor, T <= 3)
+    and a call struck between its least and greatest terminal prices."""
+    up, mid, down = (draw(st.floats(1.05, 1.5)), draw(st.floats(0.96, 1.04)),
+                     draw(st.floats(0.6, 0.95)))
+    w = np.array([draw(st.floats(0.1, 1.0)) for _ in range(3)])
+    tree = branching_tree(1.0, [up, mid, down], w / w.sum(), draw(st.integers(1, 3)))
+    S = tree.terminal_prices()[:, 0]
+    strike = S.min() + draw(st.floats(0.05, 0.95)) * (S.max() - S.min())
+    return tree, np.maximum(S - strike, 0.0)
+
+
+# Newton from the Davis price falls monotonically onto the indifference price.
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=trinomial_calls(), x0=st.floats(-2.0, 2.0), alpha=st.floats(0.5, 2.0))
+def test_indifference_newton_falls_onto_the_price(case, x0, alpha):
+    tree, B = case
+    u = make_exponential(alpha)
+    iterates = []
+
+    def recording(tree, utility, endowment=0.0, *, initial=None):
+        if initial is not None:
+            # the claim is 0 on the lowest leaf, where the endowment is x0 - p
+            iterates.append(x0 - endowment[np.argmin(B)])
+        return solve_primal(tree, utility, endowment, initial=initial)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(stablab.pricing, "solve_primal", recording)
+        price = indifference_price(tree, u, x0, B).price
+    assert iterates and np.all(np.diff(iterates) <= 0.0)
+    assert min(iterates) >= price - 1e-12
+    assert abs(price - reference_indifference_price(tree, u, x0, B)) <= 1e-12

@@ -4,10 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import stablab.pricing
+import stablab.sweeps
 from conftest import two_step_binomial
 from stablab import (AuditReport, ConfigError, SweepReport,
                      audit_probabilistic_lemmas, build_tree, fit_rate, load_config,
-                     report_csv, report_json, shipped_families, sweep_delta,
+                     report_csv, report_json, shipped_families, solve_primal, sweep_delta,
                      sweep_p)
 from stablab.sweeps import DELTA_COLUMNS, P_COLUMNS, _run_grid
 
@@ -134,6 +136,24 @@ def test_trinomial_price_gaps_shrink():
         vals = rep.column(col)
         assert np.all(vals > 0.0)
         assert np.all(np.diff(vals) < 1e-10)
+
+
+def test_delta_sweep_prices_from_its_own_solves(monkeypatch):
+    # the base and each grid point are solved once, and each price reuses
+    # that solve and its dual: on the complete lattice, one more solve at
+    # the Davis price settles it
+    count = [0]
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return solve_primal(*args, **kwargs)
+
+    monkeypatch.setattr(stablab.sweeps, "solve_primal", counted)
+    monkeypatch.setattr(stablab.pricing, "solve_primal", counted)
+    with open("configs/binomial_sine.json") as fh:
+        rep = sweep_delta(load_config(json.load(fh), "delta"))
+    assert len(rep.rows) == 5 and not rep.meta.get("incomplete")
+    assert count[0] <= 12
 
 
 # ----------------------------------------------------------------------
