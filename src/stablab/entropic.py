@@ -120,8 +120,9 @@ def _node_vertices(tree: ScenarioTree):
 
     A candidate solves [dS_S'; 1'] q = e_{d+1} on a support S of at most d+1
     children (one batched SVD per block and |S|, moves over the node's
-    largest |dS|): a vertex if S has full rank by scipy's null_space cutoff
-    and the drift and every weight clear VERTEX_TOL (so only on its own S).
+    largest |dS|): a vertex if S has full rank, its least singular value above
+    (d + 1) * eps * sigma_max, and the drift and every weight clear
+    VERTEX_TOL (so only on its own S).
     """
     d = tree.n_assets
     e = np.eye(d + 1)[d]
@@ -246,8 +247,8 @@ class _Moves:
     `tree.column` of each.
 
     Each node holds its assets in a frame: the right singular vectors of its
-    children's moves, the identity where those have full rank by scipy's
-    null_space cutoff max(c, d) * eps * sigma_max.  `node` is each node's
+    children's moves, the identity where those have full rank: every
+    singular value above max(c, d) * eps * sigma_max.  `node` is each node's
     move in its parent's frame, the components outside the row space set to
     exactly 0; `null` marks those redundant holdings and `unit` (K, d, d)
     puts 1 on their diagonals.  Every layout carries all three: a full-rank

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .entropic import extract_dual, minimal_entropy_measure, solve_primal
 from .market import (ScenarioTree, bracket_distance, build_tree,
@@ -349,6 +348,11 @@ def fit_rate(report: SweepReport, model: str, functional: str | None = None,
              subset: str = "half") -> RateFit:
     """Fit a convergence-rate model to one recorded functional.
 
+    "f2_plus_g" fits y ~ C1 f^2 + C2 g by least squares over C1, C2 >= 0;
+    "inverse_one_minus_p" fits y ~ C / (1 - p) by least squares;
+    "loglog_slope" fits a line to log y against log delta, or against
+    log(1 / (1 - p)), over the points where both are positive.
+
     The "half" subset keeps the ceil(n/2) grid points closest to the limit
     (smallest delta, most negative p); asymptotic statements are about that
     end of the grid.
@@ -371,7 +375,7 @@ def fit_rate(report: SweepReport, model: str, functional: str | None = None,
 
     if model == "f2_plus_g":
         X = np.column_stack([report.column("f")[keep] ** 2, report.column("g")[keep]])
-        coef, _ = nnls(X, y)
+        coef = _nnls2(X, y)
         pred = X @ coef
         return RateFit(model=model, functional=functional, subset=subset,
                        coefficients={"C1": float(coef[0]), "C2": float(coef[1])},
@@ -399,6 +403,33 @@ def fit_rate(report: SweepReport, model: str, functional: str | None = None,
                        r_squared=_rentered(ly, slope * lx + intercept),
                        n_points=int(ok.sum()))
     raise ValueError(f"unknown rate model {model!r}")
+
+
+def _nnls2(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """argmin |X c - y| over c >= 0 for an (n, 2) X, from its KKT candidates.
+
+    At the optimum each coefficient is 0 or has zero gradient, so the answer
+    is the least-squares solution when X has full column rank and that
+    solution is non-negative, and otherwise the better one-column fit
+    max(0, x_j.y / x_j.x_j), or 0 (Lawson & Hanson, *Solving Least Squares
+    Problems*, ch. 23).  A rank-deficient X always has a one-column optimum.
+    """
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("rate fits need finite values")
+    # power-of-two scales change no rounding and keep x.x clear of underflow
+    ex = np.frexp(np.abs(X).max(axis=0))[1]
+    ey = np.frexp(np.abs(y).max())[1]
+    X, y = np.ldexp(X, -ex), np.ldexp(y, -ey)
+    c, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
+    if rank < 2 or np.any(c < 0.0):
+        # row j fits column j alone, or is zero where x_j.y <= 0
+        xx = np.maximum((X * X).sum(axis=0), np.finfo(float).tiny)
+        fits = np.diag(np.maximum(X.T @ y, 0.0) / xx)
+        a, b = fits @ X.T
+        # |y - a|^2 - |y - b|^2 = (b - a).(2y - a - b): no y in b - a, so the
+        # sign survives where both fits barely lower |y|
+        c = fits[1] if (b - a) @ (2.0 * y - a - b) > 0.0 else fits[0]
+    return np.ldexp(c, ey - ex)
 
 
 def _rentered(y: np.ndarray, pred: np.ndarray) -> float:

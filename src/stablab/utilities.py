@@ -36,13 +36,6 @@ def _maybe_scalar(out, like):
     return out
 
 
-def _exp_sine_integral(x, alpha, omega):
-    # int_0^x exp(-alpha*s) sin(omega*s) ds
-    e = np.exp(-alpha * x)
-    return (omega - e * (alpha * np.sin(omega * x) + omega * np.cos(omega * x))) \
-        / (alpha * alpha + omega * omega)
-
-
 def _bracketed_root(f, fprime, lo, hi, iters: int = 100):
     """Solve f(x) = 0 componentwise for strictly decreasing f with f(lo) >= 0 >= f(hi).
 
@@ -180,11 +173,15 @@ class UtilityOnR(_CertifiedUtility):
         return _maybe_scalar((dF - self.alpha * F) * np.exp(-self.alpha * x), x)
 
     def value(self, x):
+        # constants sit in value_at_inf: nothing cancels as exp(-alpha*x) -> 0
         x = np.asarray(x, dtype=float)
-        out = self.value_at_zero \
-            + (1.0 + self.shift) * (1.0 - np.exp(-self.alpha * x)) / self.alpha
+        tail = (1.0 + self.shift) / self.alpha
         if self.amp != 0.0:
-            out = out + self.amp * _exp_sine_integral(x, self.alpha, self.omega)
+            # amp * int_x^inf exp(-alpha*s) sin(omega*s) ds, over exp(-alpha*x)
+            tail = tail + self.amp * (self.alpha * np.sin(self.omega * x)
+                                      + self.omega * np.cos(self.omega * x)) \
+                / (self.alpha ** 2 + self.omega ** 2)
+        out = self.value_at_inf - np.exp(-self.alpha * x) * tail
         return _maybe_scalar(out, x)
 
     @property

@@ -1,5 +1,9 @@
-"""Invariants of the library source itself, checked on its syntax trees."""
+"""Invariants of the library source itself, checked on its syntax trees and,
+for the import path, in a fresh interpreter."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,6 +49,70 @@ def test_src_imports_no_lp_and_no_scipy_linalg():
     assert files
     hits = {str(p.relative_to(SRC)): forbidden(p.read_text()) for p in files}
     assert not {p: h for p, h in hits.items() if h}
+
+
+def scipy_imports(source: str) -> list[str]:
+    """Imports of scipy or of any scipy submodule, at any depth, including
+    `import_module` and `__import__` calls that name one.
+
+    The library runs on numpy alone; scipy is a test dependency."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] if node.level == 0 else []
+        elif isinstance(node, ast.Call):
+            func = node.func
+            callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if callee not in ("import_module", "__import__"):
+                continue
+            names = [a.value for a in node.args
+                     if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+        else:
+            continue
+        hits += [n for n in names if n == "scipy" or n.startswith("scipy.")]
+    return hits
+
+
+@pytest.mark.parametrize("source", [
+    "import scipy",
+    "import numpy as np, scipy.optimize as so",
+    "from scipy import optimize",
+    "from scipy.optimize import nnls",
+    "from scipy.optimize._nnls import nnls as solve",
+    "def fit(X, y):\n    from scipy.optimize import nnls\n    return nnls(X, y)",
+    "import importlib\nopt = importlib.import_module('scipy.optimize')",
+    "nnls = __import__('scipy.optimize', fromlist=['nnls']).nnls",
+])
+def test_scipy_imports_are_caught(source):
+    assert scipy_imports(source)
+
+
+@pytest.mark.parametrize("source", [
+    "import numpy as np",
+    "from .sweeps import fit_rate",
+    "from . import scipy_free",
+    "import scipyx",
+])
+def test_other_imports_are_not_caught(source):
+    assert not scipy_imports(source)
+
+
+def test_src_imports_no_scipy():
+    files = sorted(SRC.rglob("*.py"))
+    assert "sweeps.py" in {p.name for p in files}
+    hits = {str(p.relative_to(SRC)): scipy_imports(p.read_text()) for p in files}
+    assert not {p: h for p, h in hits.items() if h}
+
+
+def test_cli_starts_without_scipy():
+    code = ("import stablab.cli, sys; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.strip() == "[]"
 
 
 ROUTE_NAMES = {"DENSE_NEWTON_MAX", "_dense_route"}

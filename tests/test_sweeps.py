@@ -3,6 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import nnls
 
 import stablab.pricing
 import stablab.sweeps
@@ -11,7 +14,7 @@ from stablab import (AuditReport, ConfigError, SweepReport,
                      audit_probabilistic_lemmas, build_tree, fit_rate, load_config,
                      report_csv, report_json, shipped_families, solve_primal, sweep_delta,
                      sweep_p)
-from stablab.sweeps import DELTA_COLUMNS, P_COLUMNS, _run_grid
+from stablab.sweeps import DELTA_COLUMNS, P_COLUMNS, _nnls2, _run_grid
 
 LATTICE = {"lattice": {"s0": 1.0, "u": 2.0, "d": 0.5, "q": 0.5, "steps": 2}}
 TRINOMIAL = {"nodes": [
@@ -102,9 +105,9 @@ def test_exponential_family_rows_follow_exact_law():
         assert row["davis_err"] == 0.0
         assert row["indiff_err"] == 0.0
         assert row["dq_l1"] < 1e-14
-    # first-order law: nnls against (f^2, g) loads everything on g.  The
-    # exact error is c*delta/(1+delta), so the fitted slope sits inside
-    # [c/(1+max delta), c] for the half grid {0.05, 0.1}
+    # first-order law: the non-negative least-squares fit against (f^2, g)
+    # loads everything on g.  The exact error is c*delta/(1+delta), so the
+    # fitted slope sits inside [c/(1+max delta), c] for the half grid {0.05, 0.1}
     c = (16.0 / 27.0) * np.log(2.0)
     fit = rep.fits["f2g_half"]
     assert fit.coefficients["C1"] == pytest.approx(0.0, abs=1e-8)
@@ -208,6 +211,77 @@ def test_fit_recovers_planted_f2_plus_g():
     assert fit.coefficients["C2"] == pytest.approx(5.0, rel=1e-10)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
     assert fit.n_points == 5
+
+
+@st.composite
+def nnls_problems(draw):
+    """(kind, X, y) with n = 2..8 rows of entries 0 or +-m * 10^k, k = -9..3.
+
+    kind "zero column" and "zero X" clear columns; "y <= 0" pairs |X| with
+    -|y|, so the answer is 0; "clipped" sets y = a x_1 - b x_2 (a, b > 0),
+    whose least-squares coefficient on x_2 is negative; "collinear" sets
+    x_2 to a power-of-two multiple of x_1, exactly."""
+    entry = st.one_of(st.just(0.0), st.builds(
+        lambda s, m, k: s * m * 10.0 ** k,
+        st.sampled_from([-1.0, 1.0]), st.floats(1.0, 9.99), st.integers(-9, 3)))
+    n = draw(st.integers(2, 8))
+    X = np.array(draw(st.lists(entry, min_size=2 * n, max_size=2 * n))).reshape(n, 2)
+    y = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["any", "zero column", "zero X", "y <= 0", "clipped",
+                                 "collinear"]))
+    if kind == "zero column":
+        X[:, draw(st.integers(0, 1))] = 0.0
+    elif kind == "zero X":
+        X[:] = 0.0
+    elif kind == "y <= 0":
+        X, y = np.abs(X), -np.abs(y)
+    elif kind == "clipped":
+        y = draw(st.floats(0.1, 10.0)) * X[:, 0] - draw(st.floats(0.1, 10.0)) * X[:, 1]
+    elif kind == "collinear":
+        X[:, 1] = draw(st.sampled_from([-2.0, -0.5, 0.5, 1.0, 4.0])) * X[:, 0]
+    return kind, X, y
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(problem=nnls_problems())
+# cond 2e5: the two solvers differ by 8e-12 of |y| / sigma_min
+@example(problem=("any", np.array([[0.0, -1e-5], [-1.0, 1.0]]), np.array([-1.0, 0.0])))
+# each fit lowers |y|^2 by less than its rounding
+@example(problem=("any", np.array([[0.0, 10.0], [0.0, -1e3], [-1e-5, 0.0], [1e3, 5e3]]),
+                  np.array([1e-5, 0.0, -1.0, 0.0])))
+# nearly parallel columns: the two fits lower |y|^2 by nearly the same
+@example(problem=("clipped", np.array([[-1e-9, 0.0], [-1e2, -1e-1]]),
+                  np.array([-1e-9, -99.9])))
+def test_two_column_fit_matches_nnls(problem):
+    """The closed-form fit against scipy's active-set NNLS.
+
+    The residual is no larger than nnls's, up to 1e-12 relative and the
+    rounding of evaluating X c - y.  Where cond(X) <= 1e8 the coefficients
+    agree within 1e-12 * cond(X) of |y| / sigma_min(X), the size a
+    least-squares coefficient can reach: two backward-stable solvers differ
+    by about eps * cond(X) on that scale."""
+    kind, X, y = problem
+    c = _nnls2(X, y)
+    ref, rnorm = nnls(X, y)
+    assert c.shape == (2,) and np.all(c >= 0.0)
+    rounding = 16 * np.finfo(float).eps * (np.linalg.norm(X) * np.linalg.norm(c)
+                                           + np.linalg.norm(y))
+    assert np.linalg.norm(X @ c - y) <= rnorm * (1.0 + 1e-12) + rounding
+    sv = np.linalg.svd(X, compute_uv=False)
+    if sv[1] > 0.0 and sv[0] <= 1e8 * sv[1]:
+        assert np.abs(c - ref).max() <= 1e-12 * (sv[0] / sv[1]) * np.linalg.norm(y) / sv[1]
+        if kind == "clipped":
+            assert c.min() == 0.0
+    if kind in ("zero X", "y <= 0"):
+        assert not c.any()
+
+
+def test_two_column_fit_scales_out_of_underflow():
+    # x.x of the column 4e-170 underflows to 0; the power-of-two scale keeps it
+    c = _nnls2(np.array([[0.0, -4e-170], [0.0, 0.0]]), np.array([-1.0, 0.0]))
+    assert c[0] == 0.0 and c[1] == pytest.approx(1.0 / 4e-170, rel=1e-15)
+    with pytest.raises(ValueError):
+        _nnls2(np.array([[1.0, np.nan], [0.0, 1.0]]), np.array([1.0, 1.0]))
 
 
 def test_fit_recovers_planted_loglog_slope():

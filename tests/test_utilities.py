@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -131,6 +133,36 @@ def test_value_at_inf_is_the_supremum():
     assert u.value(5.0) < u.value_at_inf
     up = make_perturbed_power(-2.0, b=0.1, nu=1.0)
     assert up.value(1e9) == pytest.approx(up.value_at_inf, abs=1e-8)
+
+
+@pytest.mark.parametrize("x", [20.0, 40.0, 700.0])
+def test_exponential_value_keeps_its_digits_at_large_wealth(x):
+    # anchored at value_at_inf = 0, nothing cancels: U(x) = -exp(-x)
+    exact = -math.exp(-x)
+    assert abs(make_exponential(1.0).value(x) - exact) <= 4 * np.spacing(abs(exact))
+
+
+SINE = make_perturbed_exponential(0.3, alpha=1.2, a=0.2, omega=1.5)
+
+
+@pytest.mark.parametrize("x", [10.0, 20.0, 40.0])
+def test_sine_value_gap_to_its_supremum(x):
+    # U(x) - U(inf) = -exp(-alpha x) [(1 + shift)/alpha
+    #                  + amp (alpha sin wx + w cos wx)/(alpha^2 + w^2)],
+    # off by the rounding of one subtraction from U(inf)
+    u, inf = SINE, SINE.value_at_inf
+    wave = u.alpha * math.sin(u.omega * x) + u.omega * math.cos(u.omega * x)
+    gap = -math.exp(-u.alpha * x) * (
+        (1.0 + u.shift) / u.alpha + u.amp * wave / (u.alpha ** 2 + u.omega ** 2))
+    assert abs((u.value(x) - inf) - gap) <= np.spacing(inf) + 8 * np.spacing(abs(gap))
+
+
+@pytest.mark.parametrize("a, b", [(-2.0, 3.0), (10.0, 20.0), (20.0, 40.0)])
+def test_sine_value_differences_match_quadrature(a, b):
+    integral, _ = quad(SINE.marginal, a, b, epsabs=0.0, epsrel=1e-13)
+    top = max(abs(SINE.value(a)), abs(SINE.value(b)))
+    assert abs(SINE.value(b) - SINE.value(a) - integral) \
+        <= 1e-12 * integral + 2 * np.spacing(top)
 
 
 @pytest.mark.parametrize("u", REAL_CASES + POSITIVE_CASES)
