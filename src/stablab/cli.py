@@ -138,8 +138,7 @@ def _cmd_price(args) -> int:
     doc = _read_config(args.config)
     if "market" not in doc:
         raise ConfigError("price config needs a 'market' entry")
-    tol = _check_tol(args.tol if args.tol is not None
-                     else config_number(doc.get("tol", 1e-9), "tol"))
+    tol = _check_tol(args.tol if args.tol is not None else doc.get("tol", 1e-9))
     tree = market_tree(doc["market"])
     utility = _utility_from(doc.get("utility", {}))
     if isinstance(utility, UtilityOnRPlus):

@@ -16,17 +16,20 @@ polytope, with no global LP.
 One damped-Newton core, `_newton`, serves the primal, the entropy dual, and
 the fraction solver and the opportunity process of `positive`: Newton steps
 with a steepest-descent fallback, and a backtracking Armijo search.  Each
-solver supplies its own step.  The primal, the fraction solver and the
-entropy dual share one Newton system, min sum_l (a_l/2) s_l^2 + b_l s_l +
-sum_n h_n' E_n h_n / 2, s_l the gains of the step along leaf l's path: the
-entropy dual's step is equality-constrained Newton on the measure, whose
-multiplier solves that system.  The gains belong to one path layout per kind
-of move, `_Moves`, and only this module picks the route: on small trees (K*d
-up to DENSE_NEWTON_MAX) the solvers factor the dense (K*d)^2 matrix built
-from the layout's (L, K*d) gains matrix; on larger ones `_tree_step` solves
-the system exactly by one backward Riccati pass over the child blocks and
-one forward pass, in O(K*d^3), with every product with the gains a gather
-or a `bincount` along the leaf paths, so no (L, K*d) array is built.
+solver supplies one evaluation per point, the value and a closure over its
+intermediates that gives the gradient, residual and step, so no point is
+evaluated twice.  The primal, the fraction solver and the entropy dual
+share one Newton system, min sum_l (a_l/2) s_l^2 + b_l s_l +
+sum_n h_n' E_n h_n / 2, s_l the gains of the step along leaf l's path, its
+moves given per node: the entropy dual's step is equality-constrained
+Newton on the measure, whose multiplier solves that system.  The gains
+belong to one path layout per kind of move, `_Moves`, and only this module
+picks the route: on small trees (K*d up to DENSE_NEWTON_MAX) the solvers
+factor the dense (K*d)^2 matrix built from the (L, K*d) gains matrix that
+the layout gathers along the paths; on larger ones `_tree_step` solves the
+system exactly by one backward Riccati pass over the child blocks and one
+forward pass, in O(K*d^3), with every product with the gains a gather or a
+`bincount` along the leaf paths, so no (L, K*d) array is built.
 Per-node arrays of the system are stacked in `tree.column` order.  Each node
 holds its assets in a frame from the SVD of its children's moves, the
 identity where they have full rank; holdings the moves cannot see get no
@@ -58,6 +61,9 @@ GRAD_TOL = 1e-12      # absolute gradient sup-norm: the primal's, the entropy du
 NEWTON_STEPS = 200
 DENSE_NEWTON_MAX = 128    # K*d up to which primal and fraction steps factor the dense Hessian
 VERTEX_TOL = 1e-12    # one-step vertex: drift over the node's largest move, least weight
+PROBE_TOL = 1e-8      # martingale residual above which a probe measure is rejected
+PROBE_VERTICES = 8    # polytope vertices among the probe measures
+PROBE_INTERIOR = 4    # random interior mixtures of them
 
 
 class NoMartingaleMeasure(RuntimeError):
@@ -200,20 +206,23 @@ def _dense_step(hess, grad):
         return -(np.linalg.pinv(hess) @ grad)
 
 
-def _newton(x, objective, derivatives, tol, what):
+def _newton(x, evaluate, tol, what):
     """Minimize a smooth convex function by damped Newton steps.
 
-    objective(x) is the value, inf where x is infeasible; derivatives(x)
-    returns (grad, residual, step), step a zero-argument callable giving the
-    Newton direction, so a converged iterate need not build its system.
-    Stops once residual <= tol.  A direction that is not a finite descent
-    direction falls back to the scaled steepest-descent step.
+    evaluate(x) returns (value, derivatives): the value, inf where x is
+    infeasible, and a zero-argument callable over that evaluation's
+    intermediates returning (grad, residual, step), step a zero-argument
+    callable giving the Newton direction, so a converged iterate need not
+    build its system.  Each point is evaluated once: an accepted line-search
+    candidate keeps its derivatives.  Stops once residual <= tol.  A
+    direction that is not a finite descent direction falls back to the
+    scaled steepest-descent step.
     Returns (x, value, residual, iterations); raises NonConvergence when the
     line search stalls or NEWTON_STEPS steps do not reach the tolerance.
     """
-    val = objective(x)
+    val, derivatives = evaluate(x)
     for it in range(1, NEWTON_STEPS + 1):
-        grad, residual, newton_step = derivatives(x)
+        grad, residual, newton_step = derivatives()
         if residual <= tol:
             return x, val, residual, it
         step = newton_step()
@@ -226,9 +235,9 @@ def _newton(x, objective, derivatives, tol, what):
         cushion = 1e-15 * (1.0 + abs(val))
         while stepsize >= 1e-14:
             cand = x + stepsize * step
-            valc = objective(cand)
+            valc, derivc = evaluate(cand)
             if valc <= val + 1e-4 * stepsize * slope + cushion:
-                x, val = cand, valc
+                x, val, derivatives = cand, valc, derivc
                 break
             stepsize *= 0.5
         else:
@@ -253,33 +262,36 @@ class _Moves:
     exactly 0; `null` marks those redundant holdings and `unit` (K, d, d)
     puts 1 on their diagonals.  Every layout carries all three: a full-rank
     node has the identity frame, no null holding and a zero unit block.
-    cols[l, t] is the column of the node at date t on leaf l's path, `leaf`
-    the move taken there, and slots the flat (column, asset) index of each
-    (leaf, date, asset), of size K*d.  `dense` is the (L, K*d) gains matrix of
-    `leaf`, built on first use (the dense route only).
+    cols[l, t] is the column of the node at date t on leaf l's path, `path`
+    its child there, `leaf` the move into that child, and slots the flat
+    (column, asset) index of each (leaf, date, asset), of size K*d.  `dense`
+    is the (L, K*d) gains matrix of `node`, built on first use (the dense
+    route only).
     """
 
     node: np.ndarray
     leaf: np.ndarray
     cols: np.ndarray
+    path: np.ndarray
     slots: np.ndarray
     size: int
     frames: np.ndarray
     null: np.ndarray
     unit: np.ndarray
 
-    def matrix(self, w):
-        """The (L, K*d) gains matrix of the per-leaf moves w (L, T, d): row l
-        holds w[l, t] in the columns of the node at date t on leaf l's path."""
-        L, _, d = w.shape
+    def matrix(self, move):
+        """The (L, K*d) gains matrix of the per-node moves move (n, d): row l
+        holds the move into each child on leaf l's path in the columns of its
+        parent."""
+        L, d = self.cols.shape[0], move.shape[1]
         A = np.zeros((L, self.size // d, d))
         # a node occurs at most once on a path, so every entry is written once
-        A[np.arange(L)[:, None], self.cols] = w
+        A[np.arange(L)[:, None], self.cols] = move[self.path]
         return A.reshape(L, self.size)
 
     @cached_property
     def dense(self):
-        A = self.matrix(self.leaf)
+        A = self.matrix(self.node)
         A.flags.writeable = False
         return A
 
@@ -319,8 +331,9 @@ def _layout(tree: ScenarioTree, move: np.ndarray) -> _Moves:
         frames[tree.column[nodes[low]]] = V
         null[tree.column[nodes[low]]] = drop
     cols = tree.column[tree.paths[:, :-1]]
+    path = tree.paths[:, 1:]
     slots = (cols[..., None] * d + np.arange(d)).ravel()
-    out = _Moves(framed, framed[tree.paths[:, 1:]], cols, slots, K * d, frames, null,
+    out = _Moves(framed, framed[path], cols, path, slots, K * d, frames, null,
                  null[:, :, None] * np.eye(d))
     for a in (out.node, out.leaf, cols, slots, frames, null, out.unit):
         a.flags.writeable = False
@@ -379,20 +392,14 @@ def _tree_step(tree: ScenarioTree, move, a, b, extra):
     return h[tree.nonterminal].ravel()
 
 
-def _holding_step(tree: ScenarioTree, moves: _Moves, w, a, b, extra):
-    """Newton step of the system above for the per-leaf moves w (L, T, d) of
-    the layout `moves`: on the dense route by factoring G' diag(a) G +
-    blockdiag(E) against G' b, G the gains matrix of w (the cached one when w
-    is the layout's own), else by `_tree_step` on the per-node moves (the
-    layout's own, or w scattered to its nodes)."""
-    own = w is moves.leaf
+def _holding_step(tree: ScenarioTree, moves: _Moves, move, a, b, extra):
+    """Newton step of the system above for the per-node moves move (n, d) in
+    the frames of the layout `moves`: on the dense route by factoring
+    G' diag(a) G + blockdiag(E) against G' b, G the gains matrix of move (the
+    cached one when move is the layout's own), else by `_tree_step`."""
     if not _dense_route(tree):
-        move = moves.node
-        if not own:
-            move = np.zeros((tree.n_nodes, tree.n_assets))
-            move[tree.paths[:, 1:]] = w
         return _tree_step(tree, move, a, b, extra)
-    G = moves.dense if own else moves.matrix(w)
+    G = moves.dense if move is moves.node else moves.matrix(move)
     hess = G.T @ (G * a[:, None])
     K, d = extra.shape[:2]
     hess.reshape(K, d, K, d)[np.arange(K), :, np.arange(K), :] += extra
@@ -426,27 +433,22 @@ def solve_primal(tree: ScenarioTree, utility: UtilityOnR, endowment=0.0, *,
     else:
         h = np.zeros(K * d)
 
-    # the terminal wealth of the last h evaluated; the line search evaluates
-    # an iterate last just before it is accepted
-    solved = {}
-
-    def objective(hvec):
+    def evaluate(hvec):
         total = gains(hvec) + xi
-        solved.update(h=hvec, total=total)
+
+        def derivatives():
+            b = -(P * utility.marginal(total))
+            grad = adjoint(b)
+            gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
+            return grad, gnorm, lambda: _holding_step(
+                tree, moves, moves.node, -(P * utility.curvature(total)), b, moves.unit)
+
         # a step far out along a loss overflows U to -inf (or nan): the line
         # search rejects it
         with np.errstate(over="ignore", invalid="ignore"):
-            return -float(P @ utility.value(total))
+            return -float(P @ utility.value(total)), derivatives
 
-    def derivatives(hvec):
-        total = solved["total"] if solved.get("h") is hvec else gains(hvec) + xi
-        b = -(P * utility.marginal(total))
-        grad = adjoint(b)
-        gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
-        return grad, gnorm, lambda: _holding_step(tree, moves, moves.leaf,
-                                                  -(P * utility.curvature(total)), b, moves.unit)
-
-    h, _, gnorm, it = _newton(h, objective, derivatives, GRAD_TOL, "primal")
+    h, _, gnorm, it = _newton(h, evaluate, GRAD_TOL, "primal")
     h = moves.from_frame(h.reshape(K, d))
     values = np.zeros((tree.n_nodes, d))
     values[tree.nonterminal] = h
@@ -509,31 +511,24 @@ def minimal_entropy_measure(tree: ScenarioTree, utility: UtilityOnR) -> DualMeas
     P = tree.path_prob[tree.leaves]
     moves = _price_moves(tree)
 
-    # the inverse marginal x = I(mu/P) of the last mu evaluated; the line
-    # search evaluates an iterate last just before it is accepted
-    solved = {}
-
-    def objective(mu):
+    def evaluate(mu):
         if not np.all(mu > 0.0):
-            return np.inf
+            return np.inf, None
         z = mu / P
         x = np.asarray(utility.inverse_marginal(z))
-        solved.update(mu=mu, x=x)
+
+        def derivatives():
+            # V'(z) = -I(z) and V''(z) = -1 / U''(I(z))
+            a = P / (-1.0 / np.asarray(utility.curvature(x)))
+            grad = -x
+            lam = _holding_step(tree, moves, moves.node, a, a * grad, moves.unit)
+            r = grad + moves.gains(lam, moves.leaf)
+            return r, float(np.max(np.abs(r))), lambda: -a * r
+
         # V(z) = U(I(z)) - z I(z), as `conjugate` computes it for z > 0
-        return float(P @ (np.asarray(utility.value(x)) - z * x))
+        return float(P @ (np.asarray(utility.value(x)) - z * x)), derivatives
 
-    def derivatives(mu):
-        # V'(z) = -I(z) and V''(z) = -1 / U''(I(z)), from the x the objective
-        # solved for this mu
-        x = solved["x"] if solved.get("mu") is mu else \
-            np.asarray(utility.inverse_marginal(mu / P))
-        a = P / (-1.0 / np.asarray(utility.curvature(x)))
-        grad = -x
-        lam = _holding_step(tree, moves, moves.leaf, a, a * grad, moves.unit)
-        r = grad + moves.gains(lam, moves.leaf)
-        return r, float(np.max(np.abs(r))), lambda: -a * r
-
-    mu, _, _, _ = _newton(mu, objective, derivatives, GRAD_TOL, "entropy")
+    mu, _, _, _ = _newton(mu, evaluate, GRAD_TOL, "entropy")
     y = float(mu.sum())
     m = Measure(mu / y)
     return DualMeasure(measure=m, y=y, residual=martingale_residual(tree, m))
@@ -551,13 +546,13 @@ def _wealth_martingale_defect(tree: ScenarioTree, m: Measure, wealth: AdaptedPro
 
 
 def verify_optimality(tree: ScenarioTree, utility: UtilityOnR, sol: PrimalSolution,
-                      dual: DualMeasure, probes=None, probe_tol: float = 1e-8) -> OptimalityReport:
+                      dual: DualMeasure, probes=None) -> OptimalityReport:
     """First-order and supermartingale certificates for a primal/dual pair.
 
     Checks (a) the leafwise proportionality y*dQ/dP = U'(total), (b) that the
     wealth process is a martingale under the dual measure, (c) that its
     terminal expectation under every probe martingale measure is <= 0.
-    Probes failing the martingale check at `probe_tol` are rejected.
+    Probes failing the martingale check at PROBE_TOL are rejected.
     """
     P = tree.path_prob[tree.leaves]
     lhs = dual.y * dual.measure.weights / P
@@ -569,7 +564,7 @@ def verify_optimality(tree: ScenarioTree, utility: UtilityOnR, sol: PrimalSoluti
     XT = sol.wealth.at_leaves(tree)
     for m in probes:
         r = martingale_residual(tree, m)
-        if r > probe_tol:
+        if r > PROBE_TOL:
             raise ValueError(f"probe measure is not in the martingale polytope (residual {r:.3e})")
         slacks.append(float(m.weights @ XT))
     slacks = np.asarray(slacks) if slacks else np.zeros(0)
@@ -604,9 +599,9 @@ def _cheapest_vertices(tree: ScenarioTree, cost: np.ndarray):
     return float(V[0]), cond
 
 
-def martingale_polytope_probes(tree: ScenarioTree, n_vertices: int = 8,
-                               n_interior: int = 4, seed: int = 0) -> list[Measure]:
-    """Vertices of the martingale polytope plus random interior mixtures.
+def martingale_polytope_probes(tree: ScenarioTree, seed: int = 0) -> list[Measure]:
+    """Up to PROBE_VERTICES vertices of the martingale polytope plus
+    PROBE_INTERIOR random interior mixtures.
 
     Each vertex minimizes a random leaf cost by one `_cheapest_vertices`
     pass; interior points are Dirichlet mixtures of them.  Deterministic for
@@ -619,8 +614,8 @@ def martingale_polytope_probes(tree: ScenarioTree, n_vertices: int = 8,
     rng = np.random.default_rng(seed)
     vertices = []
     seen = set()
-    for _ in range(max(n_vertices, 1) * 3):
-        if len(vertices) >= n_vertices:
+    for _ in range(PROBE_VERTICES * 3):
+        if len(vertices) >= PROBE_VERTICES:
             break
         cost = rng.standard_normal(tree.n_leaves)
         if single_point and vertices:
@@ -632,7 +627,7 @@ def martingale_polytope_probes(tree: ScenarioTree, n_vertices: int = 8,
             vertices.append(q)
     probes = [Measure(v) for v in vertices]
     V = np.vstack(vertices)
-    for _ in range(n_interior):
+    for _ in range(PROBE_INTERIOR):
         w = rng.dirichlet(np.ones(len(vertices)))
         probes.append(Measure(w @ V))
     return probes

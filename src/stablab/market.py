@@ -74,7 +74,7 @@ class ScenarioTree:
             raise TreeValidationError("first node must be the root (parent -1, time 0)")
         if np.any(parent[1:] < 0) or np.any(parent[1:] >= np.arange(1, n)):
             raise TreeValidationError("nodes must be topologically ordered")
-        if np.any(prices <= 0.0):
+        if not np.all(prices > 0.0):
             raise TreeValidationError("prices must be strictly positive")
         if np.any(time[1:] != time[parent[1:]] + 1):
             raise TreeValidationError("child time must be parent time + 1")
@@ -154,8 +154,7 @@ class ScenarioTree:
 
     # ------------------------------------------------------------------
     def cached(self, key: str, build):
-        """build(self), computed once per `key` and kept for the tree's lifetime.
-        Racing first requests each build the same value; the last write wins."""
+        """build(self), computed once per `key` and kept for the tree's lifetime."""
         if key not in self._cache:
             self._cache[key] = build(self)
         return self._cache[key]
@@ -253,16 +252,18 @@ def build_tree(spec: dict) -> ScenarioTree:
     if "lattice" in spec:
         lat = spec["lattice"]
         s0, u, d, q = float(lat["s0"]), float(lat["u"]), float(lat["d"]), float(lat["q"])
-        steps = int(lat["steps"])
-        if u <= d:
+        steps = float(lat["steps"])
+        if not u > d:
             raise TreeValidationError("lattice requires u > d")
         if not (0.0 < q < 1.0):
             raise TreeValidationError("lattice probability must lie in (0, 1)")
-        if s0 <= 0.0 or d <= 0.0:
+        if not (s0 > 0.0 and d > 0.0):
             raise TreeValidationError("lattice prices must stay positive")
+        if not steps.is_integer():
+            raise TreeValidationError("lattice steps must be a whole number")
         if steps < 1:
             raise TreeValidationError("lattice needs at least one step")
-        return branching_tree(s0, [u, d], [q, 1.0 - q], steps)
+        return branching_tree(s0, [u, d], [q, 1.0 - q], int(steps))
     if "nodes" in spec:
         nodes = spec["nodes"]
         parent = []

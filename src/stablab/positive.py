@@ -1,8 +1,9 @@
 """Positive-wealth utility maximization with fraction strategies.
 
 Strategies here are wealth fractions; wealth compounds multiplicatively and
-must stay positive, so the solver works in log-wealth and treats any
-candidate with a nonpositive growth factor as value minus infinity.  The
+must stay positive, so the solver works in log-wealth, grown once per node,
+and treats any candidate with a nonpositive growth factor as value minus
+infinity.  The
 gradient certificate is relative to the natural objective scale
 sum_l P_l D_l |U'(X_l) X_l|; at strongly negative exponents the absolute
 magnitudes are astronomical and an absolute tolerance would be meaningless.
@@ -11,6 +12,8 @@ Also here: the opportunity process for pure power utility (an independent
 dynamic-programming route to the same optimum, one `entropic._newton` call
 per child block), the terminal-wealth-weighted auxiliary measure, and the
 ratio diagnostics comparing a perturbed investor against the pure power one.
+Both solvers hand `entropic._newton` one evaluation per point, whose
+derivatives reuse its growth factors.
 """
 from __future__ import annotations
 
@@ -77,39 +80,18 @@ class RatioDiagnostics:
 # fraction-strategy solver
 
 
-def _log_wealth(moves, pi: np.ndarray, keep: bool = False):
-    """Log-wealth per leaf for stacked fractions pi (K*d,), one step per date.
-
-    moves is the tree's `entropic._return_moves` layout.  Returns (logX, w):
-    w is None, or with keep the (L, T, d) sensitivities
-    w[l, t] = dR(child)/(1 + pi_k . dR(child)) of the step of node k at date
-    t on leaf l's path.  Returns (None, None) if some growth factor is not
-    positive.
-    """
-    L, T, d = moves.leaf.shape
-    pim = pi.reshape(-1, d)
-    logX = np.zeros(L)
-    w = np.empty((L, T, d)) if keep else None
-    for t in range(T):
-        dR = moves.leaf[:, t]
-        g = 1.0 + np.einsum("la,la->l", pim[moves.cols[:, t]], dR)
-        if np.any(g <= 0.0):
-            return None, None
-        logX += np.log(g)
-        if keep:
-            w[:, t] = dR / g[:, None]
-    return logX, w
-
-
 def solve_power_field(tree: ScenarioTree, utility: UtilityOnRPlus, x0: float = 1.0,
                       field=None) -> PositiveSolution:
     """Maximize sum_l P_l D_l U(X_l) over fraction strategies, X multiplicative.
 
     `field` weights the leaves (default all ones).  The Newton iteration
     minimizes the negated objective and stops once the gradient, relative
-    to the objective's marginal scale, is below POWER_TOL.  Its steps solve
-    the primal's Newton system (`entropic._holding_step`) with the iterate's
-    sensitivities as moves.
+    to the objective's marginal scale, is below POWER_TOL.  Each evaluation
+    takes the growth 1 + pi . dR once per child node, in the frames of
+    `entropic._return_moves`, and the leaf log-wealth by one forward pass
+    over the dates; its derivatives take the sensitivities dR / growth per
+    node, and its steps solve the primal's Newton system
+    (`entropic._holding_step`) with them as moves.
     """
     if x0 <= 0.0:
         raise ValueError("initial capital must be positive")
@@ -121,34 +103,42 @@ def solve_power_field(tree: ScenarioTree, utility: UtilityOnRPlus, x0: float = 1
     d = tree.n_assets
     # same-node Hessian blocks: one flat (k, a, b) slot per (leaf, date, a, b)
     slots = (moves.cols[..., None] * (d * d) + np.arange(d * d)).ravel()
+    up = tree.column[tree.parent[1:]]      # the column of each child node's parent
 
-    def objective(pvec):
-        logX, _ = _log_wealth(moves, pvec)
-        if logX is None:
-            return np.inf
+    def evaluate(pvec):
+        g = np.ones(tree.n_nodes)
+        g[1:] = 1.0 + np.einsum("na,na->n", pvec.reshape(-1, d)[up], moves.node[1:])
+        if np.any(g <= 0.0):
+            return np.inf, None
+        log_g = np.log(g)
+        logX = np.zeros(tree.n_nodes)
+        for nodes in tree.levels[1:]:
+            logX[nodes] = logX[tree.parent[nodes]] + log_g[nodes]
         with np.errstate(over="ignore"):
-            val = float(P @ (D * np.asarray(utility.value(np.exp(np.log(x0) + logX)))))
-        return -val if np.isfinite(val) else np.inf
+            X = np.exp(np.log(x0) + logX[tree.leaves])
+            val = float(P @ (D * np.asarray(utility.value(X))))
 
-    def derivatives(pvec):
-        logX, w = _log_wealth(moves, pvec, keep=True)
-        X = np.exp(np.log(x0) + logX)
-        mXp = P * D * np.asarray(utility.marginal(X)) * X
-        grad = moves.adjoint(-mXp, w)
-        gnorm = float(np.max(np.abs(grad))) / float(np.sum(np.abs(mXp))) if grad.size else 0.0
+        def derivatives():
+            mXp = P * D * np.asarray(utility.marginal(X)) * X
+            move = moves.node / g[:, None]
+            w = move[moves.path]
+            grad = moves.adjoint(-mXp, w)
+            gnorm = float(np.max(np.abs(grad))) / float(np.sum(np.abs(mXp))) if grad.size else 0.0
 
-        def step():
-            cA = P * D * np.asarray(utility.curvature(X)) * X * X
-            # same-node second derivatives of X vanish (each node hits a path
-            # once): add sum_l mXp_l w_l w_l' to each node's block, summed
-            # over the (leaf, date) pairs, as each leaf lies on T node paths only
-            outer = w[..., :, None] * (w * mXp[:, None, None])[..., None, :]
-            same = np.bincount(slots, outer.ravel(), K * d * d).reshape(K, d, d)
-            return _holding_step(tree, moves, w, -(cA + mXp), -mXp, same + moves.unit)
+            def step():
+                cA = P * D * np.asarray(utility.curvature(X)) * X * X
+                # same-node second derivatives of X vanish (each node hits a path
+                # once): add sum_l mXp_l w_l w_l' to each node's block, summed over
+                # the (leaf, date) pairs, as each leaf lies on T node paths only
+                outer = w[..., :, None] * (w * mXp[:, None, None])[..., None, :]
+                same = np.bincount(slots, outer.ravel(), K * d * d).reshape(K, d, d)
+                return _holding_step(tree, moves, move, -(cA + mXp), -mXp, same + moves.unit)
 
-        return grad, gnorm, step
+            return grad, gnorm, step
 
-    pi, val, gnorm, it = _newton(np.zeros(K * d), objective, derivatives, POWER_TOL, "fraction")
+        return (-val if np.isfinite(val) else np.inf), derivatives
+
+    pi, val, gnorm, it = _newton(np.zeros(K * d), evaluate, POWER_TOL, "fraction")
     values = np.zeros((tree.n_nodes, d))
     values[tree.nonterminal] = moves.from_frame(pi.reshape(K, d))
     strategy = Strategy(values, "fractions")
@@ -178,30 +168,30 @@ def _one_step_min(cond, dR, Lc, p, extra):
     def moves(x):
         return np.matmul(dR, x.reshape(k, d, 1))[..., 0]
 
-    def objective(x):
-        # exp(p log1p(z)) is accurate to an ulp or so; g**p would multiply the
-        # rounding of g = 1 + z by |p|, past the line search's noise cushion
+    def evaluate(x):
         z = moves(x)
         if np.any(z <= -1.0):
-            return np.inf
+            return np.inf, None
+
+        def derivatives():
+            g = 1.0 + z
+            gp = w0 * g ** p
+            w = dR / g[..., None]
+            grad = p * np.matmul(gp[:, None, :], w)[:, 0]
+            scale = np.maximum(gp.sum(axis=1), 1e-300) * max(1.0, -p)
+
+            def step():
+                hess = p * (p - 1.0) * np.matmul(w.transpose(0, 2, 1), w * gp[..., None]) + extra
+                return _dense_step(hess, grad[..., None]).ravel()
+
+            return grad.ravel(), float(np.max(np.max(np.abs(grad), axis=1) / scale)), step
+
+        # exp(p log1p(z)) is accurate to an ulp or so; g**p would multiply the
+        # rounding of g = 1 + z by |p|, past the line search's noise cushion
         with np.errstate(over="ignore"):
-            return float((w0 * np.exp(p * np.log1p(z))).sum())
+            return float((w0 * np.exp(p * np.log1p(z))).sum()), derivatives
 
-    def derivatives(x):
-        g = 1.0 + moves(x)
-        gp = w0 * g ** p
-        w = dR / g[..., None]
-        grad = p * np.matmul(gp[:, None, :], w)[:, 0]
-        scale = np.maximum(gp.sum(axis=1), 1e-300) * max(1.0, -p)
-
-        def step():
-            hess = p * (p - 1.0) * np.matmul(w.transpose(0, 2, 1), w * gp[..., None]) + extra
-            return _dense_step(hess, grad[..., None]).ravel()
-
-        return grad.ravel(), float(np.max(np.max(np.abs(grad), axis=1) / scale)), step
-
-    pi = _newton(np.zeros(k * d), objective, derivatives, OPPORTUNITY_TOL,
-                 "opportunity")[0].reshape(k, d)
+    pi = _newton(np.zeros(k * d), evaluate, OPPORTUNITY_TOL, "opportunity")[0].reshape(k, d)
     return (w0 * (1.0 + moves(pi)) ** p).sum(axis=1), pi
 
 

@@ -46,10 +46,13 @@ def _check_claim(B, error=ValueError) -> np.ndarray:
 
 
 def _check_tol(tol, error=ValueError) -> float:
-    """tol as a float, if it is positive and finite; raises `error` otherwise."""
-    if not 0.0 < float(tol) < np.inf:
-        raise error("tolerance must be positive and finite")
-    return float(tol)
+    """tol as a float, if it is a positive finite number; raises `error` otherwise."""
+    try:
+        if 0.0 < float(tol) < np.inf:
+            return float(tol)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error("tolerance must be positive and finite")
 
 
 def davis_price(dual: DualMeasure, B) -> PriceResult:

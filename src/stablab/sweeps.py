@@ -53,11 +53,14 @@ class ConfigError(ValueError):
 
 
 def config_number(value, what: str, kind=float):
-    """value as a `kind`; ConfigError naming `what` when it is not a number."""
+    """value as a `kind`; ConfigError naming `what` when it is not a finite number."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+        out = kind(value)
+        if math.isfinite(out):
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{what} must be a finite number, got {value!r}")
 
 
 # ----------------------------------------------------------------------
@@ -113,7 +116,7 @@ def load_config(doc: dict, kind: str) -> SweepSpec:
         grid=grid,
         claim=doc.get("claim", {"kind": "zero"}),
         x0=config_number(doc.get("x0", 0.0 if kind == "delta" else 1.0), "x0"),
-        tol=_check_tol(config_number(doc.get("tol", 1e-9), "tol"), ConfigError),
+        tol=_check_tol(doc.get("tol", 1e-9), ConfigError),
         seed=config_number(doc.get("seed", 0), "seed", int),
     )
     if kind == "p" and spec.x0 <= 0.0:
@@ -146,6 +149,8 @@ def make_claim(tree: ScenarioTree, claim) -> np.ndarray:
         elif kind == "call":
             strike = config_number(claim.get("strike", 1.0), "claim strike")
             asset = config_number(claim.get("asset", 0), "claim asset", int)
+            if not 0 <= asset < tree.n_assets:
+                raise ConfigError(f"claim asset must lie in [0, {tree.n_assets}), got {asset}")
             B = np.maximum(tree.terminal_prices()[:, asset] - strike, 0.0)
         else:
             raise ConfigError(f"unknown claim kind {kind!r}")

@@ -143,7 +143,7 @@ class UtilityOnR(_CertifiedUtility):
     value_at_zero: float | None = None
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
+        if not self.alpha > 0.0:
             raise ValueError("risk aversion alpha must be positive")
         if self.value_at_zero is None:
             object.__setattr__(self, "value_at_zero", -1.0 / self.alpha)
@@ -213,20 +213,20 @@ def make_perturbed_exponential(delta: float, alpha: float = 1.0, kind: str = "si
     """
     delta = float(delta)
     alpha = float(alpha)
-    if delta < 0.0:
+    if not delta >= 0.0:
         raise ValueError("delta must be nonnegative")
     size = a * delta
     if kind == "sine":
-        if a < 0.0:
+        if not a >= 0.0:
             raise ValueError("sine amplitude a must be nonnegative")
-        if size >= 1.0:
+        if not size < 1.0:
             raise ValueError("a*delta >= 1 leaves no positive ratio certificate")
-        if size * omega >= alpha * (1.0 - size):
+        if not size * omega < alpha * (1.0 - size):
             raise ValueError("marginal monotonicity needs a*delta*omega < alpha*(1 - a*delta)")
         return UtilityOnR(alpha=alpha, amp=size, omega=float(omega),
                           value_at_zero=value_at_zero)
     if kind in ("constant-shift", "constant_shift"):
-        if size >= 1.0 or size <= -1.0:
+        if not -1.0 < size < 1.0:
             raise ValueError("|a*delta| >= 1 leaves no positive ratio certificate")
         return UtilityOnR(alpha=alpha, shift=size, value_at_zero=value_at_zero)
     raise ValueError(f"unknown ratio kind {kind!r}")
@@ -257,7 +257,7 @@ class UtilityOnRPlus(_CertifiedUtility):
     value_at_one: float | None = None
 
     def __post_init__(self):
-        if self.p >= 0.0:
+        if not self.p < 0.0:
             raise ValueError("exponent p must be negative")
         if self.value_at_one is None:
             object.__setattr__(self, "value_at_one", 1.0 / self.p)
@@ -310,9 +310,9 @@ def make_power(p: float) -> UtilityOnRPlus:
 
 def _check_rplus_monotone(p: float, shift: float, amp: float, nu: float) -> None:
     low = 1.0 + shift - abs(amp)
-    if low <= 0.0:
+    if not low > 0.0:
         raise ValueError("ratio certificate must stay positive")
-    if abs(amp) * abs(nu) >= (1.0 - p) * low:
+    if not abs(amp) * abs(nu) < (1.0 - p) * low:
         raise ValueError("marginal monotonicity needs |amp|*nu < (1-p)*(ratio lower bound)")
 
 
@@ -320,7 +320,7 @@ def make_perturbed_power(p: float, b: float = 0.1, nu: float = 1.0,
                          value_at_one: float | None = None) -> UtilityOnRPlus:
     """Power marginal modulated by a log-periodic ratio 1 + b*sin(nu*log x)."""
     p = float(p)
-    if p >= 0.0:
+    if not p < 0.0:
         raise ValueError("exponent p must be negative")
     _check_rplus_monotone(p, 0.0, b, nu)
     return UtilityOnRPlus(p=p, amp=float(b), nu=float(nu), value_at_one=value_at_one)
@@ -347,7 +347,7 @@ def make_power_family_member(base: UtilityOnRPlus, p: float,
     """
     p = float(p)
     p0 = base.p
-    if p > p0:
+    if not p <= p0:
         raise ValueError("family members need p <= p0")
     w0 = float(fmix(p0))
     if abs(w0 - 1.0) > 1e-12:

@@ -135,13 +135,26 @@ def test_config_errors_exit_2(tmp_path, capsys):
         sweep = json.load(f)
     for key, value in (("grid", 5), ("grid", None), ("grid", [None]), ("family", 5),
                        ("x0", [1]), ("x0", None), ("seed", None), ("tol", None),
-                       ("claim", {"kind": "call", "strike": None}), ("market", 5)):
+                       ("claim", {"kind": "call", "strike": None}), ("market", 5),
+                       ("x0", float("nan")), ("seed", float("inf")), ("grid", [0.2, float("nan")]),
+                       ("family", {"kind": "sine", "a": float("nan")})):
         cfg = write_config(tmp_path, "typed.json", {**sweep, key: value})
         assert main(["sweep-delta", "--config", cfg, "--out", str(tmp_path)]) == 2, (key, value)
     with open(f"{CONFIGS}/price_call.json") as f:
         solve = json.load(f)
     for key, value in (("utility", [1]), ("utility", {"kind": "exponential", "alpha": None}),
-                       ("x0", None), ("x0", [1]), ("market", 5)):
+                       ("x0", None), ("x0", [1]), ("market", 5),
+                       # a claim on an asset the one-asset market does not have
+                       ("claim", {"kind": "call", "asset": 3}),
+                       ("claim", {"kind": "call", "asset": True}),
+                       ("claim", {"kind": "call", "asset": -1}),
+                       # non-finite numbers
+                       ("x0", float("nan")), ("x0", float("inf")),
+                       ("utility", {"kind": "exponential", "alpha": float("nan")}),
+                       ("utility", {"kind": "sine", "delta": float("nan")}),
+                       ("utility", {"kind": "power", "p": float("nan")}),
+                       ("market", {"lattice": {"s0": 1.0, "u": 2.0, "d": 0.5, "q": 0.5,
+                                               "steps": 2.5}})):
         cfg = write_config(tmp_path, "typed.json", {**solve, key: value})
         for command in ("solve", "price"):
             assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2, \

@@ -232,25 +232,24 @@ def test_flat_node_holds_nothing():
 
 def test_newton_exhausts_its_steps():
     # a linear objective has no minimizer: every step is accepted, none converges
+    def evaluate(x):
+        return float(x[0]), lambda: (np.ones(1), 1.0,
+                                     lambda: entropic._dense_step(np.zeros((1, 1)),
+                                                                  np.ones((1, 1)))[:, 0])
+
     with pytest.raises(NonConvergence, match="did not reach gradient tolerance") as exc:
-        entropic._newton(np.zeros(1), lambda x: float(x[0]),
-                         lambda x: (np.ones(1), 1.0,
-                                    lambda: entropic._dense_step(np.zeros((1, 1)),
-                                                                 np.ones((1, 1)))[:, 0]),
-                         1e-12, "linear")
+        entropic._newton(np.zeros(1), evaluate, 1e-12, "linear")
     assert exc.value.residual == 1.0
 
 
 def test_newton_reports_a_stalled_line_search():
-    def objective(x):
-        return 0.0 if not np.any(x) else np.inf
+    def evaluate(x):
+        return (0.0 if not np.any(x) else np.inf), lambda: (
+            np.array([1.0, -2.0]), 2.0,
+            lambda: entropic._dense_step(np.eye(2), np.array([[1.0], [-2.0]]))[:, 0])
 
     with pytest.raises(NonConvergence, match="line search stalled") as exc:
-        entropic._newton(np.zeros(2), objective,
-                         lambda x: (np.array([1.0, -2.0]), 2.0,
-                                    lambda: entropic._dense_step(np.eye(2),
-                                                                 np.array([[1.0], [-2.0]]))[:, 0]),
-                         1e-12, "walled")
+        entropic._newton(np.zeros(2), evaluate, 1e-12, "walled")
     assert exc.value.residual == 2.0
 
 
@@ -315,11 +314,11 @@ def test_entropy_step_solves_the_inverse_marginal_once(monkeypatch):
     iterations, evaluations = [], []
     newton = entropic._newton
 
-    def counted_newton(x, objective, *args):
-        def counted_objective(mu):
+    def counted_newton(x, evaluate, *args):
+        def counted_evaluate(mu):
             evaluations.append(mu)
-            return objective(mu)
-        out = newton(x, counted_objective, *args)
+            return evaluate(mu)
+        out = newton(x, counted_evaluate, *args)
         iterations.append(out[3])
         return out
 

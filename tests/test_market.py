@@ -140,18 +140,23 @@ def test_tree_validation_errors():
         build_tree({"lattice": {"s0": 1.0, "u": 0.5, "d": 2.0, "q": 0.5, "steps": 1}})
     with pytest.raises(TreeValidationError):
         build_tree({"lattice": {"s0": 1.0, "u": 2.0, "d": 0.5, "q": 1.5, "steps": 1}})
+    for bad in ({"steps": 2.5}, {"steps": float("nan")}, {"s0": float("nan")},
+                {"u": float("nan")}, {"d": float("nan")}):
+        with pytest.raises(TreeValidationError):
+            build_tree({"lattice": {"s0": 1.0, "u": 2.0, "d": 0.5, "q": 0.5, "steps": 2, **bad}})
     with pytest.raises(TreeValidationError):  # child listed before parent
         build_tree({"nodes": [
             {"parent": -1, "prices": [1.0]},
             {"parent": 2, "prob": 0.5, "prices": [2.0]},
             {"parent": 0, "prob": 0.5, "prices": [0.5]},
         ]})
-    with pytest.raises(TreeValidationError):  # nonpositive price
-        build_tree({"nodes": [
-            {"parent": -1, "prices": [1.0]},
-            {"parent": 0, "prob": 0.5, "prices": [-2.0]},
-            {"parent": 0, "prob": 0.5, "prices": [0.5]},
-        ]})
+    for bad in (-2.0, float("nan")):  # nonpositive or NaN price
+        with pytest.raises(TreeValidationError):
+            build_tree({"nodes": [
+                {"parent": -1, "prices": [1.0]},
+                {"parent": 0, "prob": 0.5, "prices": [bad]},
+                {"parent": 0, "prob": 0.5, "prices": [0.5]},
+            ]})
     with pytest.raises(TreeValidationError):  # probabilities don't sum to 1
         build_tree({"nodes": [
             {"parent": -1, "prices": [1.0]},

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 import stablab.entropic as entropic
+import stablab.positive as positive
 from conftest import (collinear_two_asset_tree, flat_node_tree, near_collinear_two_asset_tree,
                       on_route)
 from stablab import (branching_tree, build_tree, extract_dual, make_exponential,
                      make_perturbed_exponential, make_power, minimal_entropy_measure,
                      opportunity_process, solve_power_field, solve_primal, verify_optimality)
 from stablab.entropic import GRAD_TOL, _dense_route
+from stablab.utilities import UtilityOnR, UtilityOnRPlus, _CertifiedUtility
 
 U2D05 = {"s0": 1.0, "u": 2.0, "d": 0.5, "q": 0.5}
 TWO_FACTORS = [[1.15, 1.10], [1.10, 0.85], [0.90, 1.15], [0.85, 0.90]]
@@ -76,8 +78,10 @@ def solve_counting_gains(monkeypatch, dense, tree, u, reuse):
         count[0] += 1
         return gains(self, h, w)
 
-    def fresh(x, objective, derivatives, tol, what):
-        return newton(x, objective, lambda h: derivatives(h.copy()), tol, what)
+    def fresh(x, evaluate, tol, what):
+        def recomputed(h):
+            return evaluate(h)[0], lambda: evaluate(h.copy())[1]()
+        return newton(x, recomputed, tol, what)
 
     with monkeypatch.context() as m:
         m.setattr(entropic._Moves, "gains", counted)
@@ -99,6 +103,96 @@ def test_primal_reuses_the_line_search_wealth(name, monkeypatch):
         assert sol.value == ref.value and sol.iterations == ref.iterations
         if not dense:
             assert count < ref_count and ref_count - count == sol.iterations
+
+
+def wealth_evaluations(monkeypatch, solve, *args):
+    """solve(*args), with the wealth evaluations of each Newton iteration it
+    ran: (per `evaluate` call, the number it made; the number made outside
+    them).  A wealth evaluation is a new array the solver evaluates the
+    utility at (a gains product of the primal, a growth pass of the fraction
+    solver, an inverse-marginal solve of the entropy dual), or a moves
+    product of the opportunity process."""
+    runs, live, depth = [], [], [0]
+    newton, one_step = entropic._newton, positive._one_step_min
+
+    def counted_newton(x, evaluate, tol, what):
+        run = {"calls": [], "outside": 0, "seen": {}, "inside": False}
+        runs.append(run)
+        live.append(run)
+
+        def counted(y):
+            run["calls"].append(0)
+            run["inside"] = True
+            try:
+                return evaluate(y)
+            finally:
+                run["inside"] = False
+
+        try:
+            return newton(x, counted, tol, what)
+        finally:
+            live.pop()
+
+    def saw(x):
+        if live and id(x) not in live[-1]["seen"]:
+            run = live[-1]
+            run["seen"][id(x)] = x
+            if run["inside"]:
+                run["calls"][-1] += 1
+            else:
+                run["outside"] += 1
+
+    def wrapped(real, record):
+        # the utility's own inner calls (an inverse marginal's root search) are not the solver's
+        def method(self, x):
+            if record and not depth[0]:
+                saw(x)
+            depth[0] += 1
+            try:
+                return real(self, x)
+            finally:
+                depth[0] -= 1
+        return method
+
+    class Moves(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul and inputs[0] is self:
+                saw(np.empty(0))
+            return getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
+
+    with monkeypatch.context() as m:
+        for cls in (UtilityOnR, UtilityOnRPlus):
+            for name in ("value", "marginal", "curvature"):
+                m.setattr(cls, name, wrapped(getattr(cls, name), True))
+        m.setattr(_CertifiedUtility, "inverse_marginal",
+                  wrapped(_CertifiedUtility.inverse_marginal, False))
+        m.setattr(entropic, "_newton", counted_newton)
+        m.setattr(positive, "_newton", counted_newton)
+        m.setattr(positive, "_one_step_min",
+                  lambda cond, dR, *rest: one_step(cond, dR.view(Moves), *rest))
+        solve(*args)
+    return [(run["calls"], run["outside"]) for run in runs]
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_TREES))
+def test_every_solver_evaluates_each_point_once(name, monkeypatch):
+    # the derivatives at an accepted point come from the evaluation that
+    # accepted it: every wealth evaluation is an `evaluate` call's, one per
+    # call that reaches the wealth (an infeasible point may stop before it)
+    tree = ROUTE_TREES[name][0]()
+    u = make_perturbed_exponential(0.3, alpha=1.2, a=0.2, omega=0.9)
+    runs = []
+    for dense in (True, False):
+        for solve, utility in ((solve_primal, u), (solve_power_field, make_power(-7.0)),
+                               (minimal_entropy_measure, u)):
+            runs += wealth_evaluations(monkeypatch, on_route, monkeypatch, dense, solve, tree,
+                                       utility)
+    dp = wealth_evaluations(monkeypatch, opportunity_process, tree, -7.0)
+    assert len(runs) == 6 and len(dp) == sum(len(level) for level in tree.child_blocks)
+    for calls, outside in runs + dp:
+        assert outside == 0 and calls[0] == 1 and set(calls) <= {0, 1}
+    # every solve takes a step, and so does the opportunity process
+    assert min(len(calls) for calls, _ in runs) > 1 and max(len(calls) for calls, _ in dp) > 1
 
 
 def test_near_collinear_holdings_are_dropped():

@@ -234,10 +234,11 @@ def first_entropy_step(tree, utility):
     """(mu0, step) of `minimal_entropy_measure`'s first Newton step, at q0."""
     seen = {}
 
-    def capture(x, objective, derivatives, tol, what):
-        _, _, step = derivatives(x)
+    def capture(x, evaluate, tol, what):
+        value, derivatives = evaluate(x)
+        _, _, step = derivatives()
         seen.update(mu=x, step=step())
-        return x, objective(x), 0.0, 1
+        return x, value, 0.0, 1
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(entropic, "_newton", capture)

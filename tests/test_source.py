@@ -116,7 +116,7 @@ def test_cli_starts_without_scipy():
 
 
 ROUTE_NAMES = {"DENSE_NEWTON_MAX", "_dense_route"}
-RETIRED = {"gains_matrix", "_gains_scatter", "_martingale_basis"}
+RETIRED = {"gains_matrix", "_gains_scatter", "_martingale_basis", "_log_wealth"}
 
 
 def route_names(source: str) -> set[str]:
@@ -138,9 +138,11 @@ def route_names(source: str) -> set[str]:
 
 
 def retired_definitions(source: str) -> set[str]:
-    """Definitions of the retired global gains builders and of the entropy
-    dual's null-space basis: the layout `entropic._Moves` owns the gains
-    matrix, and the entropy dual takes the primal's Newton step."""
+    """Definitions of the retired global gains builders, of the entropy
+    dual's null-space basis and of the fraction solver's per-leaf log-wealth:
+    the layout `entropic._Moves` owns the gains matrix, the entropy dual
+    takes the primal's Newton step, and the fraction solver's evaluation
+    grows the wealth once per node."""
     hits = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -165,6 +167,7 @@ def test_route_names_are_caught(source):
     "class ScenarioTree:\n    def _gains_scatter(self):\n        return None",
     "gains_matrix = lambda tree: None",
     "def _martingale_basis(tree, q0):\n    return q0",
+    "def _log_wealth(moves, pi, keep=False):\n    return None, None",
 ])
 def test_retired_definitions_are_caught(source):
     assert retired_definitions(source)
@@ -210,7 +213,7 @@ def step_problems(source: str) -> list[str]:
 
 
 @pytest.mark.parametrize("source", [
-    "def minimal_entropy_measure(tree, u):\n    return _newton(x, f, g, 1e-12, 'entropy')",
+    "def minimal_entropy_measure(tree, u):\n    return _newton(x, evaluate, 1e-12, 'entropy')",
     "def minimal_entropy_measure(tree, u):\n    return _dense_step(hess, grad)",
     "def minimal_entropy_measure(tree, u):\n    return np.linalg.solve(hess, grad)",
     "def minimal_entropy_measure(tree, u):\n    def derivatives(mu):\n"

@@ -53,6 +53,19 @@ def delta_doc(**overrides):
     lambda d: d.update(family={"kind": "sine", "a": 40.0}),
     lambda d: d.update(tol=-1.0),
     lambda d: d.update(tol=float("nan")),
+    lambda d: d.update(claim={"kind": "call", "asset": 3}),
+    lambda d: d.update(claim={"kind": "call", "asset": True}),
+    lambda d: d.update(claim={"kind": "call", "asset": -1}),
+    lambda d: d.update(x0=float("nan")),
+    lambda d: d.update(x0=float("inf")),
+    lambda d: d.update(seed=float("inf")),
+    lambda d: d.update(family={"kind": "sine", "a": float("nan")}),
+    lambda d: d.update(family={"kind": "constant-shift", "a": float("nan")}),
+    lambda d: d.update(family={"kind": "sine", "omega": float("nan")}),
+    lambda d: d.update(market={"lattice": {"s0": 1.0, "u": 2.0, "d": 0.5, "q": 0.5,
+                                           "steps": 2.5}}),
+    lambda d: d.update(market={"lattice": {"s0": float("nan"), "u": 2.0, "d": 0.5, "q": 0.5,
+                                           "steps": 2}}),
 ])
 def test_load_config_rejects_bad_delta_docs(mutate):
     doc = delta_doc()
@@ -69,6 +82,8 @@ def test_load_config_rejects_bad_p_docs():
         load_config(dict(base, x0=0.0), "p")
     with pytest.raises(ConfigError):
         load_config(dict(base, family={"kind": "power-member", "b": 40.0}), "p")
+    with pytest.raises(ConfigError):
+        load_config(dict(base, family={"kind": "power-member", "b": float("nan")}), "p")
     with pytest.raises(ConfigError):
         load_config(base, "q")
     with pytest.raises(ConfigError):

@@ -198,6 +198,18 @@ def test_constructor_validation():
         make_perturbed_power(-1.0, b=1.2)
     with pytest.raises(ValueError):
         make_perturbed_power(-1.0, b=0.5, nu=10.0)
+    # NaN parameters fail every check
+    nan = float("nan")
+    for make in (lambda: make_exponential(nan), lambda: make_power(nan),
+                 lambda: make_perturbed_exponential(nan),
+                 lambda: make_perturbed_exponential(0.2, alpha=nan),
+                 lambda: make_perturbed_exponential(0.2, a=nan),
+                 lambda: make_perturbed_exponential(0.2, omega=nan),
+                 lambda: make_perturbed_exponential(0.2, kind="constant-shift", a=nan),
+                 lambda: make_perturbed_power(nan), lambda: make_perturbed_power(-1.0, b=nan),
+                 lambda: make_perturbed_power(-1.0, nu=nan)):
+        with pytest.raises(ValueError):
+            make()
 
 
 def test_rescale_to_unit_alpha_identity():
