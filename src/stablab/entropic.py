@@ -125,20 +125,22 @@ def _node_vertices(tree: ScenarioTree):
     rows where not a vertex.
 
     A candidate solves [dS_S'; 1'] q = e_{d+1} on a support S of at most d+1
-    children (one batched SVD per block and |S|, moves over the node's
-    largest |dS|): a vertex if S has full rank, its least singular value above
-    (d + 1) * eps * sigma_max, and the drift and every weight clear
-    VERTEX_TOL (so only on its own S).
+    children, moves over the node's largest |dS|.  One child is a vertex, of
+    weight exactly 1, where its move is at most VERTEX_TOL.  A larger support
+    takes one batched SVD per child count and |S|, every date stacked (the
+    tree's `count_blocks`): a vertex if S has full rank, its least singular
+    value above (d + 1) * eps * sigma_max, and the drift and every weight
+    clear VERTEX_TOL (so only on its own S).
     """
     d = tree.n_assets
     e = np.eye(d + 1)[d]
     out = []
-    for nodes, kids in (block for level in tree.child_blocks for block in level):
+    for nodes, kids in tree.count_blocks:
         k, c = kids.shape
         dS = tree.d_prices[kids]
         dS = dS / np.maximum(np.abs(dS).max(axis=(1, 2)), np.finfo(float).tiny)[:, None, None]
-        verts = []
-        for s in range(1, min(d + 1, c) + 1):
+        verts = [(np.abs(dS).max(axis=2) <= VERTEX_TOL)[:, :, None] * np.eye(c)]
+        for s in range(2, min(d + 1, c) + 1):
             supp = np.array(list(combinations(range(c), s)))
             m = len(supp)
             M = np.concatenate([dS[:, supp].transpose(0, 1, 3, 2), np.ones((k, m, 1, s))],
@@ -157,8 +159,10 @@ def _node_vertices(tree: ScenarioTree):
             verts[-1][:, np.arange(m)[:, None], supp] = np.where(good[..., None], q, 0.0)
         verts = np.concatenate(verts, axis=1)
         verts.flags.writeable = False
-        out.append((nodes, kids, verts))
-    return out
+        # back to the dates' blocks, which the stack holds date by date
+        cuts = np.flatnonzero(np.diff(tree.time[nodes])) + 1
+        out += zip(np.split(nodes, cuts), np.split(kids, cuts), np.split(verts, cuts))
+    return sorted(out, key=lambda block: (tree.time[block[0][0]], block[1].shape[1]))
 
 
 def _arbitrage(tree: ScenarioTree) -> NoMartingaleMeasure:
@@ -218,9 +222,12 @@ def _newton(x, evaluate, tol, what):
     direction that is not a finite descent direction falls back to the
     scaled steepest-descent step.
     Returns (x, value, residual, iterations); raises NonConvergence when the
-    line search stalls or NEWTON_STEPS steps do not reach the tolerance.
+    start value is not finite, the line search stalls or NEWTON_STEPS steps
+    do not reach the tolerance.
     """
     val, derivatives = evaluate(x)
+    if not np.isfinite(val):
+        raise NonConvergence(f"{what} start value is not finite", np.inf)
     for it in range(1, NEWTON_STEPS + 1):
         grad, residual, newton_step = derivatives()
         if residual <= tol:
@@ -316,12 +323,13 @@ class _Moves:
 
 
 def _layout(tree: ScenarioTree, move: np.ndarray) -> _Moves:
-    """The `_Moves` of the per-node moves `move` (n, d): one batched SVD per child block."""
+    """The `_Moves` of the per-node moves `move` (n, d): one batched SVD per
+    child count, every date stacked (the tree's `count_blocks`)."""
     K, d = tree.nonterminal.shape[0], tree.n_assets
     framed = move.copy()
     frames = np.tile(np.eye(d), (K, 1, 1))
     null = np.zeros((K, d), dtype=bool)
-    for nodes, kids in (block for level in tree.child_blocks for block in level):
+    for nodes, kids in tree.count_blocks:
         _, sv, vh = np.linalg.svd(move[kids])
         rank = np.sum(sv > max(kids.shape[1], d) * np.finfo(float).eps * sv[:, :1], axis=1)
         low = rank < d
@@ -457,6 +465,21 @@ def solve_primal(tree: ScenarioTree, utility: UtilityOnR, endowment=0.0, *,
     total = wealth.at_leaves(tree) + xi
     return PrimalSolution(strategy=strategy, wealth=wealth, value=float(P @ utility.value(total)),
                           endowment=xi, total=total, gradient_norm=gnorm, iterations=it)
+
+
+def _hedge(tree: ScenarioTree, q: np.ndarray, claim: np.ndarray) -> np.ndarray:
+    """Per-node share holdings (n, d) whose gains best replicate the leaf
+    claim C = claim - E_q[claim] under the leaf weights q: the minimizer of
+    E_q[(C - (h.S)_T)^2], by one `_holding_step` with a = q and b = -q C.
+    Under the dual measure this is the claim's Galtchouk-Kunita-Watanabe
+    hedge, the first-order change of the optimal strategy when the claim is
+    added; on a complete market, its replicating strategy."""
+    moves = _price_moves(tree)
+    K, d = tree.nonterminal.shape[0], tree.n_assets
+    h = np.zeros((tree.n_nodes, d))
+    step = _holding_step(tree, moves, moves.node, q, -q * (claim - q @ claim), moves.unit)
+    h[tree.nonterminal] = moves.from_frame(step.reshape(K, d))
+    return h
 
 
 # ----------------------------------------------------------------------

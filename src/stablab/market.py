@@ -48,6 +48,9 @@ class ScenarioTree:
     child_blocks : per date 0..T-1, one (nodes, kids) block per child count c:
         the date's nodes with c children, ascending, and their (k, c) child ids;
         every walk over a node's children goes through these blocks
+    count_blocks : per child count c, ascending, one (nodes, kids) block that
+        stacks every date's block of that count, dates in order; for per-node
+        work that needs no date order (the one-step geometry)
     leaves : int array of node ids at the terminal date
     nonterminal : int array of the other node ids, ascending
     column : (n,) int array, the row of each non-terminal node in stacked
@@ -101,6 +104,7 @@ class ScenarioTree:
         # (0: none) in the order the messages list them; lowest failing node reported
         failed = np.zeros(n, dtype=np.int64)
         blocks = []
+        by_count = {}
         for level in self.levels[:-1]:
             counts = n_children[level]
             blocks.append([])
@@ -108,12 +112,15 @@ class ScenarioTree:
                 nodes = level[counts == c]
                 kids = by_parent[first_child[nodes, None] + np.arange(c)]
                 blocks[-1].append((nodes, kids))
+                by_count.setdefault(c, []).append((nodes, kids))
                 # one row per node, so each row sums exactly as a per-node sum does
                 p = prob[kids]
                 failed[nodes] = 1 if c < 2 else np.select(
                     [np.any((p <= PROB_FLOOR) | (p >= 1.0), axis=1),
                      np.abs(p.sum(axis=1) - 1.0) > PROB_SUM_TOL], [2, 3])
         self.child_blocks = tuple(tuple(level) for level in blocks)
+        self.count_blocks = tuple(tuple(map(np.concatenate, zip(*by_count[c])))
+                                  for c in sorted(by_count))
         bad = np.flatnonzero(failed)
         if bad.size:
             i = int(bad[0])
@@ -148,7 +155,8 @@ class ScenarioTree:
 
         for a in (parent, time, prob, prices, paths, path_prob, d_prices, d_returns,
                   column, self.leaves, self.nonterminal, *self.levels,
-                  *(x for level in self.child_blocks for block in level for x in block)):
+                  *(x for level in self.child_blocks for block in level for x in block),
+                  *(x for block in self.count_blocks for x in block)):
             a.flags.writeable = False
         self._cache = {}
 

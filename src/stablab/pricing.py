@@ -7,9 +7,12 @@ E_P[U'(X*_p)] the marginal utility of the optimal wealth with the claim
 bought at p, and weak duality with the base problem's dual measure Q gives
 g(E_Q[B]) <= 0.  So Newton's method p <- p + g(p)/y_p, started at the Davis
 price E_Q[B], falls monotonically to the root and never solves at the ends
-of the claim's range [min B, max B].  Each iterate is one primal solve,
-warm-started from the previous optimum; on a complete market the Davis price
-is already the root, and the price costs one solve.
+of the claim's range [min B, max B].  Each iterate is one primal solve.  The
+first starts at the base strategy less the claim's hedge under Q (the
+first-order change of the optimum when the claim is added), the later ones
+at the previous optimum.  On a complete market the Davis price is already
+the root and the hedge replicates the claim, so the price costs one solve
+that starts at its optimum.
 """
 from __future__ import annotations
 
@@ -17,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropic import DualMeasure, NonConvergence, PrimalSolution, extract_dual, solve_primal
-from .market import ScenarioTree
+from .entropic import (DualMeasure, NonConvergence, PrimalSolution, _hedge, extract_dual,
+                       solve_primal)
+from .market import ScenarioTree, Strategy
 from .utilities import UtilityOnR
 
 __all__ = ["PriceResult", "davis_price", "indifference_price"]
@@ -78,9 +82,13 @@ def _indifference(tree: ScenarioTree, utility: UtilityOnR, x0: float, B: np.ndar
     without the claim at x0 and its dual: Newton from the Davis price."""
     P = tree.path_prob[tree.leaves]
     lo, hi = float(np.min(B)), float(np.max(B))
-    # a constant claim is priced outright by cash translation
-    p = lo if hi - lo <= 0.0 else min(max(float(dual.measure.weights @ B), lo), hi)
     warm = base.strategy
+    # a constant claim is priced outright by cash translation, and needs no hedge
+    if hi - lo <= 0.0:
+        p = lo
+    else:
+        p = min(max(float(dual.measure.weights @ B), lo), hi)
+        warm = Strategy(warm.values - _hedge(tree, dual.measure.weights, B), "shares")
     for it in range(1, PRICE_STEPS + 1):
         where = f"indifference Newton iteration {it} at price {p!r}"
         try:

@@ -53,14 +53,18 @@ class ConfigError(ValueError):
 
 
 def config_number(value, what: str, kind=float):
-    """value as a `kind`; ConfigError naming `what` when it is not a finite number."""
-    try:
-        out = kind(value)
-        if math.isfinite(out):
-            return out
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    """value as a `kind`; ConfigError naming `what` when it is not a finite
+    number, is a boolean, or, for an int, has a fractional part."""
+    fractional = kind is int and isinstance(value, float) and not value.is_integer()
+    if not (isinstance(value, bool) or fractional):
+        try:
+            out = kind(value)
+            if math.isfinite(out):
+                return out
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{what} must be a finite {'whole ' if kind is int else ''}number, "
+                      f"got {value!r}")
 
 
 # ----------------------------------------------------------------------

@@ -137,7 +137,10 @@ def test_config_errors_exit_2(tmp_path, capsys):
                        ("x0", [1]), ("x0", None), ("seed", None), ("tol", None),
                        ("claim", {"kind": "call", "strike": None}), ("market", 5),
                        ("x0", float("nan")), ("seed", float("inf")), ("grid", [0.2, float("nan")]),
-                       ("family", {"kind": "sine", "a": float("nan")})):
+                       ("family", {"kind": "sine", "a": float("nan")}),
+                       # booleans, and fractions of whole-number entries
+                       ("seed", 2.5), ("seed", True), ("x0", True),
+                       ("claim", {"kind": "call", "asset": 0.9})):
         cfg = write_config(tmp_path, "typed.json", {**sweep, key: value})
         assert main(["sweep-delta", "--config", cfg, "--out", str(tmp_path)]) == 2, (key, value)
     with open(f"{CONFIGS}/price_call.json") as f:
@@ -154,11 +157,24 @@ def test_config_errors_exit_2(tmp_path, capsys):
                        ("utility", {"kind": "sine", "delta": float("nan")}),
                        ("utility", {"kind": "power", "p": float("nan")}),
                        ("market", {"lattice": {"s0": 1.0, "u": 2.0, "d": 0.5, "q": 0.5,
-                                               "steps": 2.5}})):
+                                               "steps": 2.5}}),
+                       # booleans, and fractions of whole-number entries
+                       ("x0", True), ("utility", {"kind": "exponential", "alpha": True}),
+                       ("claim", {"kind": "call", "asset": 0.9})):
         cfg = write_config(tmp_path, "typed.json", {**solve, key: value})
         for command in ("solve", "price"):
             assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2, \
                 (command, key, value)
+    # a two-asset market has an asset 1, but neither 0.9 nor true names it
+    two_asset = {"nodes": [{"parent": -1, "prob": 1.0, "prices": [1.0, 1.0]},
+                           {"parent": 0, "prob": 0.5, "prices": [1.2, 0.9]},
+                           {"parent": 0, "prob": 0.5, "prices": [0.8, 1.1]}]}
+    for asset in (0.9, True):
+        cfg = write_config(tmp_path, "typed.json", {**solve, "market": two_asset,
+                                                    "claim": {"kind": "call", "asset": asset}})
+        for command in ("solve", "price"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2, \
+                (command, asset)
     err = capsys.readouterr().err
     assert "error" in err
 

@@ -253,6 +253,16 @@ def test_newton_reports_a_stalled_line_search():
     assert exc.value.residual == 2.0
 
 
+def test_primal_names_a_start_whose_value_overflows():
+    # e^800 overflows, so the expected utility of holding nothing is -inf:
+    # the solve stops there, before a derivative overflows too (the suite
+    # turns a RuntimeWarning into an error)
+    with pytest.raises(NonConvergence,
+                       match=r"^primal start value is not finite \(residual inf\)$") as exc:
+        solve_primal(two_step_binomial(), make_exponential(1.0), -800.0)
+    assert exc.value.residual == np.inf
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("every_time", [True, False])
 def test_entropy_fallback_never_leaves_the_martingale_set(monkeypatch, bad, every_time):

@@ -3,10 +3,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stablab.pricing
-from conftest import (one_step_trinomial, reference_indifference_price, trinomial_tree,
-                      two_asset_tree, two_step_binomial)
+from conftest import (one_step_trinomial, random_viable_tree, reference_indifference_price,
+                      trinomial_tree, two_asset_tree, two_step_binomial)
 from stablab import (DualMeasure, Measure, NonConvergence, build_tree, davis_price,
                      extract_dual, indifference_price, make_exponential,
                      make_perturbed_exponential, martingale_price_bounds, solve_primal)
@@ -115,13 +117,18 @@ def crr_tree(steps, sigma=0.2, q=0.52):
     return build_tree({"lattice": {"s0": 1.0, "u": u, "d": 1.0 / u, "q": q, "steps": steps}})
 
 
-def counting_solves(monkeypatch):
-    """A one-element list counting the primal solves `indifference_price` makes."""
+def counting_solves(monkeypatch, iterations=None):
+    """A one-element list counting the primal solves `indifference_price`
+    makes; each solve's Newton iterations are appended to `iterations`, if
+    given."""
     count = [0]
 
     def counted(*args, **kwargs):
         count[0] += 1
-        return solve_primal(*args, **kwargs)
+        sol = solve_primal(*args, **kwargs)
+        if iterations is not None:
+            iterations.append(sol.iterations)
+        return sol
 
     monkeypatch.setattr(stablab.pricing, "solve_primal", counted)
     return count
@@ -167,6 +174,40 @@ def test_price_takes_few_solves(monkeypatch, steps):
         count[0] = 0
         indifference_price(tree, make_exponential(1.0), 0.0, call_claim(tree, strike))
         assert count[0] <= 3
+
+
+def wide_lattice(steps):
+    return build_tree({"lattice": {"s0": 1.0, "u": 2.0, "d": 0.5, "q": 0.5, "steps": steps}})
+
+
+@pytest.mark.parametrize("tree, strikes", [
+    *[(crr_tree(steps), (0.9, 1.0, 1.1)) for steps in (6, 8)],
+    *[(wide_lattice(steps), (1.0,)) for steps in range(4, 9)],
+])
+def test_claim_solve_starts_at_its_optimum(monkeypatch, tree, strikes):
+    # complete market: the hedge under the dual measure replicates the call,
+    # so the claim solve starts at its optimum and stops without a step
+    iterations = []
+    counting_solves(monkeypatch, iterations)
+    for strike in strikes:
+        iterations.clear()
+        indifference_price(tree, make_exponential(1.0), 0.0, call_claim(tree, strike))
+        assert len(iterations) >= 2 and set(iterations[1:]) == {1}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), steps=st.integers(1, 3), x0=st.floats(-2.0, 2.0),
+       level=st.floats(0.05, 0.95))
+def test_price_from_the_hedge_matches_bisection(seed, steps, x0, level):
+    # random incomplete trees: the first claim solve starts off its optimum
+    tree = random_viable_tree(np.random.default_rng(seed), steps)
+    S = tree.terminal_prices()[:, 0]
+    B = call_claim(tree, S.min() + level * (S.max() - S.min()))
+    u = make_exponential(1.0)
+    price = indifference_price(tree, u, x0, B).price
+    lo, hi = martingale_price_bounds(tree, B)
+    assert lo - 1e-12 <= price <= hi + 1e-12
+    assert abs(price - reference_indifference_price(tree, u, x0, B)) <= 1e-12
 
 
 def test_constant_claim_takes_two_solves(monkeypatch):

@@ -2,7 +2,10 @@
 price bounds against the global LPs, the level-wise one-step reductions
 against their per-node loops, the block-wise opportunity process against its
 node-by-node recursion, the entropy dual's Newton step against the dense KKT
-solve, and the tree-sparse Newton step against the dense solve."""
+solve, the tree-sparse Newton step against the dense solve, and the one-step
+geometry against its date-by-date blocks."""
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,11 +20,12 @@ from conftest import (assert_reductions_match_references, assert_same_probes,
                       near_degenerate_tree, random_viable_tree, trinomial_tree, two_asset_tree,
                       reference_indifference_price, reference_opportunity_process,
                       reference_price_bounds, reference_probes)
-from stablab import (Measure, UtilityField, branching_tree, build_tree, indifference_price,
-                     make_exponential, make_perturbed_exponential, make_power,
+from stablab import (Measure, ScenarioTree, UtilityField, branching_tree, build_tree,
+                     indifference_price, make_exponential, make_perturbed_exponential, make_power,
                      martingale_polytope_probes, martingale_price_bounds, martingale_residual,
                      minimal_entropy_measure, opportunity_process, solve_primal)
-from stablab.entropic import VERTEX_TOL, _node_vertices, _tree_step, assert_market_viable
+from stablab.entropic import (VERTEX_TOL, _layout, _node_vertices, _tree_step,
+                              assert_market_viable)
 
 
 def whole_percent(hi):
@@ -359,3 +363,103 @@ def test_indifference_newton_falls_onto_the_price(case, x0, alpha):
     assert iterates and np.all(np.diff(iterates) <= 0.0)
     assert min(iterates) >= price - 1e-12
     assert abs(price - reference_indifference_price(tree, u, x0, B)) <= 1e-12
+
+
+def reference_node_vertices(tree):
+    """`entropic._node_vertices` as it ran date by date: one batched SVD per
+    child block and support size, single-child supports included."""
+    d = tree.n_assets
+    e = np.eye(d + 1)[d]
+    out = []
+    for nodes, kids in (block for level in tree.child_blocks for block in level):
+        k, c = kids.shape
+        dS = tree.d_prices[kids]
+        dS = dS / np.maximum(np.abs(dS).max(axis=(1, 2)), np.finfo(float).tiny)[:, None, None]
+        verts = []
+        for s in range(1, min(d + 1, c) + 1):
+            supp = np.array(list(combinations(range(c), s)))
+            m = len(supp)
+            M = np.concatenate([dS[:, supp].transpose(0, 1, 3, 2), np.ones((k, m, 1, s))],
+                               axis=2)
+            u, sv, vh = np.linalg.svd(M, full_matrices=False)
+            good = sv[..., -1] > (d + 1) * np.finfo(float).eps * sv[..., 0]
+            pinv = np.divide(vh, sv[..., None], out=np.zeros_like(vh),
+                             where=good[..., None, None]).swapaxes(-1, -2) @ u.swapaxes(-1, -2)
+            q = pinv[..., d]
+            q += (pinv @ (e - (M @ q[..., None])[..., 0])[..., None])[..., 0]
+            q /= np.where(good, q.sum(axis=-1), 1.0)[..., None]
+            drift = np.abs(np.matmul(q[..., None, :], dS[:, supp])[..., 0, :]).max(axis=-1)
+            good &= (drift <= VERTEX_TOL) & np.all(q > VERTEX_TOL, axis=-1)
+            verts.append(np.zeros((k, m, c)))
+            verts[-1][:, np.arange(m)[:, None], supp] = np.where(good[..., None], q, 0.0)
+        out.append((nodes, kids, np.concatenate(verts, axis=1)))
+    return out
+
+
+def reference_layout(tree, move):
+    """(framed moves, frames, null) of `entropic._layout` as it ran date by
+    date: one batched SVD per child block."""
+    K, d = tree.nonterminal.shape[0], tree.n_assets
+    framed = move.copy()
+    frames = np.tile(np.eye(d), (K, 1, 1))
+    null = np.zeros((K, d), dtype=bool)
+    for nodes, kids in (block for level in tree.child_blocks for block in level):
+        _, sv, vh = np.linalg.svd(move[kids])
+        rank = np.sum(sv > max(kids.shape[1], d) * np.finfo(float).eps * sv[:, :1], axis=1)
+        low = rank < d
+        V = vh[low].transpose(0, 2, 1)
+        drop = np.arange(d) >= rank[low][:, None]
+        framed[kids[low]] = np.where(drop[:, None, :], 0.0, np.matmul(move[kids[low]], V))
+        frames[tree.column[nodes[low]]] = V
+        null[tree.column[nodes[low]]] = drop
+    return framed, frames, null
+
+
+def depth_first(tree):
+    """`tree` with its nodes renumbered depth first, every subtree before its
+    next sibling, so that ids interleave across dates."""
+    order = []
+
+    def visit(i):
+        order.append(i)
+        for j in np.flatnonzero(tree.parent == i):
+            visit(j)
+
+    visit(0)
+    renumber = np.empty(tree.n_nodes, dtype=np.int64)
+    renumber[order] = np.arange(tree.n_nodes)
+    parent = np.where(tree.parent[order] < 0, -1, renumber[tree.parent[order]])
+    return ScenarioTree(parent, tree.time[order], tree.prob[order], tree.prices[order])
+
+
+# Stacking every date's block of one child count changes how many matrices
+# each batched SVD and product takes, not what each one computes, so the
+# geometry is bit for bit the per-date one.  The trees cover zero moves
+# (factor 1.0), a move of 1e-13 (a one-child vertex by VERTEX_TOL alone),
+# ids interleaved across dates, collinear and near-degenerate moves,
+# arbitrage nodes and mixed child counts.
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(tree=st.one_of(
+    small_viable_trees(whole_percent), small_viable_trees(any_scale),
+    random_trees_and_measures().map(lambda case: case[0]), viable_branching_trees(),
+    collinear_two_asset_trees()))
+@example(tree=flat_node_tree())
+@example(tree=mixed_branching_tree())
+@example(tree=near_degenerate_tree())
+@example(tree=collinear_two_asset_tree())
+@example(tree=branching_tree([1.0, 1.0], [[1.1, 1.1], [1.0, 1.0], [0.9, 0.9]],
+                             [0.3, 0.4, 0.3], 3))
+@example(tree=branching_tree(1.0, [1.5, 1.0 + 1e-13, 0.5], [0.3, 0.4, 0.3], 2))
+@example(tree=depth_first(trinomial_tree(3)))
+@example(tree=depth_first(two_asset_tree(2)))
+def test_geometry_matches_its_per_date_blocks(tree):
+    got, want = _node_vertices(tree), reference_node_vertices(tree)
+    assert len(got) == len(want)
+    for block, ref in zip(got, want):
+        assert all(np.array_equal(a, b) for a, b in zip(block, ref))
+    for move in (tree.d_prices, tree.d_returns):
+        moves = _layout(tree, move)
+        framed, frames, null = reference_layout(tree, move)
+        assert np.array_equal(moves.node, framed)
+        assert np.array_equal(moves.frames, frames)
+        assert np.array_equal(moves.null, null)

@@ -233,3 +233,33 @@ def test_the_entropy_dual_takes_the_primal_step():
     sources = {str(p.relative_to(SRC)): p.read_text() for p in files}
     assert "def minimal_entropy_measure" in sources["entropic.py"]
     assert not {p: h for p, h in ((p, step_problems(s)) for p, s in sources.items()) if h}
+
+
+GEOMETRY = {"_node_vertices", "_layout"}
+
+
+def date_walkers(source: str) -> set[str]:
+    """Top-level definitions among the one-step geometry's functions that name
+    `child_blocks`.
+
+    The vertices and frames are per node, so they take one batched SVD per
+    child count over every date at once (`count_blocks`), not one per date."""
+    return {top.name for top in ast.parse(source).body
+            if isinstance(top, ast.FunctionDef) and top.name in GEOMETRY
+            and any(isinstance(n, ast.Attribute) and n.attr == "child_blocks"
+                    for n in ast.walk(top))}
+
+
+@pytest.mark.parametrize("source", [
+    "def _layout(tree, move):\n    for level in tree.child_blocks:\n        pass",
+    "def _node_vertices(tree):\n    blocks = [b for level in tree.child_blocks for b in level]",
+])
+def test_date_walkers_are_caught(source):
+    assert date_walkers(source)
+
+
+def test_the_geometry_walks_child_counts():
+    source = (SRC / "entropic.py").read_text()
+    defined = {top.name for top in ast.parse(source).body if isinstance(top, ast.FunctionDef)}
+    assert GEOMETRY <= defined
+    assert not date_walkers(source)

@@ -23,6 +23,11 @@ TRINOMIAL = {"nodes": [
     {"parent": 0, "prob": 0.3333333333333333, "prices": [1.0]},
     {"parent": 0, "prob": 0.3333333333333333, "prices": [0.5]},
 ]}
+TWO_ASSET = {"nodes": [
+    {"parent": -1, "prob": 1.0, "prices": [1.0, 1.0]},
+    {"parent": 0, "prob": 0.5, "prices": [1.2, 0.9]},
+    {"parent": 0, "prob": 0.5, "prices": [0.8, 1.1]},
+]}
 
 
 def delta_doc(**overrides):
@@ -66,6 +71,13 @@ def delta_doc(**overrides):
                                            "steps": 2.5}}),
     lambda d: d.update(market={"lattice": {"s0": float("nan"), "u": 2.0, "d": 0.5, "q": 0.5,
                                            "steps": 2}}),
+    # booleans are not numbers, and whole-number entries take no fraction
+    lambda d: d.update(seed=2.5),
+    lambda d: d.update(seed=True),
+    lambda d: d.update(x0=True),
+    lambda d: d.update(claim={"kind": "call", "asset": 0.9}),
+    lambda d: d.update(market=TWO_ASSET, claim={"kind": "call", "asset": 0.9}),
+    lambda d: d.update(market=TWO_ASSET, claim={"kind": "call", "asset": True}),
 ])
 def test_load_config_rejects_bad_delta_docs(mutate):
     doc = delta_doc()
