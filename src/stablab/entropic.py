@@ -23,13 +23,13 @@ share one Newton system, min sum_l (a_l/2) s_l^2 + b_l s_l +
 sum_n h_n' E_n h_n / 2, s_l the gains of the step along leaf l's path, its
 moves given per node: the entropy dual's step is equality-constrained
 Newton on the measure, whose multiplier solves that system.  The gains
-belong to one path layout per kind of move, `_Moves`, and only this module
-picks the route: on small trees (K*d up to DENSE_NEWTON_MAX) the solvers
-factor the dense (K*d)^2 matrix built from the (L, K*d) gains matrix that
-the layout gathers along the paths; on larger ones `_tree_step` solves the
-system exactly by one backward Riccati pass over the child blocks and one
-forward pass, in O(K*d^3), with every product with the gains a gather or a
-`bincount` along the leaf paths, so no (L, K*d) array is built.
+belong to one layout per kind of move, `_Moves`, the one reader of the leaf
+paths, and only this module picks the route: on small trees (K*d up to
+DENSE_NEWTON_MAX) the solvers factor the dense (K*d)^2 matrix built from the
+(L, K*d) gains matrix; on larger ones `_tree_step` solves the system exactly
+by one backward Riccati pass over the child blocks and one forward pass, in
+O(K*d^3), and every product with the gains takes one step per node, so no
+(L, K*d) array is built.
 Per-node arrays of the system are stacked in `tree.column` order.  Each node
 holds its assets in a frame from the SVD of its children's moves, the
 identity where they have full rank; holdings the moves cannot see get no
@@ -61,6 +61,7 @@ GRAD_TOL = 1e-12      # absolute gradient sup-norm: the primal's, the entropy du
 NEWTON_STEPS = 200
 DENSE_NEWTON_MAX = 128    # K*d up to which primal and fraction steps factor the dense Hessian
 VERTEX_TOL = 1e-12    # one-step vertex: drift over the node's largest move, least weight
+DUAL_TOL = 1e-8       # martingale residual above which extract_dual rejects its measure
 PROBE_TOL = 1e-8      # martingale residual above which a probe measure is rejected
 PROBE_VERTICES = 8    # polytope vertices among the probe measures
 PROBE_INTERIOR = 4    # random interior mixtures of them
@@ -269,48 +270,54 @@ class _Moves:
     exactly 0; `null` marks those redundant holdings and `unit` (K, d, d)
     puts 1 on their diagonals.  Every layout carries all three: a full-rank
     node has the identity frame, no null holding and a zero unit block.
-    cols[l, t] is the column of the node at date t on leaf l's path, `path`
-    its child there, `leaf` the move into that child, and slots the flat
-    (column, asset) index of each (leaf, date, asset), of size K*d.  `dense`
-    is the (L, K*d) gains matrix of `node`, built on first use (the dense
-    route only).
+    `up` is the column of each non-root node's parent and `paths` the tree's
+    own root-to-leaf paths, the one array with a leaf axis; every product
+    with the gains takes per-node moves (n, m).  `dense` is the (L, K*d)
+    gains matrix of `node`, built on first use (the dense route only).
     """
 
     node: np.ndarray
-    leaf: np.ndarray
-    cols: np.ndarray
-    path: np.ndarray
-    slots: np.ndarray
-    size: int
+    up: np.ndarray
+    paths: np.ndarray
     frames: np.ndarray
     null: np.ndarray
     unit: np.ndarray
 
+    def path_sum(self, v):
+        """Per leaf, the sum of the per-node v (n,) along its path (v[0] is 0)."""
+        return np.einsum("lt->l", v[self.paths])
+
+    def gains(self, h, move):
+        """The gains matrix of the per-node moves move (n, d) times the stacked
+        holdings h: each node's step h[up] . move, summed along the paths."""
+        step = np.einsum("nd,nd->n", h.reshape(-1, move.shape[1])[self.up], move[1:])
+        return self.path_sum(np.concatenate(([0.0], step)))
+
+    def adjoint(self, r, move):
+        """The transposed gains matrix of the per-node moves move (n, m) times
+        the leaf vector r, (K*m,): each node's sum of r over the leaves below
+        it, times its move, added into its parent's column."""
+        below = self.paths[:, 1:]
+        R = np.bincount(below.ravel(), np.repeat(r, below.shape[1]), len(move))
+        m = move.shape[1]
+        return np.bincount((self.up[:, None] * m + np.arange(m)).ravel(),
+                           (R[1:, None] * move[1:]).ravel(), len(self.null) * m)
+
     def matrix(self, move):
-        """The (L, K*d) gains matrix of the per-node moves move (n, d): row l
+        """The (L, K*m) gains matrix of the per-node moves move (n, m): row l
         holds the move into each child on leaf l's path in the columns of its
         parent."""
-        L, d = self.cols.shape[0], move.shape[1]
-        A = np.zeros((L, self.size // d, d))
+        kids = self.paths[:, 1:]
+        A = np.zeros((len(kids), len(self.null), move.shape[1]))
         # a node occurs at most once on a path, so every entry is written once
-        A[np.arange(L)[:, None], self.cols] = move[self.path]
-        return A.reshape(L, self.size)
+        A[np.arange(len(kids))[:, None], self.up[kids - 1]] = move[kids]
+        return A.reshape(len(kids), -1)
 
     @cached_property
     def dense(self):
         A = self.matrix(self.node)
         A.flags.writeable = False
         return A
-
-    def gains(self, h, w):
-        """Per leaf l, sum_t h[cols[l, t]] . w[l, t]: the gains matrix of the
-        per-leaf moves w (L, T, d) times the stacked holdings h."""
-        return np.einsum("ltd,ltd->l", h.reshape(-1, w.shape[2])[self.cols], w)
-
-    def adjoint(self, r, w):
-        """The transposed gains matrix of w times the leaf vector r: one
-        bincount over the (leaf, date) slots."""
-        return np.bincount(self.slots, (r[:, None, None] * w).ravel(), self.size)
 
     def to_frame(self, h):
         """(K, d) holdings in the node frames, redundant ones dropped."""
@@ -338,12 +345,9 @@ def _layout(tree: ScenarioTree, move: np.ndarray) -> _Moves:
         framed[kids[low]] = np.where(drop[:, None, :], 0.0, np.matmul(move[kids[low]], V))
         frames[tree.column[nodes[low]]] = V
         null[tree.column[nodes[low]]] = drop
-    cols = tree.column[tree.paths[:, :-1]]
-    path = tree.paths[:, 1:]
-    slots = (cols[..., None] * d + np.arange(d)).ravel()
-    out = _Moves(framed, framed[path], cols, path, slots, K * d, frames, null,
+    out = _Moves(framed, tree.column[tree.parent[1:]], tree.paths, frames, null,
                  null[:, :, None] * np.eye(d))
-    for a in (out.node, out.leaf, cols, slots, frames, null, out.unit):
+    for a in (out.node, out.up, frames, null, out.unit):
         a.flags.writeable = False
     return out
 
@@ -434,7 +438,7 @@ def solve_primal(tree: ScenarioTree, utility: UtilityOnR, endowment=0.0, *,
     if _dense_route(tree):
         gains, adjoint = moves.dense.__matmul__, moves.dense.T.__matmul__
     else:
-        gains, adjoint = partial(moves.gains, w=moves.leaf), partial(moves.adjoint, w=moves.leaf)
+        gains, adjoint = (partial(f, move=moves.node) for f in (moves.gains, moves.adjoint))
 
     if initial is not None:
         h = moves.to_frame(initial.values[tree.nonterminal].astype(float)).reshape(K * d).copy()
@@ -486,20 +490,19 @@ def _hedge(tree: ScenarioTree, q: np.ndarray, claim: np.ndarray) -> np.ndarray:
 # dual extraction and entropy minimization
 
 
-def extract_dual(tree: ScenarioTree, utility: UtilityOnR, sol: PrimalSolution,
-                 tol: float = 1e-8) -> DualMeasure:
+def extract_dual(tree: ScenarioTree, utility: UtilityOnR, sol: PrimalSolution) -> DualMeasure:
     """Dual measure with leaf weights P * U'(total wealth), normalized.
 
     The scale y is the normalizing constant E_P[U'(total)].  Raises
     NonConvergence when the implied measure fails the martingale check at
-    `tol`; a clean primal solve always passes.
+    DUAL_TOL; a clean primal solve always passes.
     """
     P = tree.path_prob[tree.leaves]
     mu = P * utility.marginal(sol.total)
     y = float(mu.sum())
     q = Measure(mu / y)
     residual = martingale_residual(tree, q)
-    if residual > tol:
+    if residual > DUAL_TOL:
         raise NonConvergence("dual measure is not a martingale measure", residual)
     return DualMeasure(measure=q, y=y, residual=residual)
 
@@ -545,7 +548,7 @@ def minimal_entropy_measure(tree: ScenarioTree, utility: UtilityOnR) -> DualMeas
             a = P / (-1.0 / np.asarray(utility.curvature(x)))
             grad = -x
             lam = _holding_step(tree, moves, moves.node, a, a * grad, moves.unit)
-            r = grad + moves.gains(lam, moves.leaf)
+            r = grad + moves.gains(lam, moves.node)
             return r, float(np.max(np.abs(r))), lambda: -a * r
 
         # V(z) = U(I(z)) - z I(z), as `conjugate` computes it for z > 0

@@ -249,6 +249,14 @@ class AdaptedProcess:
 # construction
 
 
+def _spec_number(value, what: str) -> float:
+    """A tree spec's JSON number as a float; TreeValidationError naming `what`
+    for a boolean, a string or any other non-number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer)):
+        raise TreeValidationError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def build_tree(spec: dict) -> ScenarioTree:
     """Build a tree from a specification dict.
 
@@ -259,8 +267,8 @@ def build_tree(spec: dict) -> ScenarioTree:
     """
     if "lattice" in spec:
         lat = spec["lattice"]
-        s0, u, d, q = float(lat["s0"]), float(lat["u"]), float(lat["d"]), float(lat["q"])
-        steps = float(lat["steps"])
+        s0, u, d, q, steps = (_spec_number(lat[k], f"lattice {k}")
+                              for k in ("s0", "u", "d", "q", "steps"))
         if not u > d:
             raise TreeValidationError("lattice requires u > d")
         if not (0.0 < q < 1.0):
@@ -273,23 +281,19 @@ def build_tree(spec: dict) -> ScenarioTree:
             raise TreeValidationError("lattice needs at least one step")
         return branching_tree(s0, [u, d], [q, 1.0 - q], int(steps))
     if "nodes" in spec:
-        nodes = spec["nodes"]
-        parent = []
-        prob = []
-        prices = []
-        for nd in nodes:
-            p = nd.get("parent", None)
-            parent.append(-1 if p is None else int(p))
-            pr = nd.get("prob", None)
-            prob.append(1.0 if pr is None else float(pr))
-            prices.append(nd["prices"])
-        parent = np.asarray(parent)
-        time = np.zeros(len(nodes), dtype=np.int64)
-        for i in range(1, len(nodes)):
-            if parent[i] < 0 or parent[i] >= i:
+        parent, time, prob, prices = [], [], [], []
+        for i, nd in enumerate(spec["nodes"]):
+            p, pr = nd.get("parent"), nd.get("prob")
+            p = -1.0 if p is None else _spec_number(p, "node parent")
+            if not p.is_integer():
+                raise TreeValidationError(f"node parent must be a whole number, got {p!r}")
+            if i and not 0 <= p < i:
                 raise TreeValidationError("explicit nodes must list parents first")
-            time[i] = time[parent[i]] + 1
-        return ScenarioTree(parent, time, np.asarray(prob), np.asarray(prices, dtype=float))
+            parent.append(int(p))
+            time.append(time[int(p)] + 1 if i else 0)
+            prob.append(1.0 if pr is None else _spec_number(pr, "node prob"))
+            prices.append(nd["prices"])
+        return ScenarioTree(parent, time, prob, prices)
     raise TreeValidationError("tree spec needs a 'lattice' or 'nodes' entry")
 
 

@@ -88,10 +88,11 @@ def solve_power_field(tree: ScenarioTree, utility: UtilityOnRPlus, x0: float = 1
     minimizes the negated objective and stops once the gradient, relative
     to the objective's marginal scale, is below POWER_TOL.  Each evaluation
     takes the growth 1 + pi . dR once per child node, in the frames of
-    `entropic._return_moves`, and the leaf log-wealth by one forward pass
-    over the dates; its derivatives take the sensitivities dR / growth per
-    node, and its steps solve the primal's Newton system
-    (`entropic._holding_step`) with them as moves.
+    `entropic._return_moves`, and the leaf log-wealth as the layout's path
+    sum of log growth; its derivatives take the gradient and the same-node
+    Hessian blocks as adjoint products of the sensitivities w = dR / growth
+    per node (and of w w'), and its steps solve the primal's Newton system
+    (`entropic._holding_step`) with w as moves.
     """
     if x0 <= 0.0:
         raise ValueError("initial capital must be positive")
@@ -101,37 +102,29 @@ def solve_power_field(tree: ScenarioTree, utility: UtilityOnRPlus, x0: float = 1
     D = np.ones(tree.n_leaves) if field is None else np.asarray(field.weights, dtype=float)
     K = tree.nonterminal.shape[0]
     d = tree.n_assets
-    # same-node Hessian blocks: one flat (k, a, b) slot per (leaf, date, a, b)
-    slots = (moves.cols[..., None] * (d * d) + np.arange(d * d)).ravel()
-    up = tree.column[tree.parent[1:]]      # the column of each child node's parent
 
     def evaluate(pvec):
         g = np.ones(tree.n_nodes)
-        g[1:] = 1.0 + np.einsum("na,na->n", pvec.reshape(-1, d)[up], moves.node[1:])
+        g[1:] = 1.0 + np.einsum("na,na->n", pvec.reshape(-1, d)[moves.up], moves.node[1:])
         if np.any(g <= 0.0):
             return np.inf, None
-        log_g = np.log(g)
-        logX = np.zeros(tree.n_nodes)
-        for nodes in tree.levels[1:]:
-            logX[nodes] = logX[tree.parent[nodes]] + log_g[nodes]
         with np.errstate(over="ignore"):
-            X = np.exp(np.log(x0) + logX[tree.leaves])
+            X = np.exp(np.log(x0) + moves.path_sum(np.log(g)))
             val = float(P @ (D * np.asarray(utility.value(X))))
 
         def derivatives():
             mXp = P * D * np.asarray(utility.marginal(X)) * X
             move = moves.node / g[:, None]
-            w = move[moves.path]
-            grad = moves.adjoint(-mXp, w)
+            grad = moves.adjoint(-mXp, move)
             gnorm = float(np.max(np.abs(grad))) / float(np.sum(np.abs(mXp))) if grad.size else 0.0
 
             def step():
                 cA = P * D * np.asarray(utility.curvature(X)) * X * X
                 # same-node second derivatives of X vanish (each node hits a path
-                # once): add sum_l mXp_l w_l w_l' to each node's block, summed over
-                # the (leaf, date) pairs, as each leaf lies on T node paths only
-                outer = w[..., :, None] * (w * mXp[:, None, None])[..., None, :]
-                same = np.bincount(slots, outer.ravel(), K * d * d).reshape(K, d, d)
+                # once): add to each node's block sum_l mXp_l w w' over the leaves
+                # below it, w the move into its child on leaf l's path
+                outer = (move[:, :, None] * move[:, None, :]).reshape(-1, d * d)
+                same = moves.adjoint(mXp, outer).reshape(K, d, d)
                 return _holding_step(tree, moves, move, -(cA + mXp), -mXp, same + moves.unit)
 
             return grad, gnorm, step

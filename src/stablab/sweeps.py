@@ -54,9 +54,9 @@ class ConfigError(ValueError):
 
 def config_number(value, what: str, kind=float):
     """value as a `kind`; ConfigError naming `what` when it is not a finite
-    number, is a boolean, or, for an int, has a fractional part."""
+    number, is a boolean or a string, or, for an int, has a fractional part."""
     fractional = kind is int and isinstance(value, float) and not value.is_integer()
-    if not (isinstance(value, bool) or fractional):
+    if not (isinstance(value, (bool, str)) or fractional):
         try:
             out = kind(value)
             if math.isfinite(out):
@@ -167,9 +167,8 @@ def make_claim(tree: ScenarioTree, claim) -> np.ndarray:
 
 def _delta_family(fam: dict):
     kind = fam.get("kind", "sine")
-    a = float(fam.get("a", 0.2))
-    omega = float(fam.get("omega", 1.0))
-    slope = float(fam.get("alpha_slope", 0.0))
+    a, omega, slope = (config_number(fam.get(k, v), f"family {k}")
+                       for k, v in (("a", 0.2), ("omega", 1.0), ("alpha_slope", 0.0)))
     if kind == "exponential":
         return lambda d: make_perturbed_exponential(d, alpha=1.0 + d, kind="sine", a=0.0)
     if kind in ("sine", "constant-shift", "constant_shift"):
@@ -183,8 +182,8 @@ def _p_family(fam: dict):
     if kind == "power":
         return None, None
     if kind == "power-member":
-        base = make_perturbed_power(float(fam.get("p0", -7.0)), b=float(fam.get("b", 0.05)),
-                                    nu=float(fam.get("nu", 1.0)))
+        base = make_perturbed_power(*(config_number(fam.get(k, v), f"family {k}")
+                                      for k, v in (("p0", -7.0), ("b", 0.05), ("nu", 1.0))))
         return base, shifted_inverse_mix(base.p)
     raise ConfigError(f"unknown p family kind {kind!r}")
 
@@ -483,17 +482,17 @@ def shipped_families():
 # the audit takes as many trials per block as keep block * n_nodes * (T+1)
 # within this many doubles, so its memory does not grow with the trial count
 AUDIT_BLOCK_DOUBLES = 2 ** 18
+AUDIT_EXPONENTS = (0.25, 0.5, 0.75)   # the exponents q of the maximal inequality
 
 
 def audit_probabilistic_lemmas(tree: ScenarioTree, seed: int = 42,
-                               trials: int = 1000,
-                               qs=(0.25, 0.5, 0.75)) -> AuditReport:
+                               trials: int = 1000) -> AuditReport:
     """Random-supermartingale maximal-inequality audit plus sandwich audits.
 
     Each trial builds Z = M - A under the entropy-minimal measure: M a
     centered martingale from random terminal values, A a nondecreasing
     adapted drift, so Z_0 = 0 and Z is a supermartingale.  The bound checked
-    is E[sup_t |Z_t|^q] <= 2^q / (1-q) * E[|Z_T|]^q for each exponent q.
+    is E[sup_t |Z_t|^q] <= 2^q / (1-q) * E[|Z_T|]^q for each q in AUDIT_EXPONENTS.
 
     Trials run in blocks of AUDIT_BLOCK_DOUBLES / (n_nodes * (T+1)).  The
     draws stay per trial and in order: normal leaf values, then n_nodes + 1
@@ -539,7 +538,7 @@ def audit_probabilistic_lemmas(tree: ScenarioTree, seed: int = 42,
         absZ = np.abs(M - M[:, :1] - drift)
         path_sup = np.max(np.take(absZ, tree.paths, axis=1), axis=-1)
         zT = (qw * np.take(absZ, leaves, axis=1)).sum(axis=-1).tolist()
-        for q in qs:
+        for q in AUDIT_EXPONENTS:
             lhs = (qw * path_sup ** q).sum(axis=-1)
             # Python's scalar pow; numpy's vector power can differ by an ulp
             rhs = 2.0 ** q / (1.0 - q) * np.array([z ** q for z in zT])

@@ -3,8 +3,9 @@ global LPs over the martingale polytope (the probe loop that solves every
 random-cost LP, and the two price-bound LPs) as references for the backward
 passes over per-node vertices, the per-node loops of the one-step reductions
 and of the opportunity process, the bisection for the indifference price,
-the dense Newton route of the primal and fraction solvers, and the dense
-price-gains matrix built leaf by leaf, as references for those."""
+the dense Newton route of the primal and fraction solvers, the dense
+price-gains matrix built leaf by leaf, and the (leaf, date) path form of the
+gains products, as references for those."""
 import numpy as np
 from scipy.optimize import linprog
 
@@ -201,6 +202,22 @@ def gains_per_leaf(tree):
             c0 = col_of[int(node)] * d
             A[leaf_k, c0:c0 + d] += tree.d_prices[child]
     return A
+
+
+def reference_path_products(tree, move, h, r):
+    """The gains products of the per-node moves move (n, m) in their (leaf,
+    date) path form: (gains, adjoint), gains[l] = sum_t h[cols[l, t]] . w[l, t]
+    for the stacked holdings h (K*m,), cols[l, t] the column of the node at
+    date t on leaf l's path and w[l, t] the move into its child there, and
+    adjoint the transposed product of the leaf vector r, one bincount over
+    the (leaf, date) slots (for m = d*d, the fraction solver's same-node
+    Hessian blocks)."""
+    K, m = tree.nonterminal.shape[0], move.shape[1]
+    cols = tree.column[tree.paths[:, :-1]]
+    w = move[tree.paths[:, 1:]]
+    gains = np.einsum("ltd,ltd->l", h.reshape(-1, m)[cols], w)
+    slots = (cols[..., None] * m + np.arange(m)).ravel()
+    return gains, np.bincount(slots, (r[:, None, None] * w).ravel(), K * m)
 
 
 def reference_probes(tree, seed, lp=linprog):

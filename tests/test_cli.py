@@ -94,6 +94,20 @@ def test_audit_default_market(tmp_path):
     assert len(doc["families"]) == 6
 
 
+LATTICE = {"s0": 1.0, "u": 2.0, "d": 0.5, "q": 0.5, "steps": 2}
+# markets whose fields are not JSON numbers, or whose node parent is not whole
+BAD_MARKETS = (
+    {"lattice": {**LATTICE, "steps": True}},
+    {"lattice": {**LATTICE, "u": "2"}},
+    {"nodes": [{"parent": -1, "prob": 1.0, "prices": [1.0]},
+               {"parent": 0, "prob": 0.5, "prices": [2.0]},
+               {"parent": 0.7, "prob": 0.5, "prices": [0.5]}]},
+    {"nodes": [{"parent": -1, "prob": 1.0, "prices": [1.0]},
+               {"parent": 0, "prob": "0.5", "prices": [2.0]},
+               {"parent": 0, "prob": 0.5, "prices": [0.5]}]},
+)
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     # missing file
     assert main(["solve", "--config", str(tmp_path / "nope.json"),
@@ -140,9 +154,20 @@ def test_config_errors_exit_2(tmp_path, capsys):
                        ("family", {"kind": "sine", "a": float("nan")}),
                        # booleans, and fractions of whole-number entries
                        ("seed", 2.5), ("seed", True), ("x0", True),
-                       ("claim", {"kind": "call", "asset": 0.9})):
+                       ("claim", {"kind": "call", "asset": 0.9}),
+                       # strings, and booleans or strings in the family and the tree
+                       ("x0", "0.5"), ("seed", "3"),
+                       ("family", {"kind": "sine", "a": True}),
+                       ("family", {"kind": "sine", "a": "0.2"}),
+                       *(("market", market) for market in BAD_MARKETS)):
         cfg = write_config(tmp_path, "typed.json", {**sweep, key: value})
         assert main(["sweep-delta", "--config", cfg, "--out", str(tmp_path)]) == 2, (key, value)
+    with open(f"{CONFIGS}/binomial_power.json") as f:
+        power = json.load(f)
+    for key, value in (("p0", True), ("b", "0.05"), ("nu", "1")):
+        cfg = write_config(tmp_path, "typed.json",
+                           {**power, "family": {**power["family"], key: value}})
+        assert main(["sweep-p", "--config", cfg, "--out", str(tmp_path)]) == 2, (key, value)
     with open(f"{CONFIGS}/price_call.json") as f:
         solve = json.load(f)
     for key, value in (("utility", [1]), ("utility", {"kind": "exponential", "alpha": None}),
@@ -160,7 +185,10 @@ def test_config_errors_exit_2(tmp_path, capsys):
                                                "steps": 2.5}}),
                        # booleans, and fractions of whole-number entries
                        ("x0", True), ("utility", {"kind": "exponential", "alpha": True}),
-                       ("claim", {"kind": "call", "asset": 0.9})):
+                       ("claim", {"kind": "call", "asset": 0.9}),
+                       # strings, and booleans or strings in the tree
+                       ("x0", "0.5"), ("utility", {"kind": "exponential", "alpha": "1.0"}),
+                       *(("market", market) for market in BAD_MARKETS)):
         cfg = write_config(tmp_path, "typed.json", {**solve, key: value})
         for command in ("solve", "price"):
             assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2, \

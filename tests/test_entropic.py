@@ -4,15 +4,17 @@ from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog, minimize
 
 import stablab.entropic as entropic
 from conftest import (assert_same_probes, collinear_two_asset_tree,
                       depth_first_two_asset_tree, flat_node_tree, gains_per_leaf,
-                      mixed_branching_tree,
+                      mixed_branching_tree, near_collinear_two_asset_tree,
                       near_degenerate_tree, one_step_binomial, one_step_theta,
-                      one_step_trinomial, random_viable_tree, reference_price_bounds,
-                      reference_probes, three_step_binomial, trinomial_tree, two_asset_tree,
+                      one_step_trinomial, random_viable_tree, reference_path_products,
+                      reference_price_bounds, reference_probes, three_step_binomial, trinomial_tree, two_asset_tree,
                       two_step_binomial)
 from stablab import (Measure, NoMartingaleMeasure, NonConvergence,
                      PrimalSolution, Strategy, UtilityOnR, branching_tree, build_tree,
@@ -72,7 +74,39 @@ def test_gains_matrix_reproduces_wealth():
         from stablab import wealth_additive
         X = wealth_additive(tree, Strategy(vals, "shares"))
         assert np.allclose(A @ h, X.at_leaves(tree), atol=1e-12)
-        assert np.allclose(moves.gains(h, moves.leaf), X.at_leaves(tree), atol=1e-12)
+        assert np.allclose(moves.gains(h, moves.node), X.at_leaves(tree), atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(tree=st.builds(lambda seed, steps: random_viable_tree(np.random.default_rng(seed), steps),
+                      st.integers(0, 2 ** 32 - 1), st.integers(1, 4)),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(tree=collinear_two_asset_tree(), seed=0)
+@example(tree=near_collinear_two_asset_tree(), seed=1)
+@example(tree=two_asset_tree(3), seed=2)
+def test_node_products_match_the_path_form(tree, seed):
+    # the per-node gains and adjoint against their (leaf, date) path form and
+    # the dense matrix, for moves of width d (the gains) and d*d (the
+    # fraction solver's same-node blocks)
+    rng = np.random.default_rng(seed)
+    moves = entropic._price_moves(tree)
+    K, d = tree.nonterminal.shape[0], tree.n_assets
+    r = rng.normal(size=tree.n_leaves)
+    for m in (d, d * d):
+        move = rng.normal(size=(tree.n_nodes, m))
+        h = rng.normal(size=K * m)
+        gains, adjoint = moves.gains(h, move), moves.adjoint(r, move)
+        ref_gains, ref_adjoint = reference_path_products(tree, move, h, r)
+        # the sums of absolute terms bound every rounding error
+        abs_gains, abs_adjoint = reference_path_products(tree, np.abs(move), np.abs(h),
+                                                         np.abs(r))
+        A = moves.matrix(move)
+        assert A.shape == (tree.n_leaves, K * m)
+        for got, want, scale in ((gains, ref_gains, abs_gains), (gains, A @ h, abs_gains),
+                                 (adjoint, ref_adjoint, abs_adjoint),
+                                 (adjoint, A.T @ r, abs_adjoint)):
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-13 * scale.max())
 
 
 @pytest.mark.parametrize("make_tree", [depth_first_two_asset_tree, trinomial_tree])

@@ -141,7 +141,9 @@ def test_tree_validation_errors():
     with pytest.raises(TreeValidationError):
         build_tree({"lattice": {"s0": 1.0, "u": 2.0, "d": 0.5, "q": 1.5, "steps": 1}})
     for bad in ({"steps": 2.5}, {"steps": float("nan")}, {"s0": float("nan")},
-                {"u": float("nan")}, {"d": float("nan")}):
+                {"u": float("nan")}, {"d": float("nan")},
+                # lattice fields are JSON numbers: no booleans, no strings
+                {"steps": True}, {"u": "2"}, {"s0": "1.0"}, {"q": False}, {"steps": "2"}):
         with pytest.raises(TreeValidationError):
             build_tree({"lattice": {"s0": 1.0, "u": 2.0, "d": 0.5, "q": 0.5, "steps": 2, **bad}})
     with pytest.raises(TreeValidationError):  # child listed before parent
@@ -155,6 +157,15 @@ def test_tree_validation_errors():
             build_tree({"nodes": [
                 {"parent": -1, "prices": [1.0]},
                 {"parent": 0, "prob": 0.5, "prices": [bad]},
+                {"parent": 0, "prob": 0.5, "prices": [0.5]},
+            ]})
+    # a node's parent is a whole JSON number and its prob a JSON number
+    for parent, prob in ((0.7, 0.5), (True, 0.5), ("0", 0.5), (float("nan"), 0.5),
+                         (0, "0.5"), (0, True)):
+        with pytest.raises(TreeValidationError):
+            build_tree({"nodes": [
+                {"parent": -1, "prices": [1.0]},
+                {"parent": parent, "prob": prob, "prices": [2.0]},
                 {"parent": 0, "prob": 0.5, "prices": [0.5]},
             ]})
     with pytest.raises(TreeValidationError):  # probabilities don't sum to 1

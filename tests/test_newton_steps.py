@@ -2,6 +2,7 @@
 against the dense one (the reference, `conftest.on_route`), holdings that the
 moves cannot see, in those solvers and in the opportunity process, and trees
 too large for the dense route."""
+import dataclasses
 import time
 
 import numpy as np
@@ -74,9 +75,9 @@ def solve_counting_gains(monkeypatch, dense, tree, u, reuse):
     count = [0]
     gains, newton = entropic._Moves.gains, entropic._newton
 
-    def counted(self, h, w):
+    def counted(self, h, move):
         count[0] += 1
-        return gains(self, h, w)
+        return gains(self, h, move)
 
     def fresh(x, evaluate, tol, what):
         def recomputed(h):
@@ -236,12 +237,20 @@ def test_dp_holds_fractions_in_the_node_frames():
 
 def test_every_layout_carries_frames():
     # frames, null and unit are arrays on every tree: the identity, False and
-    # zero blocks on full-rank nodes, so no solver branches on their absence
+    # zero blocks on full-rank nodes, so no solver branches on their absence;
+    # the tree's own paths are the only array with a leaf axis
     trees = (lattice(3), branching_tree([1.0, 1.0], TWO_FACTORS, [0.15, 0.35, 0.3, 0.2], 2),
              flat_node_tree(), near_collinear_two_asset_tree())
     for tree in trees:
         K, d = tree.nonterminal.shape[0], tree.n_assets
         for moves in (entropic._price_moves(tree), entropic._return_moves(tree)):
+            assert moves.paths is tree.paths
+            fields = {f.name: getattr(moves, f.name) for f in dataclasses.fields(moves)}
+            assert list(fields) == ["node", "up", "paths", "frames", "null", "unit"]
+            assert fields["node"].shape == (tree.n_nodes, d)
+            assert np.array_equal(moves.up, tree.column[tree.parent[1:]])
+            assert not any(tree.n_leaves in a.shape for name, a in fields.items()
+                           if name != "paths")
             assert moves.frames.shape == (K, d, d)
             assert moves.null.shape == (K, d) and moves.null.dtype == bool
             assert np.array_equal(moves.unit, moves.null[:, :, None] * np.eye(d))

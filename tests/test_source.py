@@ -183,6 +183,46 @@ def test_only_entropic_knows_the_newton_route():
     assert not {p: h for p, h in retired.items() if h}
 
 
+PATH_NAMES = {"bincount", "paths"}
+
+
+def path_names(source: str) -> set[str]:
+    """Uses, imports, bindings and definitions of `bincount` or `paths`.
+
+    Every product with the gains takes per-node moves and goes through the
+    layout `entropic._Moves`, which alone knows the (leaf, date) paths, so
+    the fraction solver sums along no path itself."""
+    hits = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            hits.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            hits.add(node.attr)
+        elif isinstance(node, ast.alias):
+            hits.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.arg):
+            hits.add(node.arg)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            hits.add(node.name)
+    return hits & PATH_NAMES
+
+
+@pytest.mark.parametrize("source", [
+    "same = np.bincount(slots, outer.ravel(), K * d * d)",
+    "from numpy import bincount as add_up",
+    "cols = tree.column[tree.paths[:, :-1]]",
+    "def solve(tree, paths):\n    return None",
+    "paths = tree.cached('paths', build)",
+    "logX = np.take(logg, moves.paths[:, 1:], axis=0).sum(axis=1)",
+])
+def test_path_names_are_caught(source):
+    assert path_names(source)
+
+
+def test_the_fraction_solver_reads_no_paths():
+    assert not path_names((SRC / "positive.py").read_text())
+
+
 SOLVERS = {"_holding_step", "_tree_step", "_dense_step", "solve", "lstsq", "pinv", "inv"}
 DENSE_STEP_CALLERS = {"_holding_step", "_tree_step", "_one_step_min"}
 

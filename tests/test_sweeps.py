@@ -78,6 +78,24 @@ def delta_doc(**overrides):
     lambda d: d.update(claim={"kind": "call", "asset": 0.9}),
     lambda d: d.update(market=TWO_ASSET, claim={"kind": "call", "asset": 0.9}),
     lambda d: d.update(market=TWO_ASSET, claim={"kind": "call", "asset": True}),
+    # strings are not numbers either, in the config or in its family
+    lambda d: d.update(x0="0.5"),
+    lambda d: d.update(seed="3"),
+    lambda d: d.update(grid=["0.2", "0.1"]),
+    lambda d: d.update(claim={"kind": "call", "strike": "1.0"}),
+    lambda d: d.update(family={"kind": "sine", "a": True}),
+    lambda d: d.update(family={"kind": "sine", "a": "0.2"}),
+    lambda d: d.update(family={"kind": "sine", "omega": True}),
+    lambda d: d.update(family={"kind": "constant-shift", "alpha_slope": "0.5"}),
+    lambda d: d.update(market={"lattice": {"s0": 1.0, "u": 2.0, "d": 0.5, "q": 0.5,
+                                           "steps": True}}),
+    lambda d: d.update(market={"lattice": {"s0": 1.0, "u": "2", "d": 0.5, "q": 0.5,
+                                           "steps": 2}}),
+    lambda d: d.update(market={"nodes": [dict(TRINOMIAL["nodes"][0]),
+                                         *({**nd, "prob": str(nd["prob"])}
+                                           for nd in TRINOMIAL["nodes"][1:])]}),
+    lambda d: d.update(market={"nodes": [*TRINOMIAL["nodes"][:3],
+                                         {**TRINOMIAL["nodes"][3], "parent": 0.7}]}),
 ])
 def test_load_config_rejects_bad_delta_docs(mutate):
     doc = delta_doc()
@@ -96,6 +114,12 @@ def test_load_config_rejects_bad_p_docs():
         load_config(dict(base, family={"kind": "power-member", "b": 40.0}), "p")
     with pytest.raises(ConfigError):
         load_config(dict(base, family={"kind": "power-member", "b": float("nan")}), "p")
+    for key, value in (("p0", True), ("p0", "-7"), ("b", "0.05"), ("b", True), ("nu", "1"),
+                       ("nu", False)):
+        with pytest.raises(ConfigError):
+            load_config(dict(base, family={"kind": "power-member", key: value}), "p")
+    with pytest.raises(ConfigError):
+        load_config(dict(base, x0="1.0"), "p")
     with pytest.raises(ConfigError):
         load_config(base, "q")
     with pytest.raises(ConfigError):
