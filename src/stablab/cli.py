@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .entropic import extract_dual, solve_primal, verify_optimality
-from .market import TreeValidationError
 from .positive import opportunity_process, solve_power_field
 from .pricing import _check_tol, _indifference, davis_price
 from .sweeps import (ConfigError, SCHEMA_VERSION, audit_probabilistic_lemmas,
@@ -84,14 +83,18 @@ def _dump(doc: dict) -> str:
 # subcommands
 
 
-def _cmd_solve(args) -> int:
-    doc = _read_config(args.config)
+def _problem(doc: dict, command: str, claim: dict):
+    """The tree, utility, claim leaf values and x0 of a solve or price config;
+    `claim` is the claim entry a config without one gets."""
     if "market" not in doc:
-        raise ConfigError("solve config needs a 'market' entry")
+        raise ConfigError(f"{command} config needs a 'market' entry")
     tree = market_tree(doc["market"])
-    utility = _utility_from(doc.get("utility", {}))
-    B = make_claim(tree, doc.get("claim", {"kind": "zero"}))
-    x0 = config_number(doc.get("x0", 0.0), "x0")
+    return (tree, _utility_from(doc.get("utility", {})),
+            make_claim(tree, doc.get("claim", claim)), config_number(doc.get("x0", 0.0), "x0"))
+
+
+def _cmd_solve(args) -> int:
+    tree, utility, B, x0 = _problem(_read_config(args.config), "solve", {"kind": "zero"})
     if isinstance(utility, UtilityOnRPlus):
         if x0 <= 0.0:
             raise ConfigError("positive-half-line solves need x0 > 0")
@@ -136,15 +139,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_price(args) -> int:
     doc = _read_config(args.config)
-    if "market" not in doc:
-        raise ConfigError("price config needs a 'market' entry")
     tol = _check_tol(args.tol if args.tol is not None else doc.get("tol", 1e-9))
-    tree = market_tree(doc["market"])
-    utility = _utility_from(doc.get("utility", {}))
+    tree, utility, B, x0 = _problem(doc, "price", {"kind": "call", "strike": 1.0})
     if isinstance(utility, UtilityOnRPlus):
         raise ConfigError("pricing needs a real-line utility")
-    B = make_claim(tree, doc.get("claim", {"kind": "call", "strike": 1.0}))
-    x0 = config_number(doc.get("x0", 0.0), "x0")
     sol = solve_primal(tree, utility, x0)
     dual = extract_dual(tree, utility, sol)
     davis = davis_price(dual, B)
@@ -182,11 +180,8 @@ def _sweep_cmd(args, kind: str) -> int:
 
 
 def _cmd_audit(args) -> int:
-    market = DEFAULT_MARKET
-    if args.config:
-        doc = _read_config(args.config)
-        market = doc.get("market", DEFAULT_MARKET)
-    tree = market_tree(market)
+    doc = _read_config(args.config) if args.config else {}
+    tree = market_tree(doc.get("market", DEFAULT_MARKET))
     report = audit_probabilistic_lemmas(tree, seed=args.seed if args.seed is not None else 42,
                                         trials=args.trials)
     out = {
@@ -248,7 +243,7 @@ def main(argv=None) -> int:
         # NonConvergence, NoMartingaleMeasure and AdmissibilityViolation land here
         print(f"solver error: {e}", file=sys.stderr)
         return EXIT_SOLVER
-    except (ConfigError, TreeValidationError, KeyError, ValueError) as e:
+    except ValueError as e:  # ConfigError and TreeValidationError among them
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -12,6 +12,7 @@ by aggregating leaf weights up the tree, one batched product per child block
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +78,7 @@ class ScenarioTree:
             raise TreeValidationError("first node must be the root (parent -1, time 0)")
         if np.any(parent[1:] < 0) or np.any(parent[1:] >= np.arange(1, n)):
             raise TreeValidationError("nodes must be topologically ordered")
-        if not np.all(prices > 0.0):
+        if not np.all(np.isfinite(prices) & (prices > 0.0)):
             raise TreeValidationError("prices must be strictly positive")
         if np.any(time[1:] != time[parent[1:]] + 1):
             raise TreeValidationError("child time must be parent time + 1")
@@ -116,7 +117,7 @@ class ScenarioTree:
                 # one row per node, so each row sums exactly as a per-node sum does
                 p = prob[kids]
                 failed[nodes] = 1 if c < 2 else np.select(
-                    [np.any((p <= PROB_FLOOR) | (p >= 1.0), axis=1),
+                    [~np.all((p > PROB_FLOOR) & (p < 1.0), axis=1),
                      np.abs(p.sum(axis=1) - 1.0) > PROB_SUM_TOL], [2, 3])
         self.child_blocks = tuple(tuple(level) for level in blocks)
         self.count_blocks = tuple(tuple(map(np.concatenate, zip(*by_count[c])))
@@ -193,7 +194,7 @@ class Measure:
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", w)
-        if np.any(w < 0.0):
+        if not np.all(w >= 0.0):
             raise TreeValidationError("measure weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-9:
             raise TreeValidationError("measure weights must sum to 1")
@@ -249,50 +250,57 @@ class AdaptedProcess:
 # construction
 
 
-def _spec_number(value, what: str) -> float:
-    """A tree spec's JSON number as a float; TreeValidationError naming `what`
-    for a boolean, a string or any other non-number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer)):
-        raise TreeValidationError(f"{what} must be a number, got {value!r}")
-    return float(value)
+def _number(value, what: str, error=TreeValidationError, kind=float):
+    """The entry `what` of a JSON document as a `kind`: a finite int or float,
+    whole for kind int.  Raises `error` naming the entry for anything else, such
+    as a boolean, a string, NaN, an infinity or an int beyond float range."""
+    if (isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max and (kind is float or float(value).is_integer())):
+        return kind(value)
+    raise error(f"{what} must be a finite {'whole ' if kind is int else ''}number, got {value!r}")
 
 
 def build_tree(spec: dict) -> ScenarioTree:
-    """Build a tree from a specification dict.
+    """Build a tree from a specification dict; a malformed spec raises
+    TreeValidationError and no other error.
 
     Two forms are accepted: {"lattice": {"s0", "u", "d", "q", "steps"}} for a
     binomial tree expanded into a full (non-recombining) event tree, and
     {"nodes": [{"parent", "prob", "prices"}, ...]} for an explicit node list
-    in topological order ("time" entries are optional and derived).
+    in topological order ("time" entries are optional and derived).  Every
+    number goes through `_number`.
     """
+    if not (isinstance(spec, dict) and isinstance(spec.get("lattice", {}), dict)):
+        raise TreeValidationError("a tree spec and its lattice must be JSON objects")
     if "lattice" in spec:
         lat = spec["lattice"]
-        s0, u, d, q, steps = (_spec_number(lat[k], f"lattice {k}")
-                              for k in ("s0", "u", "d", "q", "steps"))
+        s0, u, d, q = (_number(lat.get(k), f"lattice {k}") for k in ("s0", "u", "d", "q"))
+        steps = _number(lat.get("steps"), "lattice steps", kind=int)
         if not u > d:
             raise TreeValidationError("lattice requires u > d")
         if not (0.0 < q < 1.0):
             raise TreeValidationError("lattice probability must lie in (0, 1)")
         if not (s0 > 0.0 and d > 0.0):
             raise TreeValidationError("lattice prices must stay positive")
-        if not steps.is_integer():
-            raise TreeValidationError("lattice steps must be a whole number")
         if steps < 1:
             raise TreeValidationError("lattice needs at least one step")
-        return branching_tree(s0, [u, d], [q, 1.0 - q], int(steps))
+        return branching_tree(s0, [u, d], [q, 1.0 - q], steps)
     if "nodes" in spec:
+        nodes = spec["nodes"]
+        if not (isinstance(nodes, list) and all(isinstance(nd, dict) for nd in nodes)):
+            raise TreeValidationError("tree nodes must be a list of JSON objects")
         parent, time, prob, prices = [], [], [], []
-        for i, nd in enumerate(spec["nodes"]):
-            p, pr = nd.get("parent"), nd.get("prob")
-            p = -1.0 if p is None else _spec_number(p, "node parent")
-            if not p.is_integer():
-                raise TreeValidationError(f"node parent must be a whole number, got {p!r}")
-            if i and not 0 <= p < i:
-                raise TreeValidationError("explicit nodes must list parents first")
-            parent.append(int(p))
-            time.append(time[int(p)] + 1 if i else 0)
-            prob.append(1.0 if pr is None else _spec_number(pr, "node prob"))
-            prices.append(nd["prices"])
+        for i, nd in enumerate(nodes):
+            p = _number(nd.get("parent", -1), f"node {i} parent", kind=int)
+            if not (0 <= p < i if i else p == -1):
+                raise TreeValidationError(f"node {i} parent must be an earlier node (root: -1)")
+            pr = nd.get("prices")
+            if not isinstance(pr, list) or not pr or prices and len(pr) != len(prices[0]):
+                raise TreeValidationError(f"node {i} prices must list one number per asset")
+            parent.append(p)
+            time.append(time[p] + 1 if i else 0)
+            prob.append(_number(nd.get("prob", 1.0), f"node {i} prob"))
+            prices.append([_number(x, f"node {i} price") for x in pr])
         return ScenarioTree(parent, time, prob, prices)
     raise TreeValidationError("tree spec needs a 'lattice' or 'nodes' entry")
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .entropic import (DualMeasure, NonConvergence, PrimalSolution, _hedge, extract_dual,
                        solve_primal)
-from .market import ScenarioTree, Strategy
+from .market import ScenarioTree, Strategy, _number
 from .utilities import UtilityOnR
 
 __all__ = ["PriceResult", "davis_price", "indifference_price"]
@@ -52,9 +52,9 @@ def _check_claim(B, error=ValueError) -> np.ndarray:
 def _check_tol(tol, error=ValueError) -> float:
     """tol as a float, if it is a positive finite number; raises `error` otherwise."""
     try:
-        if 0.0 < float(tol) < np.inf:
-            return float(tol)
-    except (TypeError, ValueError, OverflowError):
+        if (out := _number(tol, "tolerance", error)) > 0.0:
+            return out
+    except error:
         pass
     raise error("tolerance must be positive and finite")
 

@@ -8,13 +8,14 @@ Rate fitting follows the asymptotic reading: the headline fit uses only the
 smallest half of the grid, with the full-grid fit reported alongside.
 
 Reports serialize to CSV (17 significant digits, fixed column order) and
-JSON (sorted keys); identical config and seed give byte-identical output.
+JSON (sorted keys); an identical config gives byte-identical output.
 Grid points are solved in order, and a sweep stops at the first point that
 fails.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -23,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entropic import extract_dual, minimal_entropy_measure, solve_primal
-from .market import (ScenarioTree, bracket_distance, build_tree,
-                     conditional_probs)
+from .market import (ScenarioTree, TreeValidationError, _number, bracket_distance,
+                     build_tree, conditional_probs)
 from .pricing import _check_claim, _check_tol, _indifference, davis_price
 from .positive import (exponential_hedge, ratio_diagnostics,
                        scaled_strategy_distance, solve_power_field)
@@ -52,19 +53,7 @@ class ConfigError(ValueError):
     """Invalid sweep configuration."""
 
 
-def config_number(value, what: str, kind=float):
-    """value as a `kind`; ConfigError naming `what` when it is not a finite
-    number, is a boolean or a string, or, for an int, has a fractional part."""
-    fractional = kind is int and isinstance(value, float) and not value.is_integer()
-    if not (isinstance(value, (bool, str)) or fractional):
-        try:
-            out = kind(value)
-            if math.isfinite(out):
-                return out
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise ConfigError(f"{what} must be a finite {'whole ' if kind is int else ''}number, "
-                      f"got {value!r}")
+config_number = functools.partial(_number, error=ConfigError)
 
 
 # ----------------------------------------------------------------------
@@ -87,7 +76,7 @@ def market_tree(market) -> ScenarioTree:
     """The tree of a config's market entry; ConfigError when it does not build."""
     try:
         return build_tree(market)
-    except Exception as e:
+    except TreeValidationError as e:
         raise ConfigError(f"bad market spec: {e}") from e
 
 
@@ -121,25 +110,31 @@ def load_config(doc: dict, kind: str) -> SweepSpec:
         claim=doc.get("claim", {"kind": "zero"}),
         x0=config_number(doc.get("x0", 0.0 if kind == "delta" else 1.0), "x0"),
         tol=_check_tol(doc.get("tol", 1e-9), ConfigError),
-        seed=config_number(doc.get("seed", 0), "seed", int),
+        seed=config_number(doc.get("seed", 0), "seed", kind=int),
     )
     if kind == "p" and spec.x0 <= 0.0:
         raise ConfigError("p sweeps need positive initial capital")
-    # force an early validation of family parameters
+    _sweep_inputs(spec)
+    return spec
+
+
+def _sweep_inputs(spec: SweepSpec):
+    """The tree, the claim's leaf values and the utility family of a sweep
+    spec, with each δ-grid member built as a check; ConfigError when any is bad."""
     tree = market_tree(spec.market)
-    make_claim(tree, spec.claim)
+    B = make_claim(tree, spec.claim)
     try:
-        if kind == "delta":
+        if spec.kind == "delta":
             fam = _delta_family(spec.family)
-            for d in grid:
+            for d in spec.grid:
                 fam(d)
         else:
-            _p_family(spec.family)
+            fam = _p_family(spec.family)
     except ConfigError:
         raise
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         raise ConfigError(f"bad family: {e}") from e
-    return spec
+    return tree, B, fam
 
 
 def make_claim(tree: ScenarioTree, claim) -> np.ndarray:
@@ -152,16 +147,16 @@ def make_claim(tree: ScenarioTree, claim) -> np.ndarray:
             B = np.full(tree.n_leaves, config_number(claim.get("value", 0.0), "claim value"))
         elif kind == "call":
             strike = config_number(claim.get("strike", 1.0), "claim strike")
-            asset = config_number(claim.get("asset", 0), "claim asset", int)
+            asset = config_number(claim.get("asset", 0), "claim asset", kind=int)
             if not 0 <= asset < tree.n_assets:
                 raise ConfigError(f"claim asset must lie in [0, {tree.n_assets}), got {asset}")
             B = np.maximum(tree.terminal_prices()[:, asset] - strike, 0.0)
         else:
             raise ConfigError(f"unknown claim kind {kind!r}")
+    elif isinstance(claim, list) and len(claim) == tree.n_leaves:
+        B = np.array([config_number(v, f"claim leaf {k}") for k, v in enumerate(claim)])
     else:
-        B = np.asarray(claim, dtype=float)
-        if B.shape != (tree.n_leaves,):
-            raise ConfigError(f"explicit claim needs {tree.n_leaves} leaf values")
+        raise ConfigError(f"explicit claim needs {tree.n_leaves} leaf values")
     return _check_claim(B, ConfigError)
 
 
@@ -248,9 +243,7 @@ def report_json(report: SweepReport) -> str:
 def sweep_delta(spec: SweepSpec) -> SweepReport:
     """Solve the real-line problem along the delta grid and record the error
     functionals against the unperturbed (exponential) member."""
-    tree = market_tree(spec.market)
-    B = make_claim(tree, spec.claim)
-    fam = _delta_family(spec.family)
+    tree, B, fam = _sweep_inputs(spec)
     U0 = make_exponential(1.0)
     base = solve_primal(tree, U0, spec.x0)
     Q = extract_dual(tree, U0, base)
@@ -297,11 +290,9 @@ def sweep_delta(spec: SweepSpec) -> SweepReport:
 def sweep_p(spec: SweepSpec) -> SweepReport:
     """Solve positive-wealth problems along the p grid and compare against
     the money positions of the exponential hedge of the same claim."""
-    tree = market_tree(spec.market)
-    B = make_claim(tree, spec.claim)
+    tree, B, (base, fmix) = _sweep_inputs(spec)
     field_w = UtilityField.from_claim(make_power(min(spec.grid)), B)
     hedge = exponential_hedge(tree, make_exponential(1.0), B, spec.x0)
-    base, fmix = _p_family(spec.family)
 
     def one(p: float) -> dict:
         pure = solve_power_field(tree, make_power(p), spec.x0, field_w)

@@ -143,8 +143,10 @@ class UtilityOnR(_CertifiedUtility):
     value_at_zero: float | None = None
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
+        if not 0.0 < self.alpha < np.inf:
             raise ValueError("risk aversion alpha must be positive")
+        if not np.all(np.isfinite([self.shift, self.amp, self.omega])):
+            raise ValueError("shift, amp and omega must be finite")
         if self.value_at_zero is None:
             object.__setattr__(self, "value_at_zero", -1.0 / self.alpha)
 
@@ -257,8 +259,10 @@ class UtilityOnRPlus(_CertifiedUtility):
     value_at_one: float | None = None
 
     def __post_init__(self):
-        if not self.p < 0.0:
+        if not -np.inf < self.p < 0.0:
             raise ValueError("exponent p must be negative")
+        if not np.all(np.isfinite([self.shift, self.amp, self.nu])):
+            raise ValueError("shift, amp and nu must be finite")
         if self.value_at_one is None:
             object.__setattr__(self, "value_at_one", 1.0 / self.p)
 

@@ -105,6 +105,18 @@ BAD_MARKETS = (
     {"nodes": [{"parent": -1, "prob": 1.0, "prices": [1.0]},
                {"parent": 0, "prob": "0.5", "prices": [2.0]},
                {"parent": 0, "prob": 0.5, "prices": [0.5]}]},
+    # missing, mistyped and non-finite entries, each named by the library
+    {"lattice": {k: v for k, v in LATTICE.items() if k != "u"}},
+    {"lattice": {**LATTICE, "s0": float("inf")}},
+    {"nodes": 5},
+    {"nodes": [{"parent": 1e300, "prob": 1.0, "prices": [1.0]},
+               {"parent": 0, "prob": 0.5, "prices": [2.0]},
+               {"parent": 0, "prob": 0.5, "prices": [0.5]}]},
+    *({"nodes": [{"parent": -1, "prob": 1.0, "prices": [1.0]},
+                 {"parent": 0, "prob": 0.5, "prices": [2.0], **bad},
+                 {"parent": 0, "prob": 0.5, "prices": [0.5]}]}
+      for bad in ({"prices": ["2.0"]}, {"prices": "2"}, {"prices": None},
+                  {"prob": float("nan")}, {"prices": [float("inf")]})),
 )
 
 
@@ -159,6 +171,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
                        ("x0", "0.5"), ("seed", "3"),
                        ("family", {"kind": "sine", "a": True}),
                        ("family", {"kind": "sine", "a": "0.2"}),
+                       # a tolerance and explicit claim leaves are JSON numbers too
+                       ("tol", True), ("tol", "1e-9"), ("claim", ["1", "2", "3", "4"]),
+                       ("claim", [True, False, True, False]),
                        *(("market", market) for market in BAD_MARKETS)):
         cfg = write_config(tmp_path, "typed.json", {**sweep, key: value})
         assert main(["sweep-delta", "--config", cfg, "--out", str(tmp_path)]) == 2, (key, value)
@@ -188,11 +203,15 @@ def test_config_errors_exit_2(tmp_path, capsys):
                        ("claim", {"kind": "call", "asset": 0.9}),
                        # strings, and booleans or strings in the tree
                        ("x0", "0.5"), ("utility", {"kind": "exponential", "alpha": "1.0"}),
+                       ("claim", ["1", "2", "3", "4"]), ("claim", [True, False, True, False]),
                        *(("market", market) for market in BAD_MARKETS)):
         cfg = write_config(tmp_path, "typed.json", {**solve, key: value})
         for command in ("solve", "price"):
             assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2, \
                 (command, key, value)
+    for tol in (True, "1e-9"):
+        cfg = write_config(tmp_path, "typed.json", {**solve, "tol": tol})
+        assert main(["price", "--config", cfg, "--out", str(tmp_path)]) == 2, tol
     # a two-asset market has an asset 1, but neither 0.9 nor true names it
     two_asset = {"nodes": [{"parent": -1, "prob": 1.0, "prices": [1.0, 1.0]},
                            {"parent": 0, "prob": 0.5, "prices": [1.2, 0.9]},

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import stablab.sweeps as sweeps
+from stablab.market import _number
 
 from conftest import (assert_reductions_match_references, child_lists,
                       depth_first_two_asset_tree, mixed_branching_tree, one_step_binomial,
@@ -176,6 +177,48 @@ def test_tree_validation_errors():
         ]})
     with pytest.raises(TreeValidationError):  # single branch
         ScenarioTree([-1, 0], [0, 1], [1.0, 1.0], [[1.0], [2.0]])
+    # a missing, infinite or mistyped entry anywhere in the spec
+    lattice = {"s0": 1.0, "u": 2.0, "d": 0.5, "q": 0.5, "steps": 2}
+    child = {"parent": 0, "prob": 0.5, "prices": [2.0]}
+    for spec in ({"lattice": {k: v for k, v in lattice.items() if k != "u"}},
+                 {"lattice": {**lattice, "s0": float("inf")}},
+                 {"lattice": {**lattice, "steps": 10 ** 400}},
+                 {"lattice": 5}, {"nodes": 5}, {"nodes": [5]}, 5, ["lattice"],
+                 {"nodes": [{"parent": 1e300, "prices": [1.0]}, child, child]},
+                 {"nodes": [{"parent": 0, "prices": [1.0]}, child, child]},
+                 *({"nodes": [{"parent": -1, "prices": [1.0]}, {**child, **bad}, child]}
+                   for bad in ({"prices": ["2.0"]}, {"prices": "2"}, {"prices": [True]},
+                               {"prices": None}, {"prices": []}, {"prices": [2.0, 1.0]},
+                               {"prices": [float("inf")]}, {"prob": float("nan")},
+                               {"prob": None}, {"parent": None})),
+                 {"nodes": [{"parent": -1, "prices": [1.0]},
+                            {"parent": 0, "prob": 0.5}, child]}):
+        with pytest.raises(TreeValidationError):
+            build_tree(spec)
+    # NaN and infinite node entries fail the constructor's own checks
+    for prob, prices in (([1.0, float("nan"), 0.5], [1.0, 2.0, 0.5]),
+                         ([1.0, 0.5, 0.5], [1.0, float("inf"), 0.5]),
+                         ([float("nan"), 0.5, 0.5], [1.0, 2.0, 0.5])):
+        with pytest.raises(TreeValidationError):
+            ScenarioTree([-1, 0, 0], [0, 1, 1], prob, prices)
+
+
+@pytest.mark.parametrize("value, kind, expected", [
+    (2, float, 2.0), (2.0, float, 2.0), (np.int64(2), float, 2.0),
+    (np.float64(0.5), float, 0.5), (2, int, 2), (2.0, int, 2), (np.int64(2), int, 2),
+    *((bad, float, None) for bad in (True, False, "2", None, [2], {"x": 2}, float("nan"),
+                                     float("inf"), float("-inf"), 10 ** 400, np.bool_(True))),
+    (2.5, int, None), (float("inf"), int, None), ("2", int, None),
+])
+def test_number_reader(value, kind, expected):
+    if expected is None:
+        with pytest.raises(sweeps.ConfigError, match="^entry x must be a finite "):
+            _number(value, "entry x", sweeps.ConfigError, kind)
+        with pytest.raises(TreeValidationError, match="entry x"):
+            _number(value, "entry x", kind=kind)
+    else:
+        got = _number(value, "entry x", kind=kind)
+        assert got == expected and type(got) is kind
 
 
 def child_check_reference(parent, prob):
@@ -230,6 +273,9 @@ def test_measure_validation():
         Measure([0.5, -0.1, 0.6])
     with pytest.raises(TreeValidationError):
         Measure([0.5, 0.6])
+    for bad in ([float("nan"), 1.0], [0.5, float("nan"), 0.5], [float("inf"), 1.0]):
+        with pytest.raises(TreeValidationError):
+            Measure(bad)
     m = Measure([0.25, 0.75])
     assert m.is_equivalent()
     assert not Measure([0.0, 1.0]).is_equivalent()

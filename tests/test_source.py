@@ -116,7 +116,8 @@ def test_cli_starts_without_scipy():
 
 
 ROUTE_NAMES = {"DENSE_NEWTON_MAX", "_dense_route"}
-RETIRED = {"gains_matrix", "_gains_scatter", "_martingale_basis", "_log_wealth"}
+RETIRED = {"gains_matrix", "_gains_scatter", "_martingale_basis", "_log_wealth",
+           "_spec_number"}
 
 
 def route_names(source: str) -> set[str]:
@@ -139,10 +140,11 @@ def route_names(source: str) -> set[str]:
 
 def retired_definitions(source: str) -> set[str]:
     """Definitions of the retired global gains builders, of the entropy
-    dual's null-space basis and of the fraction solver's per-leaf log-wealth:
-    the layout `entropic._Moves` owns the gains matrix, the entropy dual
-    takes the primal's Newton step, and the fraction solver's evaluation
-    grows the wealth once per node."""
+    dual's null-space basis, of the fraction solver's per-leaf log-wealth and
+    of the tree spec's own number check: the layout `entropic._Moves` owns the
+    gains matrix, the entropy dual takes the primal's Newton step, the
+    fraction solver's evaluation grows the wealth once per node, and
+    `market._number` reads every number of a spec or config."""
     hits = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -168,6 +170,7 @@ def test_route_names_are_caught(source):
     "gains_matrix = lambda tree: None",
     "def _martingale_basis(tree, q0):\n    return q0",
     "def _log_wealth(moves, pi, keep=False):\n    return None, None",
+    "def _spec_number(value, what):\n    return float(value)",
 ])
 def test_retired_definitions_are_caught(source):
     assert retired_definitions(source)
@@ -303,3 +306,56 @@ def test_the_geometry_walks_child_counts():
     defined = {top.name for top in ast.parse(source).body if isinstance(top, ast.FunctionDef)}
     assert GEOMETRY <= defined
     assert not date_walkers(source)
+
+
+BROAD = {"Exception", "BaseException"}
+
+
+def broad_handlers(source: str) -> list[str]:
+    """The top-level definition around each `except` clause that catches
+    `Exception`, `BaseException` or, bare, everything.
+
+    A bad config or tree spec raises ConfigError or TreeValidationError
+    where its entry is read, so no handler turns stray errors into config
+    errors.  The sweep grid's `_run_grid` alone catches every error: it
+    records the failing grid point and stops the sweep there."""
+    hits = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.ExceptHandler):
+                caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                if any(t is None or getattr(t, "id", getattr(t, "attr", None)) in BROAD
+                       for t in caught):
+                    hits.append(getattr(top, "name", "module level"))
+    return hits
+
+
+@pytest.mark.parametrize("source", [
+    "try:\n    f()\nexcept Exception:\n    pass",
+    "def market_tree(market):\n    try:\n        return build_tree(market)\n"
+    "    except Exception as e:\n        raise ConfigError(str(e)) from e",
+    "try:\n    f()\nexcept (KeyError, Exception) as e:\n    pass",
+    "try:\n    f()\nexcept:\n    pass",
+    "try:\n    f()\nexcept BaseException:\n    pass",
+    "class Loader:\n    def read(self):\n        try:\n            f()\n"
+    "        except builtins.Exception:\n            pass",
+])
+def test_broad_handlers_are_caught(source):
+    assert broad_handlers(source)
+
+
+@pytest.mark.parametrize("source", [
+    "try:\n    f()\nexcept ValueError:\n    pass",
+    "try:\n    f()\nexcept (TypeError, TreeValidationError) as e:\n    pass",
+    "try:\n    f()\nexcept ConfigError:\n    raise\n"
+    "except ValueError as e:\n    raise ConfigError(e)",
+    "try:\n    f()\nexcept ExceptionGroup:\n    pass",
+])
+def test_narrow_handlers_are_not_caught(source):
+    assert not broad_handlers(source)
+
+
+def test_only_the_sweep_grid_catches_every_error():
+    files = sorted(SRC.rglob("*.py"))
+    hits = {str(p.relative_to(SRC)): broad_handlers(p.read_text()) for p in files}
+    assert {p: h for p, h in hits.items() if h} == {"sweeps.py": ["_run_grid"]}

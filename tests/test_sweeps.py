@@ -96,6 +96,31 @@ def delta_doc(**overrides):
                                            for nd in TRINOMIAL["nodes"][1:])]}),
     lambda d: d.update(market={"nodes": [*TRINOMIAL["nodes"][:3],
                                          {**TRINOMIAL["nodes"][3], "parent": 0.7}]}),
+    # a tolerance and explicit claim leaves are JSON numbers too
+    lambda d: d.update(tol=True),
+    lambda d: d.update(tol="1e-9"),
+    lambda d: d.update(claim=["1", "2", "3", "4"]),
+    lambda d: d.update(claim=[True, False, True, False]),
+    lambda d: d.update(claim=[[1.0], [2.0], [3.0], [4.0]]),
+    lambda d: d.update(claim="1234"),
+    # missing, mistyped or infinite market entries
+    lambda d: d.update(market={"lattice": {"s0": 1.0, "d": 0.5, "q": 0.5, "steps": 2}}),
+    lambda d: d.update(market={"lattice": {"s0": float("inf"), "u": 2.0, "d": 0.5, "q": 0.5,
+                                           "steps": 2}}),
+    lambda d: d.update(market={"nodes": 5}),
+    lambda d: d.update(market={"nodes": [dict(TRINOMIAL["nodes"][0], parent=1e300),
+                                         *TRINOMIAL["nodes"][1:]]}),
+    lambda d: d.update(market={"nodes": [*TRINOMIAL["nodes"][:3],
+                                         {"parent": 0, "prob": 0.3333333333333333}]}),
+    lambda d: d.update(market={"nodes": [*TRINOMIAL["nodes"][:3],
+                                         {**TRINOMIAL["nodes"][3], "prices": ["0.5"]}]}),
+    lambda d: d.update(market={"nodes": [*TRINOMIAL["nodes"][:3],
+                                         {**TRINOMIAL["nodes"][3], "prices": "0.5"}]}),
+    lambda d: d.update(market={"nodes": [*TRINOMIAL["nodes"][:3],
+                                         {**TRINOMIAL["nodes"][3], "prob": float("nan")}]}),
+    lambda d: d.update(market={"nodes": [*TRINOMIAL["nodes"][:3],
+                                         {**TRINOMIAL["nodes"][3],
+                                          "prices": [float("inf")]}]}),
 ])
 def test_load_config_rejects_bad_delta_docs(mutate):
     doc = delta_doc()

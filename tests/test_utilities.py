@@ -210,6 +210,17 @@ def test_constructor_validation():
                  lambda: make_perturbed_power(-1.0, nu=nan)):
         with pytest.raises(ValueError):
             make()
+    # infinite parameters, and NaN or infinite ratio parameters
+    inf = float("inf")
+    for make in (lambda: make_exponential(inf), lambda: make_power(-inf),
+                 lambda: make_perturbed_exponential(0.2, alpha=inf),
+                 lambda: make_perturbed_power(-inf),
+                 *(lambda k=k, v=v: UtilityOnR(alpha=1.0, **{k: v})
+                   for k in ("shift", "amp", "omega") for v in (nan, inf, -inf)),
+                 *(lambda k=k, v=v: UtilityOnRPlus(p=-2.0, **{k: v})
+                   for k in ("shift", "amp", "nu") for v in (nan, inf, -inf))):
+        with pytest.raises(ValueError):
+            make()
 
 
 def test_rescale_to_unit_alpha_identity():
