@@ -28,14 +28,14 @@ paths, and only this module picks the route: on small trees (K*d up to
 DENSE_NEWTON_MAX) the solvers factor the dense (K*d)^2 matrix built from the
 (L, K*d) gains matrix; on larger ones `_tree_step` solves the system exactly
 by one backward Riccati pass over the child blocks and one forward pass, in
-O(K*d^3), and every product with the gains takes one step per node, so no
-(L, K*d) array is built.
+O(K*d^3) and a few numpy calls per date, and every product with the gains
+takes one step per node, so no (L, K*d) array is built.
 Per-node arrays of the system are stacked in `tree.column` order.  Each node
 holds its assets in a frame from the SVD of its children's moves, the
 identity where they have full rank; holdings the moves cannot see get no
 gradient and a unit diagonal, so they stay zero.  The opportunity process
-uses the same frames and solves its one-step blocks by `_dense_step`, least
-squares where a matrix is singular.
+uses the same frames.  Both solve their blocks by `_dense_step`: least
+squares where singular, a division where 1x1 (one asset).
 """
 from __future__ import annotations
 
@@ -204,7 +204,10 @@ def _dense_step(hess, grad):
     """The Newton step -hess^-1 grad by LU, for one matrix or a stack of
     independent blocks; grad holds one column or more per matrix, (..., n, m).
     A singular matrix takes the least-squares (minimum-norm) step, block by
-    block."""
+    block.  1x1 blocks divide, bit for bit LAPACK's step with one column, and
+    a zero block takes the least-squares step 0."""
+    if hess.shape[-1] == 1:
+        return np.divide(-grad, hess, out=np.zeros(grad.shape), where=hess != 0.0)
     try:
         return np.linalg.solve(hess, -grad)
     except np.linalg.LinAlgError:
@@ -374,33 +377,35 @@ def _tree_step(tree: ScenarioTree, move, a, b, extra):
 
     One backward Riccati pass over the child blocks, dates last first: a
     node's cost to go is a_n x^2 / 2 + b_n x in the gains x accrued above it,
-    with M = sum_c a_c w_c w_c' + E_n, u = sum_c a_c w_c, v = sum_c b_c w_c,
-    one batched (k, d, d) solve for M^-1 [u v], a_n = sum a_c - u' M^-1 u and
-    b_n = sum b_c - u' M^-1 v.  Then one forward pass h_n = -M^-1 (u x_n + v),
-    x_child = x_n + h_n . w_child.  Exact, in O(K d^3); extra (K, d, d) is
-    E per non-terminal node, in `tree.column` order.
+    a row of the (n, 2) coefficients.  Per block, W the (k, c, d) child moves:
+    M = W' diag(a_c) W + E_n, [u v] = W' [a_c b_c], the gain -M^-1 [u v] by
+    one `_dense_step`, and [a_n b_n] = sum [a_c b_c] - u' M^-1 [u v].  The
+    forward pass reruns the kept blocks, dates in order: h_n = -M^-1 (u x_n
+    + v), x_child = x_n + h_n . w_child.  Exact, in O(K d^3) and a few numpy
+    calls per block; extra (K, d, d) is E per non-terminal node, in
+    `tree.column` order.
     """
-    A = np.zeros(tree.n_nodes)
-    B = np.zeros(tree.n_nodes)
-    A[tree.leaves] = a
-    B[tree.leaves] = b
-    gain = np.zeros((tree.n_nodes, tree.n_assets, 2))
+    coef = np.zeros((tree.n_nodes, 2))
+    coef[tree.leaves, 0] = a
+    coef[tree.leaves, 1] = b
+    blocks = []
     for level in reversed(tree.child_blocks):
         for nodes, kids in level:
             w = move[kids]
-            ac, bc = A[kids], B[kids]
-            M = np.matmul(w.transpose(0, 2, 1), w * ac[..., None]) + extra[tree.column[nodes]]
-            uv = np.stack([np.einsum("kc,kcd->kd", ac, w), np.einsum("kc,kcd->kd", bc, w)],
-                          axis=2)
-            gain[nodes] = sol = -_dense_step(M, uv)
-            A[nodes] = ac.sum(axis=1) - np.einsum("kd,kd->k", uv[..., 0], sol[..., 0])
-            B[nodes] = bc.sum(axis=1) - np.einsum("kd,kd->k", uv[..., 0], sol[..., 1])
+            wt = w.transpose(0, 2, 1)
+            ab = coef[kids]
+            M = np.matmul(wt, w * ab[..., :1]) + extra[tree.column[nodes]]
+            uv = np.matmul(wt, ab)
+            gain = _dense_step(M, uv)
+            # einsum sums over the children far faster than ab.sum(axis=1)
+            coef[nodes] = np.einsum("kcj->kj", ab) + np.matmul(uv[:, None, :, 0], gain)[:, 0]
+            blocks.append((nodes, kids, w, gain))
     x = np.zeros(tree.n_nodes)
     h = np.zeros((tree.n_nodes, tree.n_assets))
-    for level in tree.child_blocks:
-        for nodes, kids in level:
-            h[nodes] = -(gain[nodes, :, 0] * x[nodes, None] + gain[nodes, :, 1])
-            x[kids] = x[nodes, None] + np.matmul(move[kids], h[nodes, :, None])[..., 0]
+    for nodes, kids, w, gain in reversed(blocks):
+        xn = x[nodes, None]
+        h[nodes] = hn = gain[..., 0] * xn + gain[..., 1]
+        x[kids] = xn + np.matmul(w, hn[..., None])[..., 0]
     return h[tree.nonterminal].ravel()
 
 

@@ -282,8 +282,6 @@ def build_tree(spec: dict) -> ScenarioTree:
             raise TreeValidationError("lattice probability must lie in (0, 1)")
         if not (s0 > 0.0 and d > 0.0):
             raise TreeValidationError("lattice prices must stay positive")
-        if steps < 1:
-            raise TreeValidationError("lattice needs at least one step")
         return branching_tree(s0, [u, d], [q, 1.0 - q], steps)
     if "nodes" in spec:
         nodes = spec["nodes"]
@@ -314,8 +312,11 @@ def branching_tree(s0, factors, probs, steps: int) -> ScenarioTree:
     """Tree applying the same multiplicative branch factors at every node.
 
     `s0` may be a scalar (one asset) or a vector; `factors` is a sequence of
-    per-branch multipliers (scalars, or vectors matching s0).
+    per-branch multipliers (scalars, or vectors matching s0).  Raises
+    TreeValidationError for fewer than one step.
     """
+    if steps < 1:
+        raise TreeValidationError(f"tree steps must be at least 1, got {steps}")
     s0 = np.atleast_1d(np.asarray(s0, dtype=float))
     factors = [np.atleast_1d(np.asarray(f, dtype=float)) for f in factors]
     probs = np.asarray(probs, dtype=float)

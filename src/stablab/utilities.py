@@ -149,6 +149,8 @@ class UtilityOnR(_CertifiedUtility):
             raise ValueError("shift, amp and omega must be finite")
         if self.value_at_zero is None:
             object.__setattr__(self, "value_at_zero", -1.0 / self.alpha)
+        elif not np.isfinite(self.value_at_zero):
+            raise ValueError("value_at_zero must be finite")
 
     # -- certificate ----------------------------------------------------
     @property
@@ -265,6 +267,8 @@ class UtilityOnRPlus(_CertifiedUtility):
             raise ValueError("shift, amp and nu must be finite")
         if self.value_at_one is None:
             object.__setattr__(self, "value_at_one", 1.0 / self.p)
+        elif not np.isfinite(self.value_at_one):
+            raise ValueError("value_at_one must be finite")
 
     def ratio(self, x):
         x = np.asarray(x, dtype=float)

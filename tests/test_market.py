@@ -13,7 +13,7 @@ from conftest import (assert_reductions_match_references, child_lists,
                       two_step_binomial)
 from stablab import (AdmissibilityViolation, Measure, ScenarioTree, Strategy,
                      TreeValidationError, audit_probabilistic_lemmas,
-                     bracket_distance, build_tree, conditional_expectation,
+                     bracket_distance, branching_tree, build_tree, conditional_expectation,
                      conditional_probs, is_martingale_measure, make_exponential,
                      martingale_residual, minimal_entropy_measure, node_weights,
                      tree_from_file, wealth_additive, wealth_multiplicative)
@@ -201,6 +201,12 @@ def test_tree_validation_errors():
                          ([float("nan"), 0.5, 0.5], [1.0, 2.0, 0.5])):
         with pytest.raises(TreeValidationError):
             ScenarioTree([-1, 0, 0], [0, 1, 1], prob, prices)
+    # fewer than one step, by the library builder and by a lattice spec
+    for steps in (0, -1):
+        with pytest.raises(TreeValidationError, match=f"steps must be at least 1, got {steps}"):
+            branching_tree(1.0, [2.0, 0.5], [0.5, 0.5], steps)
+        with pytest.raises(TreeValidationError, match="steps"):
+            build_tree({"lattice": {"s0": 1.0, "u": 2.0, "d": 0.5, "q": 0.5, "steps": steps}})
 
 
 @pytest.mark.parametrize("value, kind, expected", [

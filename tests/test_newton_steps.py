@@ -297,3 +297,80 @@ def test_t8_trinomial_entropy_dual_on_the_tree_step(monkeypatch):
     assert entropy.y == pytest.approx(dual.y, rel=1e-10)
     assert entropy.residual <= 1e-14
     assert elapsed < 1.5
+
+
+def test_dense_step_divides_one_by_one_blocks():
+    # LAPACK solves a 1x1 block with one right-hand column by one division:
+    # the path that skips it agrees bit for bit, entries of either sign
+    # spanning 1e-8..1e8
+    rng = np.random.default_rng(32)
+    hess, grad = (rng.choice([-1.0, 1.0], (4000, 1, 1)) * 10.0 ** rng.uniform(-8, 8, (4000, 1, 1))
+                  for _ in range(2))
+    assert np.array_equal(entropic._dense_step(hess, grad), np.linalg.solve(hess, -grad))
+    assert np.array_equal(entropic._dense_step(hess[0], grad[0]),
+                          np.linalg.solve(hess[0], -grad[0]))
+    # a zero block of either sign takes the least-squares step 0; NaN propagates
+    hess = np.array([0.0, -0.0, np.nan, 2.0]).reshape(4, 1, 1)
+    grad = np.array([1.0, -3.0, 1.0, np.nan]).reshape(4, 1, 1)
+    step = entropic._dense_step(hess, grad)[:, 0, 0]
+    assert np.array_equal(step[:2], [0.0, 0.0]) and np.isnan(step[2:]).all()
+
+
+def count_solves(monkeypatch, solve, *args):
+    """(`_dense_step` calls, `np.linalg.solve` calls) made by solve(*args)."""
+    counts = [0, 0]
+    step, lapack = entropic._dense_step, np.linalg.solve
+
+    def counted_step(*a):
+        counts[0] += 1
+        return step(*a)
+
+    def counted_lapack(*a, **k):
+        counts[1] += 1
+        return lapack(*a, **k)
+
+    with monkeypatch.context() as m:
+        m.setattr(entropic, "_dense_step", counted_step)
+        m.setattr(positive, "_dense_step", counted_step)
+        m.setattr(np.linalg, "solve", counted_lapack)
+        solve(*args)
+    return tuple(counts)
+
+
+def test_one_asset_tree_route_makes_no_lapack_solve(monkeypatch):
+    # every block of a one-asset tree is 1x1, so the Riccati pass and the
+    # opportunity process divide; two assets still solve their 2x2 blocks
+    tree = lattice(8)
+    two = ROUTE_TREES["two_asset_T4"][0]()
+    assert not _dense_route(tree) and not _dense_route(two)
+    u = make_perturbed_exponential(0.3, alpha=1.2, a=0.2, omega=0.9)
+    power = make_power(-7.0)
+    for solve, utility in ((solve_primal, u), (minimal_entropy_measure, u),
+                           (solve_power_field, power)):
+        steps, lapack = count_solves(monkeypatch, solve, tree, utility)
+        assert steps > 0 and lapack == 0
+        steps, lapack = count_solves(monkeypatch, solve, two, utility)
+        assert steps > 0 and lapack == steps
+    steps, lapack = count_solves(monkeypatch, opportunity_process, tree, -7.0)
+    assert steps > 0 and lapack == 0
+
+
+@pytest.mark.parametrize("T", [8, 12])
+def test_closed_form_values_at_depth(T):
+    # an iid binomial lattice: the exponential value is -(1/alpha) e^{-T H},
+    # H the one-step entropy of the risk-neutral q* against q, and the pure
+    # power value (E[(1 + pi* R)^p])^T / p, pi* the one-step optimal fraction
+    u, d, q = 1.2, 0.9, 0.6
+    tree = build_tree({"lattice": {"s0": 1.0, "u": u, "d": d, "q": q, "steps": T}})
+    assert not _dense_route(tree)
+    qs = (1.0 - d) / (u - d)
+    H = qs * np.log(qs / q) + (1.0 - qs) * np.log((1.0 - qs) / (1.0 - q))
+    for alpha in (0.7, 1.0):
+        want = -np.exp(-T * H) / alpha
+        assert abs(solve_primal(tree, make_exponential(alpha)).value - want) <= 1e-14 * abs(want)
+    ru, rd = u - 1.0, d - 1.0
+    for p in (-2.0, -7.0):
+        kappa = (-(1.0 - q) * rd / (q * ru)) ** (1.0 / (p - 1.0))
+        pi = (kappa - 1.0) / (ru - kappa * rd)
+        want = (q * (1.0 + pi * ru) ** p + (1.0 - q) * (1.0 + pi * rd) ** p) ** T / p
+        assert abs(solve_power_field(tree, make_power(p)).value - want) <= 1e-14 * abs(want)

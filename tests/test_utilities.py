@@ -221,6 +221,12 @@ def test_constructor_validation():
                    for k in ("shift", "amp", "nu") for v in (nan, inf, -inf))):
         with pytest.raises(ValueError):
             make()
+    # a NaN or infinite anchor, which would make every value NaN or infinite
+    for v in (nan, inf, -inf):
+        with pytest.raises(ValueError, match="^value_at_zero must be finite$"):
+            UtilityOnR(alpha=1.0, value_at_zero=v)
+        with pytest.raises(ValueError, match="^value_at_one must be finite$"):
+            UtilityOnRPlus(p=-2.0, value_at_one=v)
 
 
 def test_rescale_to_unit_alpha_identity():
