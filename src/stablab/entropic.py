@@ -380,10 +380,10 @@ def _tree_step(tree: ScenarioTree, move, a, b, extra):
     a row of the (n, 2) coefficients.  Per block, W the (k, c, d) child moves:
     M = W' diag(a_c) W + E_n, [u v] = W' [a_c b_c], the gain -M^-1 [u v] by
     one `_dense_step`, and [a_n b_n] = sum [a_c b_c] - u' M^-1 [u v].  The
-    forward pass reruns the kept blocks, dates in order: h_n = -M^-1 (u x_n
-    + v), x_child = x_n + h_n . w_child.  Exact, in O(K d^3) and a few numpy
-    calls per block; extra (K, d, d) is E per non-terminal node, in
-    `tree.column` order.
+    forward pass reruns the kept blocks, dates in order:
+    h_n = -M^-1 (u x_n + v), x_child = x_n + h_n . w_child.  Exact, in
+    O(K d^3) and a few numpy calls per block; extra (K, d, d) is E per
+    non-terminal node, in `tree.column` order.
     """
     coef = np.zeros((tree.n_nodes, 2))
     coef[tree.leaves, 0] = a
