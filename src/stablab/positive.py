@@ -13,7 +13,8 @@ dynamic-programming route to the same optimum, one `entropic._newton` call
 per child block), the terminal-wealth-weighted auxiliary measure, and the
 ratio diagnostics comparing a perturbed investor against the pure power one.
 Both solvers hand `entropic._newton` one evaluation per point, whose
-derivatives reuse its growth factors.
+derivatives reuse its growth factors.  The numeraire audit bounds
+E_aux[X_T / tilde_T] over the whole admissible box in one exact backward pass.
 """
 from __future__ import annotations
 
@@ -263,8 +264,8 @@ def auxiliary_measure(tree: ScenarioTree, utility: UtilityOnRPlus,
 
 
 def _admissible_box(tree: ScenarioTree) -> np.ndarray:
-    """Per-node, per-asset symmetric fraction bounds keeping growth positive
-    when the whole box is used (bound split across assets)."""
+    """Per-node, per-asset symmetric fraction bounds keeping growth nonnegative
+    (0 at some corners) when the whole box is used (bound split across assets)."""
     box = np.zeros(tree.d_returns.shape)
     for level in tree.child_blocks:
         for nodes, kids in level:
@@ -274,17 +275,12 @@ def _admissible_box(tree: ScenarioTree) -> np.ndarray:
     return box
 
 
-def _random_wealth(tree: ScenarioTree, rng, x0: float, shrink: float = 0.6) -> AdaptedProcess:
-    box = _admissible_box(tree)
-    pi = rng.uniform(-1.0, 1.0, size=box.shape) * box * shrink
-    return wealth_multiplicative(tree, Strategy(pi, "fractions"), x0)
-
-
 @dataclass(frozen=True)
 class NumeraireAudit:
     max_expectation: float
     max_super_defect: float
     min_sub_defect: float
+    worst_node: int
 
 
 def ratio_defects(tree: ScenarioTree, aux: Measure, wealth: AdaptedProcess,
@@ -304,29 +300,32 @@ def ratio_defects(tree: ScenarioTree, aux: Measure, wealth: AdaptedProcess,
 
 
 def numeraire_audit(tree: ScenarioTree, aux: Measure, tilde: AdaptedProcess,
-                    p: float, trials: int = 10, seed: int = 0,
-                    x0: float | None = None) -> NumeraireAudit:
-    """Check the optimal wealth's numeraire property under the auxiliary measure.
+                    p: float) -> NumeraireAudit:
+    """Exact certificate of tilde's numeraire property under aux.
 
-    For random admissible wealths X started at tilde's initial value:
-    E_aux[X_T / tilde_T] <= 1, the ratio X/tilde is a supermartingale under
-    aux, and its p-th power is a submartingale.  Returns the worst slack of
-    each statement over the trials.
+    E_aux[X_T / tilde_T] is affine in each node's fractions, so its supremum
+    over `_admissible_box` from X_0 = tilde_0 is one backward pass: V = 1 at
+    the leaves and, with aux's one-step weights a, g_c = tilde_c / tilde_n,
+        V_n = sum_c a_c V_c / g_c + sum_i box_{n,i} |sum_c a_c V_c R_{c,i} / g_c|.
+    max_expectation is V_0.  s_n, the same with V = 1 below n, less 1, gives
+    E_aux[r_c | n] <= (1 + s_n) r_n for r = X / tilde: max_super_defect is the
+    largest s_n aux reaches, at worst_node; by Jensen (p < 0) min_sub_defect =
+    min(0, (1 + max s)**p - 1) bounds the defect of r**p the same way.
     """
-    rng = np.random.default_rng(seed)
-    if x0 is None:
-        x0 = float(tilde.at_root())
-    worst_exp = -np.inf
-    worst_super = 0.0
-    worst_sub = 0.0
-    for _ in range(trials):
-        X = _random_wealth(tree, rng, x0)
-        worst_exp = max(worst_exp, float(aux.weights @ (X.at_leaves(tree) / tilde.at_leaves(tree))))
-        sup_d, sub_d = ratio_defects(tree, aux, X, tilde, p)
-        worst_super = max(worst_super, sup_d)
-        worst_sub = min(worst_sub, sub_d)
-    return NumeraireAudit(max_expectation=worst_exp, max_super_defect=worst_super,
-                          min_sub_defect=worst_sub)
+    W, cond = conditional_probs(tree, aux)
+    box = _admissible_box(tree)
+    V, s = np.ones(tree.n_nodes), np.zeros(tree.n_nodes)
+    for level in reversed(tree.child_blocks):
+        for nodes, kids in level:
+            a = cond[kids] * tilde.values[nodes, None] / tilde.values[kids]
+            w = np.stack((a, a * V[kids]))    # the suprema with 1 and with V below
+            tilt = np.abs(np.matmul(w[..., None, :], tree.d_returns[kids]))[..., 0, :]
+            one, V[nodes] = w.sum(axis=-1) + (box[nodes] * tilt).sum(axis=-1)
+            s[nodes] = one - 1.0
+    live = tree.nonterminal[W[tree.nonterminal] > 0.0]
+    worst = int(live[np.argmax(s[live])])
+    return NumeraireAudit(float(V[0]), float(s[worst]),
+                          min(0.0, float((1.0 + s[worst]) ** p) - 1.0), worst)
 
 
 def ratio_diagnostics(tree: ScenarioTree, utility: UtilityOnRPlus,

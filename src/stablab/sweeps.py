@@ -19,7 +19,7 @@ import functools
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -70,6 +70,7 @@ class SweepSpec:
     x0: float
     tol: float
     seed: int
+    inputs: tuple = field(default=None, repr=False, compare=False)  # load_config's (tree, B, fam)
 
 
 def market_tree(market) -> ScenarioTree:
@@ -114,13 +115,12 @@ def load_config(doc: dict, kind: str) -> SweepSpec:
     )
     if kind == "p" and spec.x0 <= 0.0:
         raise ConfigError("p sweeps need positive initial capital")
-    _sweep_inputs(spec)
-    return spec
+    return replace(spec, inputs=_sweep_inputs(spec))
 
 
 def _sweep_inputs(spec: SweepSpec):
     """The tree, the claim's leaf values and the utility family of a sweep
-    spec, with each δ-grid member built as a check; ConfigError when any is bad."""
+    spec, with each grid member built as a check; ConfigError when any is bad."""
     tree = market_tree(spec.market)
     B = make_claim(tree, spec.claim)
     try:
@@ -129,7 +129,9 @@ def _sweep_inputs(spec: SweepSpec):
             for d in spec.grid:
                 fam(d)
         else:
-            fam = _p_family(spec.family)
+            fam = base, fmix = _p_family(spec.family)
+            for p in spec.grid if base is not None else ():
+                make_power_family_member(base, p, fmix)
     except ConfigError:
         raise
     except ValueError as e:
@@ -243,7 +245,7 @@ def report_json(report: SweepReport) -> str:
 def sweep_delta(spec: SweepSpec) -> SweepReport:
     """Solve the real-line problem along the delta grid and record the error
     functionals against the unperturbed (exponential) member."""
-    tree, B, fam = _sweep_inputs(spec)
+    tree, B, fam = spec.inputs
     U0 = make_exponential(1.0)
     base = solve_primal(tree, U0, spec.x0)
     Q = extract_dual(tree, U0, base)
@@ -290,7 +292,7 @@ def sweep_delta(spec: SweepSpec) -> SweepReport:
 def sweep_p(spec: SweepSpec) -> SweepReport:
     """Solve positive-wealth problems along the p grid and compare against
     the money positions of the exponential hedge of the same claim."""
-    tree, B, (base, fmix) = _sweep_inputs(spec)
+    tree, B, (base, fmix) = spec.inputs
     field_w = UtilityField.from_claim(make_power(min(spec.grid)), B)
     hedge = exponential_hedge(tree, make_exponential(1.0), B, spec.x0)
 
@@ -327,8 +329,7 @@ def sweep_p(spec: SweepSpec) -> SweepReport:
 
 
 def _run_grid(one, grid):
-    rows = []
-    meta = {}
+    rows, meta = [], {}
     for g in grid:
         try:
             rows.append(one(g))

@@ -196,7 +196,7 @@ def test_ratio_process_structure(report):
         member = solve_power_field(tree, make_power_family_member(base, p, fmix))
         aux = auxiliary_measure(tree, make_power(p), pure)
         sup_d, sub_d = ratio_defects(tree, aux, member.wealth, pure.wealth, p)
-        audit = numeraire_audit(tree, aux, pure.wealth, p, trials=10, seed=0)
+        audit = numeraire_audit(tree, aux, pure.wealth, p)
         worst_sup = max(worst_sup, sup_d)
         worst_sub = min(worst_sub, sub_d)
         worst_exp = max(worst_exp, audit.max_expectation)

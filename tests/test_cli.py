@@ -183,6 +183,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
         cfg = write_config(tmp_path, "typed.json",
                            {**power, "family": {**power["family"], key: value}})
         assert main(["sweep-p", "--config", cfg, "--out", str(tmp_path)]) == 2, (key, value)
+    # a grid point above the family's anchor p0 = -7
+    cfg = write_config(tmp_path, "above.json", {**power, "grid": [-3.0, -7.0, -15.0]})
+    assert main(["sweep-p", "--config", cfg, "--out", str(tmp_path)]) == 2
     with open(f"{CONFIGS}/price_call.json") as f:
         solve = json.load(f)
     for key, value in (("utility", [1]), ("utility", {"kind": "exponential", "alpha": None}),

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,9 @@ from stablab import (AdmissibilityViolation, NoMartingaleMeasure, NonConvergence
                      make_power_family_member, numeraire_audit,
                      opportunity_process, ratio_defects, ratio_diagnostics,
                      scaled_strategy_distance, share_amounts,
-                     shifted_inverse_mix, solve_power_field, solve_primal)
+                     shifted_inverse_mix, solve_power_field, solve_primal,
+                     wealth_multiplicative)
+from stablab.positive import _admissible_box
 
 
 def uniform_fraction(p: float) -> float:
@@ -222,10 +225,77 @@ def test_numeraire_audit_random_wealths():
     for p in (-1.0, -7.0):
         sol = solve_power_field(tree, make_power(p))
         aux = auxiliary_measure(tree, make_power(p), sol)
-        audit = numeraire_audit(tree, aux, sol.wealth, p, trials=10, seed=2)
+        audit = numeraire_audit(tree, aux, sol.wealth, p)
         assert audit.max_expectation <= 1.0 + 1e-9
         assert audit.max_super_defect <= 1e-9
         assert audit.min_sub_defect >= -1e-9
+
+
+def box_vertex_maximum(tree, aux, tilde):
+    """max over the corners of `_admissible_box` of E_aux[X_T / tilde_T], X_0 = tilde_0.
+
+    Each corner's leaf wealth is a product of growth factors along the leaf's
+    path: growth is exactly 0 at some corners, where `wealth_multiplicative`
+    refuses the strategy."""
+    box = _admissible_box(tree)
+    K = tree.nonterminal
+    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=K.size * tree.n_assets)))
+    pi = np.zeros((corners.shape[0], tree.n_nodes, tree.n_assets))
+    pi[:, K] = corners.reshape(-1, K.size, tree.n_assets) * box[K]
+    growth = np.ones((corners.shape[0], tree.n_nodes))
+    growth[:, 1:] = 1.0 + np.einsum("vnd,nd->vn", pi[:, tree.parent[1:]], tree.d_returns[1:])
+    XT = tilde.at_root() * np.prod(growth[:, tree.paths], axis=-1)
+    return float(np.max((XT / tilde.at_leaves(tree)) @ aux.weights))
+
+
+def moved_optimum(tree, p, nodes, scale, seed=3):
+    """aux of the power-p optimum, and the wealth whose fractions at `nodes`
+    are the optimum's moved by scale * N(0, 1) each."""
+    sol = solve_power_field(tree, make_power(p))
+    pi = sol.strategy.values.copy()
+    pi[nodes] += scale * np.random.default_rng(seed).standard_normal(pi[nodes].shape)
+    return (auxiliary_measure(tree, make_power(p), sol),
+            wealth_multiplicative(tree, Strategy(pi, "fractions"), sol.wealth.at_root()))
+
+
+@pytest.mark.parametrize("make_tree", [two_step_binomial, lambda: trinomial_tree(2),
+                                       lambda: two_asset_tree(2)],
+                         ids=["binomial-T2", "trinomial-T2", "two-asset-T2"])
+def test_numeraire_audit_is_the_box_vertex_maximum(make_tree):
+    # the expectation is affine in each node's fractions, so a corner attains
+    # its supremum: 8, 16 and 1024 corners
+    tree = make_tree()
+    aux, tilde = moved_optimum(tree, -3.0, tree.nonterminal, 0.05)
+    best = box_vertex_maximum(tree, aux, tilde)
+    assert best > 1.0 + 1e-3
+    assert numeraire_audit(tree, aux, tilde, -3.0).max_expectation == pytest.approx(best, rel=1e-14)
+
+
+@pytest.mark.parametrize("make_tree", [two_step_binomial, lambda: trinomial_tree(3),
+                                       lambda: two_asset_tree(2)],
+                         ids=["binomial-T2", "trinomial-T3", "two-asset-T2"])
+def test_numeraire_audit_names_the_one_moved_node(make_tree):
+    tree = make_tree()
+    node = int(tree.levels[1][-1])
+    aux, tilde = moved_optimum(tree, -3.0, node, 0.01)
+    audit = numeraire_audit(tree, aux, tilde, -3.0)
+    assert audit.worst_node == node
+    assert audit.max_expectation - 1.0 > 1e-9
+    assert audit.max_super_defect > 1e-9 and audit.min_sub_defect < -1e-9
+
+
+@pytest.mark.parametrize("make_tree", [two_step_binomial, lambda: trinomial_tree(3)],
+                         ids=["binomial-T2", "trinomial-T3"])
+def test_numeraire_audit_certifies_the_perturbed_members(make_tree):
+    # the family members' own optimal wealth is the numeraire under their own aux
+    tree = make_tree()
+    base = make_perturbed_power(-7.0, b=0.05, nu=1.0)
+    for p in (-7.0, -15.0, -31.0, -63.0):
+        member = make_power_family_member(base, p, shifted_inverse_mix(-7.0))
+        sol = solve_power_field(tree, member)
+        audit = numeraire_audit(tree, auxiliary_measure(tree, member, sol), sol.wealth, p)
+        assert audit.max_expectation <= 1.0 + 1e-9
+        assert audit.max_super_defect <= 1e-9 and audit.min_sub_defect >= -1e-9
 
 
 def test_exponential_hedge_is_translation_invariant():

@@ -117,7 +117,7 @@ def test_cli_starts_without_scipy():
 
 ROUTE_NAMES = {"DENSE_NEWTON_MAX", "_dense_route"}
 RETIRED = {"gains_matrix", "_gains_scatter", "_martingale_basis", "_log_wealth",
-           "_spec_number"}
+           "_spec_number", "_random_wealth"}
 
 
 def route_names(source: str) -> set[str]:
@@ -140,11 +140,13 @@ def route_names(source: str) -> set[str]:
 
 def retired_definitions(source: str) -> set[str]:
     """Definitions of the retired global gains builders, of the entropy
-    dual's null-space basis, of the fraction solver's per-leaf log-wealth and
-    of the tree spec's own number check: the layout `entropic._Moves` owns the
-    gains matrix, the entropy dual takes the primal's Newton step, the
-    fraction solver's evaluation grows the wealth once per node, and
-    `market._number` reads every number of a spec or config."""
+    dual's null-space basis, of the fraction solver's per-leaf log-wealth, of
+    the tree spec's own number check and of the numeraire audit's random
+    wealths: the layout `entropic._Moves` owns the gains matrix, the entropy
+    dual takes the primal's Newton step, the fraction solver's evaluation
+    grows the wealth once per node, `market._number` reads every number of a
+    spec or config, and the audit bounds every box strategy in one backward
+    pass."""
     hits = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -171,6 +173,7 @@ def test_route_names_are_caught(source):
     "def _martingale_basis(tree, q0):\n    return q0",
     "def _log_wealth(moves, pi, keep=False):\n    return None, None",
     "def _spec_number(value, what):\n    return float(value)",
+    "def _random_wealth(tree, rng, x0, shrink=0.6):\n    return None",
 ])
 def test_retired_definitions_are_caught(source):
     assert retired_definitions(source)

@@ -145,6 +145,10 @@ def test_load_config_rejects_bad_p_docs():
             load_config(dict(base, family={"kind": "power-member", key: value}), "p")
     with pytest.raises(ConfigError):
         load_config(dict(base, x0="1.0"), "p")
+    # a member above the family's anchor p0 is a config error, not a failed grid point
+    with pytest.raises(ConfigError, match="bad family"):
+        load_config(dict(base, family={"kind": "power-member", "p0": -7.0},
+                         grid=[-3.0, -7.0, -15.0]), "p")
     with pytest.raises(ConfigError):
         load_config(base, "q")
     with pytest.raises(ConfigError):
@@ -158,6 +162,22 @@ def test_load_config_defaults():
     pspec = load_config({"market": LATTICE, "family": {"kind": "power"},
                          "grid": [-7.0, -15.0]}, "p")
     assert pspec.x0 == 1.0
+
+
+def test_each_sweep_builds_its_tree_once(monkeypatch):
+    import stablab.sweeps as sweeps_mod
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return build_tree(spec)
+
+    monkeypatch.setattr(sweeps_mod, "build_tree", counted)
+    sweep_delta(load_config(delta_doc(), "delta"))
+    assert len(calls) == 1
+    sweep_p(load_config({"market": LATTICE, "family": {"kind": "power-member"},
+                         "grid": [-7.0, -15.0]}, "p"))
+    assert len(calls) == 2
 
 
 # ----------------------------------------------------------------------
