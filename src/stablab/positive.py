@@ -307,10 +307,10 @@ def numeraire_audit(tree: ScenarioTree, aux: Measure, tilde: AdaptedProcess,
     over `_admissible_box` from X_0 = tilde_0 is one backward pass: V = 1 at
     the leaves and, with aux's one-step weights a, g_c = tilde_c / tilde_n,
         V_n = sum_c a_c V_c / g_c + sum_i box_{n,i} |sum_c a_c V_c R_{c,i} / g_c|.
-    max_expectation is V_0.  s_n, the same with V = 1 below n, less 1, gives
-    E_aux[r_c | n] <= (1 + s_n) r_n for r = X / tilde: max_super_defect is the
-    largest s_n aux reaches, at worst_node; by Jensen (p < 0) min_sub_defect =
-    min(0, (1 + max s)**p - 1) bounds the defect of r**p the same way.
+    max_expectation is V_0.  s_n, the same with V = 1 below n, less 1, bounds
+    E_aux[r_c | n] / r_n - 1 for r = X / tilde: max_super_defect = max(0, s_n)
+    at worst_node, the largest s_n aux reaches, and (Jensen, p < 0) min_sub_defect
+    = (1 + max_super_defect)**p - 1.  Both are relative, clamped at 0 like `ratio_defects`.
     """
     W, cond = conditional_probs(tree, aux)
     box = _admissible_box(tree)
@@ -324,8 +324,9 @@ def numeraire_audit(tree: ScenarioTree, aux: Measure, tilde: AdaptedProcess,
             s[nodes] = one - 1.0
     live = tree.nonterminal[W[tree.nonterminal] > 0.0]
     worst = int(live[np.argmax(s[live])])
-    return NumeraireAudit(float(V[0]), float(s[worst]),
-                          min(0.0, float((1.0 + s[worst]) ** p) - 1.0), worst)
+    sup = max(0.0, float(s[worst]))
+    return NumeraireAudit(max_expectation=float(V[0]), max_super_defect=sup,
+                          min_sub_defect=(1.0 + sup) ** p - 1.0, worst_node=worst)
 
 
 def ratio_diagnostics(tree: ScenarioTree, utility: UtilityOnRPlus,

@@ -19,7 +19,7 @@ import functools
 import io
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,6 +62,9 @@ config_number = functools.partial(_number, error=ConfigError)
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """A sweep config.  Building one builds its tree, the claim's leaf values
+    and the family member at each grid point into `inputs`; ConfigError when
+    any is bad."""
     kind: str                      # "delta" | "p"
     market: dict
     family: dict
@@ -70,7 +73,24 @@ class SweepSpec:
     x0: float
     tol: float
     seed: int
-    inputs: tuple = field(default=None, repr=False, compare=False)  # load_config's (tree, B, fam)
+    inputs: tuple = field(init=False, repr=False, compare=False)  # (tree, B, members)
+
+    def __post_init__(self):
+        if self.kind == "p" and self.x0 <= 0.0:
+            raise ConfigError("p sweeps need positive initial capital")
+        tree = market_tree(self.market)
+        B = make_claim(tree, self.claim)
+        try:
+            if self.kind == "delta":
+                member = _delta_family(self.family)
+            else:
+                member = _p_family(self.family)
+            members = {g: member(g) for g in self.grid}
+        except ConfigError:
+            raise
+        except ValueError as e:
+            raise ConfigError(f"bad family: {e}") from e
+        object.__setattr__(self, "inputs", (tree, B, members))
 
 
 def market_tree(market) -> ScenarioTree:
@@ -103,7 +123,7 @@ def load_config(doc: dict, kind: str) -> SweepSpec:
             raise ConfigError("p grid values must be < 0")
     else:
         raise ConfigError(f"unknown sweep kind {kind!r}")
-    spec = SweepSpec(
+    return SweepSpec(
         kind=kind,
         market=doc["market"],
         family=dict(doc["family"]),
@@ -113,30 +133,6 @@ def load_config(doc: dict, kind: str) -> SweepSpec:
         tol=_check_tol(doc.get("tol", 1e-9), ConfigError),
         seed=config_number(doc.get("seed", 0), "seed", kind=int),
     )
-    if kind == "p" and spec.x0 <= 0.0:
-        raise ConfigError("p sweeps need positive initial capital")
-    return replace(spec, inputs=_sweep_inputs(spec))
-
-
-def _sweep_inputs(spec: SweepSpec):
-    """The tree, the claim's leaf values and the utility family of a sweep
-    spec, with each grid member built as a check; ConfigError when any is bad."""
-    tree = market_tree(spec.market)
-    B = make_claim(tree, spec.claim)
-    try:
-        if spec.kind == "delta":
-            fam = _delta_family(spec.family)
-            for d in spec.grid:
-                fam(d)
-        else:
-            fam = base, fmix = _p_family(spec.family)
-            for p in spec.grid if base is not None else ():
-                make_power_family_member(base, p, fmix)
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(f"bad family: {e}") from e
-    return tree, B, fam
 
 
 def make_claim(tree: ScenarioTree, claim) -> np.ndarray:
@@ -175,13 +171,15 @@ def _delta_family(fam: dict):
 
 
 def _p_family(fam: dict):
+    """p -> (the family member at p, its mix weight); (None, 1.0) for pure power."""
     kind = fam.get("kind", "power")
     if kind == "power":
-        return None, None
+        return lambda p: (None, 1.0)
     if kind == "power-member":
         base = make_perturbed_power(*(config_number(fam.get(k, v), f"family {k}")
                                       for k, v in (("p0", -7.0), ("b", 0.05), ("nu", 1.0))))
-        return base, shifted_inverse_mix(base.p)
+        fmix = shifted_inverse_mix(base.p)
+        return lambda p: (make_power_family_member(base, p, fmix), fmix(p))
     raise ConfigError(f"unknown p family kind {kind!r}")
 
 
@@ -245,7 +243,7 @@ def report_json(report: SweepReport) -> str:
 def sweep_delta(spec: SweepSpec) -> SweepReport:
     """Solve the real-line problem along the delta grid and record the error
     functionals against the unperturbed (exponential) member."""
-    tree, B, fam = spec.inputs
+    tree, B, members = spec.inputs
     U0 = make_exponential(1.0)
     base = solve_primal(tree, U0, spec.x0)
     Q = extract_dual(tree, U0, base)
@@ -253,7 +251,7 @@ def sweep_delta(spec: SweepSpec) -> SweepReport:
     indiff0 = _indifference(tree, U0, spec.x0, B, spec.tol, base, Q).price
 
     def one(delta: float) -> dict:
-        U = fam(delta)
+        U = members[delta]
         sol = solve_primal(tree, U, spec.x0)
         dual = extract_dual(tree, U, sol)
         return {
@@ -292,21 +290,21 @@ def sweep_delta(spec: SweepSpec) -> SweepReport:
 def sweep_p(spec: SweepSpec) -> SweepReport:
     """Solve positive-wealth problems along the p grid and compare against
     the money positions of the exponential hedge of the same claim."""
-    tree, B, (base, fmix) = spec.inputs
+    tree, B, members = spec.inputs
     field_w = UtilityField.from_claim(make_power(min(spec.grid)), B)
     hedge = exponential_hedge(tree, make_exponential(1.0), B, spec.x0)
 
     def one(p: float) -> dict:
         pure = solve_power_field(tree, make_power(p), spec.x0, field_w)
         pure_dist = scaled_strategy_distance(tree, p, pure.strategy, hedge.strategy)
-        if base is None:
-            member_dist, product, rp_l1, y_ratio, w = pure_dist, 0.0, 0.0, 1.0, 1.0
+        member, w = members[p]
+        if member is None:
+            member_dist, product, rp_l1, y_ratio = pure_dist, 0.0, 0.0, 1.0
         else:
-            member = make_power_family_member(base, p, fmix)
             sol = solve_power_field(tree, member, spec.x0, field_w)
             member_dist = scaled_strategy_distance(tree, p, sol.strategy, hedge.strategy)
             diag = ratio_diagnostics(tree, member, sol, pure)
-            product, rp_l1, y_ratio, w = diag.mean_product, diag.rp_l1, diag.y_ratio, fmix(p)
+            product, rp_l1, y_ratio = diag.mean_product, diag.rp_l1, diag.y_ratio
         return {
             "p": p, "fmix": w,
             "pure_distance": pure_dist, "member_distance": member_dist,
@@ -329,7 +327,8 @@ def sweep_p(spec: SweepSpec) -> SweepReport:
 
 
 def _run_grid(one, grid):
-    rows, meta = [], {}
+    rows = []
+    meta = {}
     for g in grid:
         try:
             rows.append(one(g))

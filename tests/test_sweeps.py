@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from scipy.optimize import nnls
 import stablab.pricing
 import stablab.sweeps
 from conftest import two_step_binomial
-from stablab import (AuditReport, ConfigError, SweepReport,
+from stablab import (AuditReport, ConfigError, SweepReport, SweepSpec,
                      audit_probabilistic_lemmas, build_tree, fit_rate, load_config,
                      report_csv, report_json, shipped_families, solve_primal, sweep_delta,
                      sweep_p)
@@ -178,6 +179,30 @@ def test_each_sweep_builds_its_tree_once(monkeypatch):
     sweep_p(load_config({"market": LATTICE, "family": {"kind": "power-member"},
                          "grid": [-7.0, -15.0]}, "p"))
     assert len(calls) == 2
+
+
+def test_sweep_spec_builds_its_own_inputs():
+    # a spec built directly, or copied with dataclasses.replace, builds and
+    # checks its own tree, claim and members rather than carrying another's
+    spec = load_config(delta_doc(), "delta")
+    direct = SweepSpec(kind="delta", market=LATTICE, family=dict(spec.family),
+                       grid=spec.grid, claim={"kind": "zero"}, x0=0.0, tol=1e-9, seed=0)
+    assert direct == spec
+    assert report_csv(sweep_delta(direct)) == report_csv(sweep_delta(spec))
+    moved = replace(spec, market=TRINOMIAL, grid=(0.2, 0.1))
+    tree, B, members = moved.inputs
+    assert tree.n_nodes == 4 and len(B) == 3 and sorted(members) == [0.1, 0.2]
+    fresh = load_config(delta_doc(market=TRINOMIAL, grid=[0.2, 0.1]), "delta")
+    assert report_csv(sweep_delta(moved)) == report_csv(sweep_delta(fresh))
+    pspec = load_config({"market": LATTICE, "family": {"kind": "power-member"},
+                         "grid": [-7.0, -15.0]}, "p")
+    with pytest.raises(ConfigError, match="bad family"):
+        replace(pspec, grid=(-3.0, -7.0))
+    with pytest.raises(ConfigError, match="positive initial capital"):
+        replace(pspec, x0=0.0)
+    with pytest.raises(ConfigError, match="bad market spec"):
+        SweepSpec(kind="p", market={"lattice": {"steps": 0}}, family={}, grid=(-7.0,),
+                  claim={"kind": "zero"}, x0=1.0, tol=1e-9, seed=0)
 
 
 # ----------------------------------------------------------------------
