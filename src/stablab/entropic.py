@@ -10,8 +10,8 @@ optimal martingale measure, and the entropy-minimal measure is computed
 independently by a Newton iteration over the cone of unnormalized
 martingale measures.  Martingale measures are products of one-step ones, so
 viability, the Newton's start (the product of each node's vertex centroid),
-probes and price bounds come from the few vertices of each node's one-step
-polytope, with no global LP.
+the supermartingale certificate, probes and price bounds come from the few
+vertices of each node's one-step polytope, with no global LP.
 
 One damped-Newton core, `_newton`, serves the primal, the entropy dual, and
 the fraction solver and the opportunity process of `positive`: Newton steps
@@ -59,7 +59,7 @@ __all__ = [
 
 GRAD_TOL = 1e-12      # absolute gradient sup-norm: the primal's, the entropy dual's on G' mu = 0
 NEWTON_STEPS = 200
-DENSE_NEWTON_MAX = 128    # K*d up to which primal and fraction steps factor the dense Hessian
+DENSE_NEWTON_MAX = 64     # K*d up to which primal and fraction steps factor the dense Hessian
 VERTEX_TOL = 1e-12    # one-step vertex: drift over the node's largest move, least weight
 DUAL_TOL = 1e-8       # martingale residual above which extract_dual rejects its measure
 PROBE_TOL = 1e-8      # martingale residual above which a probe measure is rejected
@@ -577,33 +577,32 @@ def _wealth_martingale_defect(tree: ScenarioTree, m: Measure, wealth: AdaptedPro
 
 
 def verify_optimality(tree: ScenarioTree, utility: UtilityOnR, sol: PrimalSolution,
-                      dual: DualMeasure, probes=None) -> OptimalityReport:
+                      dual: DualMeasure, probes=()) -> OptimalityReport:
     """First-order and supermartingale certificates for a primal/dual pair.
 
     Checks (a) the leafwise proportionality y*dQ/dP = U'(total), (b) that the
     wealth process is a martingale under the dual measure, (c) that its
-    terminal expectation under every probe martingale measure is <= 0.
-    Probes failing the martingale check at PROBE_TOL are rejected.
+    terminal expectation is <= 0 under every martingale measure: the
+    supremum, by one `_cheapest_vertices` pass.  Probes the caller passes
+    (None passes none) are rejected where they fail the martingale check at
+    PROBE_TOL; their expectations are `probe_slacks`.
     """
     P = tree.path_prob[tree.leaves]
     lhs = dual.y * dual.measure.weights / P
     first_order = float(np.max(np.abs(lhs - np.asarray(utility.marginal(sol.total)))))
     defect = _wealth_martingale_defect(tree, dual.measure, sol.wealth)
-    if probes is None:
-        probes = martingale_polytope_probes(tree)
-    slacks = []
     XT = sol.wealth.at_leaves(tree)
-    for m in probes:
+    slacks = []
+    for m in probes or ():
         r = martingale_residual(tree, m)
         if r > PROBE_TOL:
             raise ValueError(f"probe measure is not in the martingale polytope (residual {r:.3e})")
-        slacks.append(float(m.weights @ XT))
-    slacks = np.asarray(slacks) if slacks else np.zeros(0)
+        slacks.append(m.weights @ XT)
     return OptimalityReport(
         first_order_residual=first_order,
         martingale_defect=defect,
-        supermartingale_slack=float(slacks.max()) if slacks.size else 0.0,
-        probe_slacks=slacks,
+        supermartingale_slack=-_cheapest_vertices(tree, -XT)[0],
+        probe_slacks=np.array(slacks, dtype=float),
     )
 
 

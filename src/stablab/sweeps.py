@@ -62,9 +62,10 @@ config_number = functools.partial(_number, error=ConfigError)
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A sweep config.  Building one builds its tree, the claim's leaf values
-    and the family member at each grid point into `inputs`; ConfigError when
-    any is bad."""
+    """A sweep config.  Building one checks the kind and the grid (non-empty,
+    strictly monotone, every delta >= 0 or every p < 0) and builds its tree,
+    the claim's leaf values and the family member at each grid point into
+    `inputs`; ConfigError when any is bad."""
     kind: str                      # "delta" | "p"
     market: dict
     family: dict
@@ -76,6 +77,18 @@ class SweepSpec:
     inputs: tuple = field(init=False, repr=False, compare=False)  # (tree, B, members)
 
     def __post_init__(self):
+        if self.kind not in ("delta", "p"):
+            raise ConfigError(f"unknown sweep kind {self.kind!r}")
+        if len(self.grid) < 1:
+            raise ConfigError("grid must be non-empty")
+        diffs = np.diff(self.grid)
+        if len(self.grid) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
+            raise ConfigError("grid must be strictly monotone")
+        # written so that NaN fails too
+        if self.kind == "delta" and not all(v >= 0 for v in self.grid):
+            raise ConfigError("delta grid values must be >= 0")
+        if self.kind == "p" and not all(v < 0 for v in self.grid):
+            raise ConfigError("p grid values must be < 0")
         if self.kind == "p" and self.x0 <= 0.0:
             raise ConfigError("p sweeps need positive initial capital")
         tree = market_tree(self.market)
@@ -109,25 +122,11 @@ def load_config(doc: dict, kind: str) -> SweepSpec:
             raise ConfigError(f"config missing required key {key!r}")
     if not isinstance(doc["family"], dict) or not isinstance(doc["grid"], list):
         raise ConfigError("family must be a JSON object and grid a list of numbers")
-    grid = tuple(config_number(v, "grid value") for v in doc["grid"])
-    if len(grid) < 1:
-        raise ConfigError("grid must be non-empty")
-    diffs = np.diff(grid)
-    if len(grid) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
-        raise ConfigError("grid must be strictly monotone")
-    if kind == "delta":
-        if any(v < 0 for v in grid):
-            raise ConfigError("delta grid values must be >= 0")
-    elif kind == "p":
-        if any(v >= 0 for v in grid):
-            raise ConfigError("p grid values must be < 0")
-    else:
-        raise ConfigError(f"unknown sweep kind {kind!r}")
     return SweepSpec(
         kind=kind,
         market=doc["market"],
         family=dict(doc["family"]),
-        grid=grid,
+        grid=tuple(config_number(v, "grid value") for v in doc["grid"]),
         claim=doc.get("claim", {"kind": "zero"}),
         x0=config_number(doc.get("x0", 0.0 if kind == "delta" else 1.0), "x0"),
         tol=_check_tol(doc.get("tol", 1e-9), ConfigError),

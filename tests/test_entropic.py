@@ -1,5 +1,6 @@
 import sys
 import threading
+from dataclasses import replace
 from itertools import chain
 
 import numpy as np
@@ -16,13 +17,14 @@ from conftest import (assert_same_probes, collinear_two_asset_tree,
                       one_step_trinomial, random_viable_tree, reference_path_products,
                       reference_price_bounds, reference_probes, three_step_binomial, trinomial_tree, two_asset_tree,
                       two_step_binomial)
-from stablab import (Measure, NoMartingaleMeasure, NonConvergence,
+from stablab import (AdaptedProcess, Measure, NoMartingaleMeasure, NonConvergence,
                      PrimalSolution, Strategy, UtilityOnR, branching_tree, build_tree,
                      extract_dual, generalized_entropy, make_exponential,
                      make_perturbed_exponential, make_power, martingale_polytope_probes,
                      martingale_price_bounds, martingale_residual,
                      minimal_entropy_measure, rescale_to_unit_alpha, solve_power_field,
                      solve_primal, verify_optimality)
+from stablab.cli import main
 
 
 def arbitrage_tree():
@@ -609,8 +611,46 @@ def test_verify_optimality_slacks_vanish_at_zero_endowment():
     u = make_exponential(1.0)
     sol = solve_primal(tree, u)
     rep = verify_optimality(tree, u, sol, extract_dual(tree, u, sol))
-    assert np.max(np.abs(rep.probe_slacks)) <= 1e-10
+    assert abs(rep.supermartingale_slack) <= 1e-10
     assert rep.first_order_residual <= 1e-10
+
+
+def test_supermartingale_slack_is_the_supremum_over_all_measures():
+    # a planted violation: the optimal wealth plus 1e-3 at one leaf; its
+    # supremum over the martingale polytope is 1e-3 times the leaf's largest
+    # martingale weight, which sampled measures under-read
+    tree = branching_tree(1.0, [1.2, 1.0, 0.85], [0.3, 0.4, 0.3], 3)
+    u = make_exponential(1.0)
+    sol = solve_primal(tree, u)
+    dual = extract_dual(tree, u, sol)
+    probes = martingale_polytope_probes(tree)
+    slacks = []
+    for leaf in tree.leaves:
+        values = sol.wealth.values.copy()
+        values[leaf] += 1e-3
+        bumped = replace(sol, wealth=AdaptedProcess(values))
+        rep = verify_optimality(tree, u, bumped, dual, probes=probes)
+        hi = martingale_price_bounds(tree, bumped.wealth.at_leaves(tree))[1]
+        assert abs(rep.supermartingale_slack - hi) <= 1e-15 * abs(hi)
+        assert rep.probe_slacks.size == len(probes)
+        assert rep.probe_slacks.max() <= rep.supermartingale_slack + 1e-15
+        slacks.append(rep.supermartingale_slack)
+    assert slacks[10] >= 4e-4
+
+
+def test_verify_optimality_draws_nothing(monkeypatch, tmp_path):
+    # the certificate is one exact pass: no probe measures, no random numbers
+    def refuse(*args, **kwargs):
+        raise AssertionError("a random draw on the solve path")
+    monkeypatch.setattr(entropic, "martingale_polytope_probes", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    tree = trinomial_tree(3)
+    u = make_exponential(1.0)
+    sol = solve_primal(tree, u)
+    rep = verify_optimality(tree, u, sol, extract_dual(tree, u, sol))
+    assert rep.supermartingale_slack <= 1e-12 and rep.probe_slacks.size == 0
+    assert main(["solve", "--config", "configs/solve_exponential.json",
+                 "--out", str(tmp_path)]) == 0
 
 
 def test_price_bounds():

@@ -203,6 +203,21 @@ def test_sweep_spec_builds_its_own_inputs():
     with pytest.raises(ConfigError, match="bad market spec"):
         SweepSpec(kind="p", market={"lattice": {"steps": 0}}, family={}, grid=(-7.0,),
                   claim={"kind": "zero"}, x0=1.0, tol=1e-9, seed=0)
+    # the spec checks its kind and grid however it is built
+    power = load_config({"market": LATTICE, "family": {"kind": "power"},
+                         "grid": [-3.0, -7.0]}, "p")
+    for bad, changes in (("p grid values must be < 0", dict(grid=(-3.0, 0.5))),
+                         ("p grid values must be < 0", dict(grid=(float("nan"),))),
+                         ("strictly monotone", dict(grid=(-3.0, -7.0, -3.0))),
+                         ("non-empty", dict(grid=())),
+                         ("unknown sweep kind 'gamma'", dict(kind="gamma"))):
+        with pytest.raises(ConfigError, match=bad):
+            replace(power, **changes)
+    for bad, grid in (("strictly monotone", (0.1, 0.2, 0.1)),
+                      ("delta grid values must be >= 0", (0.1, -0.1)),
+                      ("delta grid values must be >= 0", (float("nan"),))):
+        with pytest.raises(ConfigError, match=bad):
+            replace(spec, grid=grid)
 
 
 # ----------------------------------------------------------------------
