@@ -3,7 +3,11 @@
 The primal problem is sup_H E_P[U((H.S)_T + xi)] over all per-node share
 strategies; nothing constrains the strategy, so the optimum is the unique
 stationary point of a smooth strictly concave function of the stacked
-holdings.
+holdings.  Newton minimizes the shortfall E_P[U(inf) - U] >= 0 from each
+node's one-step exponential optimum (the whole optimum on an iid tree with no
+endowment) and stops on the Newton decrement relative to the shortfall
+(`DECREMENT`), a rule that cash translation, price units and the utility's
+scale leave unchanged.
 
 The dual side: leaf weights proportional to P * U'(terminal wealth) form the
 optimal martingale measure, and the entropy-minimal measure is computed
@@ -15,7 +19,9 @@ vertices of each node's one-step polytope, with no global LP.
 
 One damped-Newton core, `_newton`, serves the primal, the entropy dual, and
 the fraction solver and the opportunity process of `positive`: Newton steps
-with a steepest-descent fallback, and a backtracking Armijo search.  Each
+with a steepest-descent fallback, and a backtracking Armijo search.  One
+one-step kernel, `_one_step_min`, serves the opportunity process (power
+integrand) and the primal's start (exponential integrand).  Each
 solver supplies one evaluation per point, the value and a closure over its
 intermediates that gives the gradient, residual and step, so no point is
 evaluated twice.  The primal, the fraction solver and the entropy dual
@@ -33,9 +39,9 @@ takes one step per node, so no (L, K*d) array is built.
 Per-node arrays of the system are stacked in `tree.column` order.  Each node
 holds its assets in a frame from the SVD of its children's moves, the
 identity where they have full rank; holdings the moves cannot see get no
-gradient and a unit diagonal, so they stay zero.  The opportunity process
-uses the same frames.  Both solve their blocks by `_dense_step`: least
-squares where singular, a division where 1x1 (one asset).
+gradient and a unit diagonal, so they stay zero.  The one-step kernel uses
+the same frames.  Both solve their blocks by `_dense_step`: least squares
+where singular, a division where 1x1 (one asset).
 """
 from __future__ import annotations
 
@@ -57,7 +63,8 @@ __all__ = [
     "martingale_polytope_probes", "martingale_price_bounds",
 ]
 
-GRAD_TOL = 1e-12      # absolute gradient sup-norm: the primal's, the entropy dual's on G' mu = 0
+GRAD_TOL = 1e-12      # absolute gradient sup-norm of the entropy dual on G' mu = 0
+OPPORTUNITY_TOL = 1e-13   # per node: gradient sup-norm relative to its value * max(1, -p)
 NEWTON_STEPS = 200
 DENSE_NEWTON_MAX = 64     # K*d up to which primal and fraction steps factor the dense Hessian
 VERTEX_TOL = 1e-12    # one-step vertex: drift over the node's largest move, least weight
@@ -214,6 +221,22 @@ def _dense_step(hess, grad):
         return -(np.linalg.pinv(hess) @ grad)
 
 
+@dataclass(frozen=True)
+class _Decrement:
+    """The scale-free stop for an objective f >= 0 computed without
+    cancellation (Boyd & Vandenberghe, Convex Optimization, 9.5.1): with
+    lambda^2 = -grad . step the Newton decrement, stop once lambda^2 <=
+    stop * f, after taking that step, and take full steps without the line
+    search once lambda^2 <= full * f, where f rounds flat.  lambda^2 / f is
+    invariant under affine changes of the variables and under scaling f."""
+
+    stop: float
+    full: float
+
+
+DECREMENT = _Decrement(stop=1e-24, full=1e-14)
+
+
 def _newton(x, evaluate, tol, what):
     """Minimize a smooth convex function by damped Newton steps.
 
@@ -222,22 +245,35 @@ def _newton(x, evaluate, tol, what):
     intermediates returning (grad, residual, step), step a zero-argument
     callable giving the Newton direction, so a converged iterate need not
     build its system.  Each point is evaluated once: an accepted line-search
-    candidate keeps its derivatives.  Stops once residual <= tol.  A
-    direction that is not a finite descent direction falls back to the
-    scaled steepest-descent step.
+    candidate keeps its derivatives.  Stops once residual <= tol or, where
+    tol is a `_Decrement`, by that rule, the residual then being |lambda^2| / f
+    (the derivatives' own is not read) and the value the one before the last
+    step.  A direction that is not a finite descent direction falls back to
+    the scaled steepest-descent step.
     Returns (x, value, residual, iterations); raises NonConvergence when the
     start value is not finite, the line search stalls or NEWTON_STEPS steps
     do not reach the tolerance.
     """
+    decrement = isinstance(tol, _Decrement)
     val, derivatives = evaluate(x)
     if not np.isfinite(val):
         raise NonConvergence(f"{what} start value is not finite", np.inf)
     for it in range(1, NEWTON_STEPS + 1):
         grad, residual, newton_step = derivatives()
-        if residual <= tol:
+        if not decrement and residual <= tol:
             return x, val, residual, it
         step = newton_step()
         slope = float(grad @ step)
+        if decrement:
+            # lambda^2 >= 0 but for rounding, which may give either sign
+            residual = abs(slope) / val if val > 0.0 else abs(slope)
+            if residual <= tol.stop:
+                # the step changes the value by lambda^2 / 2, below its rounding
+                return x + step, val, residual, it
+            if residual <= tol.full:
+                x = x + step
+                val, derivatives = evaluate(x)
+                continue
         if not np.isfinite(slope) or slope >= 0.0:
             step = -grad / max(1.0, float(np.max(np.abs(grad))))
             slope = float(grad @ step)
@@ -254,6 +290,55 @@ def _newton(x, evaluate, tol, what):
         else:
             raise NonConvergence(f"{what} line search stalled", residual)
     raise NonConvergence(f"{what} Newton did not reach gradient tolerance", residual)
+
+
+def _one_step_min(cond, dR, Lc, p, extra):
+    """Per node n of a block, min over x_n of sum_c cond * Lc * f(x_n . dR_c).
+
+    cond and Lc are (k, c), dR is (k, c, d).  The integrand f is the power
+    (1 + z)^p, convex for p < 0, or for p None the exponential exp(-z).  The
+    nodes are independent: one Newton iteration over the stacked (k*d,) x
+    whose steps are one batched (k, d, d) solve, extra (k, d, d) added to
+    each Hessian.  A power block stops by the worst node's gradient relative
+    to its value * max(1, -p), an exponential one by the `DECREMENT` rule.
+    Returns the (k,) values and (k, d) minimizers.
+    """
+    k, _, d = dR.shape
+    w0 = cond * Lc
+    expo = p is None
+    # f' = lead * f / g and f'' = curv * f / g^2, g = 1 + z (1 for exp(-z))
+    lead, curv = (-1.0, 1.0) if expo else (p, p * (p - 1.0))
+
+    def moves(x):
+        return np.matmul(dR, x.reshape(k, d, 1))[..., 0]
+
+    def evaluate(x):
+        z = moves(x)
+        if not expo and np.any(z <= -1.0):
+            return np.inf, None
+
+        def derivatives():
+            g = np.ones_like(z) if expo else 1.0 + z
+            gp = w0 * (np.exp(-z) if expo else g ** p)
+            w = dR / g[..., None]
+            grad = lead * np.matmul(gp[:, None, :], w)[:, 0]
+            scale = np.maximum(gp.sum(axis=1), 1e-300) * max(1.0, -lead)
+
+            def step():
+                hess = curv * np.matmul(w.transpose(0, 2, 1), w * gp[..., None]) + extra
+                return _dense_step(hess, grad[..., None]).ravel()
+
+            return grad.ravel(), float(np.max(np.max(np.abs(grad), axis=1) / scale)), step
+
+        # exp(p log1p(z)) is accurate to an ulp or so; g**p would multiply the
+        # rounding of g = 1 + z by |p|, past the line search's noise cushion
+        with np.errstate(over="ignore"):
+            return float((w0 * np.exp(-z if expo else p * np.log1p(z))).sum()), derivatives
+
+    x = _newton(np.zeros(k * d), evaluate, DECREMENT if expo else OPPORTUNITY_TOL,
+                "predictor" if expo else "opportunity")[0].reshape(k, d)
+    z = moves(x)
+    return (w0 * (np.exp(-z) if expo else (1.0 + z) ** p)).sum(axis=1), x
 
 
 # ----------------------------------------------------------------------
@@ -427,12 +512,34 @@ def _holding_step(tree: ScenarioTree, moves: _Moves, move, a, b, extra):
 # primal solver
 
 
+def _exponential_start(tree: ScenarioTree) -> np.ndarray:
+    """Per non-terminal node, in `tree.column` order and the frames of
+    `_price_moves`, x*_n = argmin_x sum_c p_c exp(-x . dS_c): the one-step
+    optimum of exponential utility with risk aversion 1, so x* / alpha is that
+    of risk aversion alpha.  On a tree with iid returns and no endowment it is
+    the whole optimum, since exponential holdings do not depend on wealth.
+    One `_one_step_min` per child count, every date stacked (the tree's
+    `count_blocks`); null holdings stay 0.  Read-only."""
+    moves = _price_moves(tree)
+    x = np.zeros((tree.n_nodes, tree.n_assets))
+    for nodes, kids in tree.count_blocks:
+        x[nodes] = _one_step_min(tree.prob[kids], moves.node[kids], 1.0, None,
+                                 moves.unit[tree.column[nodes]])[1]
+    start = x[tree.nonterminal]
+    start.flags.writeable = False
+    return start
+
+
 def solve_primal(tree: ScenarioTree, utility: UtilityOnR, endowment=0.0, *,
                  initial: Strategy | None = None) -> PrimalSolution:
     """Maximize E_P[U((H.S)_T + endowment)] over per-node share strategies.
 
-    endowment may be a constant or one value per leaf.  `initial` warm-starts
-    the Newton iteration, which minimizes the negated expected utility.
+    endowment may be a constant or one value per leaf.  The Newton iteration
+    minimizes the shortfall E_P[U(inf) - U(total)] >= 0 and stops by the
+    `DECREMENT` rule.  It starts at `initial` if given, else at each node's
+    one-step exponential optimum for the utility's alpha (kept on the tree,
+    `_exponential_start`).  gradient_norm is the gradient's sup-norm at the
+    strategy returned.
     """
     xi = np.broadcast_to(np.asarray(endowment, dtype=float), (tree.n_leaves,)).copy()
     assert_market_viable(tree)
@@ -448,32 +555,33 @@ def solve_primal(tree: ScenarioTree, utility: UtilityOnR, endowment=0.0, *,
     if initial is not None:
         h = moves.to_frame(initial.values[tree.nonterminal].astype(float)).reshape(K * d).copy()
     else:
-        h = np.zeros(K * d)
+        h = (tree.cached("exponential_start", _exponential_start) / utility.alpha).ravel()
 
     def evaluate(hvec):
         total = gains(hvec) + xi
 
         def derivatives():
             b = -(P * utility.marginal(total))
-            grad = adjoint(b)
-            gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
-            return grad, gnorm, lambda: _holding_step(
+            # the decrement rule reads no residual
+            return adjoint(b), None, lambda: _holding_step(
                 tree, moves, moves.node, -(P * utility.curvature(total)), b, moves.unit)
 
-        # a step far out along a loss overflows U to -inf (or nan): the line
-        # search rejects it
+        # a step far out along a loss overflows the shortfall to inf (or nan):
+        # the line search rejects it
         with np.errstate(over="ignore", invalid="ignore"):
-            return -float(P @ utility.value(total)), derivatives
+            return float(P @ utility.shortfall(total)), derivatives
 
-    h, _, gnorm, it = _newton(h, evaluate, GRAD_TOL, "primal")
+    h, _, _, it = _newton(h, evaluate, DECREMENT, "primal")
     h = moves.from_frame(h.reshape(K, d))
     values = np.zeros((tree.n_nodes, d))
     values[tree.nonterminal] = h
     strategy = Strategy(values, "shares")
     wealth = wealth_additive(tree, strategy, 0.0)
     total = wealth.at_leaves(tree) + xi
+    grad = adjoint(-(P * utility.marginal(total)))
     return PrimalSolution(strategy=strategy, wealth=wealth, value=float(P @ utility.value(total)),
-                          endowment=xi, total=total, gradient_norm=gnorm, iterations=it)
+                          endowment=xi, total=total,
+                          gradient_norm=float(np.max(np.abs(grad), initial=0.0)), iterations=it)
 
 
 def _hedge(tree: ScenarioTree, q: np.ndarray, claim: np.ndarray) -> np.ndarray:

@@ -9,8 +9,8 @@ sum_l P_l D_l |U'(X_l) X_l|; at strongly negative exponents the absolute
 magnitudes are astronomical and an absolute tolerance would be meaningless.
 
 Also here: the opportunity process for pure power utility (an independent
-dynamic-programming route to the same optimum, one `entropic._newton` call
-per child block), the terminal-wealth-weighted auxiliary measure, and the
+dynamic-programming route to the same optimum, one `entropic._one_step_min`
+call per child block), the terminal-wealth-weighted auxiliary measure, and the
 ratio diagnostics comparing a perturbed investor against the pure power one.
 Both solvers hand `entropic._newton` one evaluation per point, whose
 derivatives reuse its growth factors.  The numeraire audit bounds
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropic import (_dense_step, _holding_step, _newton, _return_moves,
+from .entropic import (_holding_step, _newton, _one_step_min, _return_moves,
                        assert_market_viable, solve_primal)
 from .market import (AdaptedProcess, Measure, ScenarioTree, Strategy, _child_sums,
                      conditional_probs, wealth_multiplicative)
@@ -36,7 +36,6 @@ __all__ = [
 ]
 
 POWER_TOL = 1e-11     # gradient sup-norm relative to sum_l P_l D_l |U'(X_l) X_l|
-OPPORTUNITY_TOL = 1e-13   # per node: gradient sup-norm relative to its value * max(1, -p)
 
 
 @dataclass(frozen=True)
@@ -145,48 +144,6 @@ def solve_power_field(tree: ScenarioTree, utility: UtilityOnRPlus, x0: float = 1
 
 # ----------------------------------------------------------------------
 # opportunity process (pure power, dynamic programming)
-
-
-def _one_step_min(cond, dR, Lc, p, extra):
-    """Per node n of a block, min over pi_n of sum_c cond * Lc * (1 + pi_n . dR_c)^p.
-
-    cond and Lc are (k, c), dR is (k, c, d); convex for p < 0.  The nodes are
-    independent: one Newton iteration over the stacked (k*d,) fractions whose
-    steps are one batched (k, d, d) solve, extra (k, d, d) added to each
-    Hessian, stopped by the worst node's gradient relative to its value *
-    max(1, -p).  Returns the (k,) values and (k, d) fractions.
-    """
-    k, _, d = dR.shape
-    w0 = cond * Lc
-
-    def moves(x):
-        return np.matmul(dR, x.reshape(k, d, 1))[..., 0]
-
-    def evaluate(x):
-        z = moves(x)
-        if np.any(z <= -1.0):
-            return np.inf, None
-
-        def derivatives():
-            g = 1.0 + z
-            gp = w0 * g ** p
-            w = dR / g[..., None]
-            grad = p * np.matmul(gp[:, None, :], w)[:, 0]
-            scale = np.maximum(gp.sum(axis=1), 1e-300) * max(1.0, -p)
-
-            def step():
-                hess = p * (p - 1.0) * np.matmul(w.transpose(0, 2, 1), w * gp[..., None]) + extra
-                return _dense_step(hess, grad[..., None]).ravel()
-
-            return grad.ravel(), float(np.max(np.max(np.abs(grad), axis=1) / scale)), step
-
-        # exp(p log1p(z)) is accurate to an ulp or so; g**p would multiply the
-        # rounding of g = 1 + z by |p|, past the line search's noise cushion
-        with np.errstate(over="ignore"):
-            return float((w0 * np.exp(p * np.log1p(z))).sum()), derivatives
-
-    pi = _newton(np.zeros(k * d), evaluate, OPPORTUNITY_TOL, "opportunity")[0].reshape(k, d)
-    return (w0 * (1.0 + moves(pi)) ** p).sum(axis=1), pi
 
 
 def opportunity_process(tree: ScenarioTree, p: float, x0: float = 1.0,

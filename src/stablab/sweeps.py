@@ -63,7 +63,8 @@ config_number = functools.partial(_number, error=ConfigError)
 @dataclass(frozen=True)
 class SweepSpec:
     """A sweep config.  Building one checks the kind and the grid (non-empty,
-    strictly monotone, every delta >= 0 or every p < 0) and builds its tree,
+    finite numbers, strictly monotone, every delta >= 0 or every p < 0), keeping
+    the grid as floats, and builds its tree,
     the claim's leaf values and the family member at each grid point into
     `inputs`; ConfigError when any is bad."""
     kind: str                      # "delta" | "p"
@@ -81,10 +82,10 @@ class SweepSpec:
             raise ConfigError(f"unknown sweep kind {self.kind!r}")
         if len(self.grid) < 1:
             raise ConfigError("grid must be non-empty")
+        object.__setattr__(self, "grid", tuple(config_number(v, "grid value") for v in self.grid))
         diffs = np.diff(self.grid)
         if len(self.grid) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ConfigError("grid must be strictly monotone")
-        # written so that NaN fails too
         if self.kind == "delta" and not all(v >= 0 for v in self.grid):
             raise ConfigError("delta grid values must be >= 0")
         if self.kind == "p" and not all(v < 0 for v in self.grid):
@@ -126,7 +127,7 @@ def load_config(doc: dict, kind: str) -> SweepSpec:
         kind=kind,
         market=doc["market"],
         family=dict(doc["family"]),
-        grid=tuple(config_number(v, "grid value") for v in doc["grid"]),
+        grid=tuple(doc["grid"]),
         claim=doc.get("claim", {"kind": "zero"}),
         x0=config_number(doc.get("x0", 0.0 if kind == "delta" else 1.0), "x0"),
         tol=_check_tol(doc.get("tol", 1e-9), ConfigError),

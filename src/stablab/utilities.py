@@ -176,8 +176,8 @@ class UtilityOnR(_CertifiedUtility):
         dF = self.amp * self.omega * np.cos(self.omega * x)
         return _maybe_scalar((dF - self.alpha * F) * np.exp(-self.alpha * x), x)
 
-    def value(self, x):
-        # constants sit in value_at_inf: nothing cancels as exp(-alpha*x) -> 0
+    def shortfall(self, x):
+        """U(inf) - U(x) = exp(-alpha*x) * tail(x) > 0, computed without cancellation."""
         x = np.asarray(x, dtype=float)
         tail = (1.0 + self.shift) / self.alpha
         if self.amp != 0.0:
@@ -185,8 +185,11 @@ class UtilityOnR(_CertifiedUtility):
             tail = tail + self.amp * (self.alpha * np.sin(self.omega * x)
                                       + self.omega * np.cos(self.omega * x)) \
                 / (self.alpha ** 2 + self.omega ** 2)
-        out = self.value_at_inf - np.exp(-self.alpha * x) * tail
-        return _maybe_scalar(out, x)
+        return _maybe_scalar(np.exp(-self.alpha * x) * tail, x)
+
+    def value(self, x):
+        # constants sit in value_at_inf: nothing cancels as exp(-alpha*x) -> 0
+        return _maybe_scalar(self.value_at_inf - np.asarray(self.shortfall(x)), x)
 
     @property
     def value_at_inf(self) -> float:

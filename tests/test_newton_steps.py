@@ -14,7 +14,8 @@ from conftest import (collinear_two_asset_tree, flat_node_tree, near_collinear_t
                       on_route)
 from stablab import (branching_tree, build_tree, extract_dual, make_exponential,
                      make_perturbed_exponential, make_power, minimal_entropy_measure,
-                     opportunity_process, solve_power_field, solve_primal, verify_optimality)
+                     opportunity_process, share_amounts, solve_power_field, solve_primal,
+                     verify_optimality)
 from stablab.entropic import GRAD_TOL, _dense_route
 from stablab.utilities import UtilityOnR, UtilityOnRPlus, _CertifiedUtility
 
@@ -108,16 +109,17 @@ def test_primal_reuses_the_line_search_wealth(name, monkeypatch):
 
 def wealth_evaluations(monkeypatch, solve, *args):
     """solve(*args), with the wealth evaluations of each Newton iteration it
-    ran: (per `evaluate` call, the number it made; the number made outside
-    them).  A wealth evaluation is a new array the solver evaluates the
-    utility at (a gains product of the primal, a growth pass of the fraction
-    solver, an inverse-marginal solve of the entropy dual), or a moves
-    product of the opportunity process."""
+    ran: (its label, per `evaluate` call the number it made, the number made
+    outside them).  A wealth evaluation is a new array the solver evaluates
+    the utility at (a gains product of the primal, a growth pass of the
+    fraction solver, an inverse-marginal solve of the entropy dual), or a
+    moves product of the one-step kernel (the opportunity process and the
+    primal's start)."""
     runs, live, depth = [], [], [0]
-    newton, one_step = entropic._newton, positive._one_step_min
+    newton, one_step = entropic._newton, entropic._one_step_min
 
     def counted_newton(x, evaluate, tol, what):
-        run = {"calls": [], "outside": 0, "seen": {}, "inside": False}
+        run = {"what": what, "calls": [], "outside": 0, "seen": {}, "inside": False}
         runs.append(run)
         live.append(run)
 
@@ -163,16 +165,18 @@ def wealth_evaluations(monkeypatch, solve, *args):
 
     with monkeypatch.context() as m:
         for cls in (UtilityOnR, UtilityOnRPlus):
-            for name in ("value", "marginal", "curvature"):
-                m.setattr(cls, name, wrapped(getattr(cls, name), True))
+            for name in ("value", "marginal", "curvature", "shortfall"):
+                if hasattr(cls, name):
+                    m.setattr(cls, name, wrapped(getattr(cls, name), True))
         m.setattr(_CertifiedUtility, "inverse_marginal",
                   wrapped(_CertifiedUtility.inverse_marginal, False))
         m.setattr(entropic, "_newton", counted_newton)
         m.setattr(positive, "_newton", counted_newton)
-        m.setattr(positive, "_one_step_min",
-                  lambda cond, dR, *rest: one_step(cond, dR.view(Moves), *rest))
+        for module in (entropic, positive):
+            m.setattr(module, "_one_step_min",
+                      lambda cond, dR, *rest: one_step(cond, dR.view(Moves), *rest))
         solve(*args)
-    return [(run["calls"], run["outside"]) for run in runs]
+    return [(run["what"], run["calls"], run["outside"]) for run in runs]
 
 
 @pytest.mark.parametrize("name", sorted(ROUTE_TREES))
@@ -189,11 +193,18 @@ def test_every_solver_evaluates_each_point_once(name, monkeypatch):
             runs += wealth_evaluations(monkeypatch, on_route, monkeypatch, dense, solve, tree,
                                        utility)
     dp = wealth_evaluations(monkeypatch, opportunity_process, tree, -7.0)
-    assert len(runs) == 6 and len(dp) == sum(len(level) for level in tree.child_blocks)
-    for calls, outside in runs + dp:
+    # the first primal solve also runs the start's one-step kernel, once per
+    # child count, and keeps it on the tree for the second
+    assert [what for what, _, _ in runs] == ["predictor"] * len(tree.count_blocks) + [
+        "primal", "fraction", "entropy"] * 2
+    assert len(dp) == sum(len(level) for level in tree.child_blocks)
+    for _, calls, outside in runs + dp:
         assert outside == 0 and calls[0] == 1 and set(calls) <= {0, 1}
-    # every solve takes a step, and so does the opportunity process
-    assert min(len(calls) for calls, _ in runs) > 1 and max(len(calls) for calls, _ in dp) > 1
+    # every solve takes a step, and so do the start and the opportunity process
+    # on some block (where P is a martingale measure, a start block is optimal)
+    assert min(len(calls) for what, calls, _ in runs if what != "predictor") > 1
+    assert max(len(calls) for what, calls, _ in runs if what == "predictor") > 1
+    assert max(len(calls) for _, calls, _ in dp) > 1
 
 
 def test_near_collinear_holdings_are_dropped():
@@ -331,7 +342,6 @@ def count_solves(monkeypatch, solve, *args):
 
     with monkeypatch.context() as m:
         m.setattr(entropic, "_dense_step", counted_step)
-        m.setattr(positive, "_dense_step", counted_step)
         m.setattr(np.linalg, "solve", counted_lapack)
         solve(*args)
     return tuple(counts)
@@ -374,3 +384,21 @@ def test_closed_form_values_at_depth(T):
         pi = (kappa - 1.0) / (ru - kappa * rd)
         want = (q * (1.0 + pi * ru) ** p + (1.0 - q) * (1.0 + pi * rd) ** p) ** T / p
         assert abs(solve_power_field(tree, make_power(p)).value - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("T", [4, 8, 12])
+def test_closed_form_exponential_strategy_at_depth(T):
+    # an iid binomial lattice: the exponential money position h*S is
+    # log(q (1 - q*) / (q* (1 - q))) / (alpha (u - d)) at every node, at any
+    # endowment (cash invariance), and it is each node's one-step optimum, so
+    # the solve starts there and stops after its first Newton step
+    u, d, q = 1.2, 0.9, 0.6
+    tree = build_tree({"lattice": {"s0": 1.0, "u": u, "d": d, "q": q, "steps": T}})
+    qs = (1.0 - d) / (u - d)
+    for alpha in (0.7, 1.0, 2.0):
+        want = np.log(q * (1.0 - qs) / (qs * (1.0 - q))) / (alpha * (u - d))
+        for x0 in (0.0, 20.0, -20.0):
+            sol = solve_primal(tree, make_exponential(alpha), x0)
+            money = share_amounts(tree, sol.strategy)[tree.nonterminal, 0]
+            assert np.max(np.abs(money / want - 1.0)) <= 1e-12
+            assert sol.iterations == 1

@@ -63,6 +63,26 @@ def test_cash_invariance():
     assert np.max(np.abs(np.diff(prices))) < 1e-7
 
 
+@pytest.mark.parametrize("make", [lambda: trinomial_tree(4),
+                                  lambda: random_viable_tree(np.random.default_rng(3), 3),
+                                  lambda: random_viable_tree(np.random.default_rng(11), 4),
+                                  two_step_binomial],
+                         ids=["trinomial_T4", "random_T3", "random_T4", "binomial_T2"])
+def test_prices_are_cash_invariant_far_out(make):
+    # exponential utility is cash-translation invariant, so the price does not
+    # depend on x0, even where the value rounds to its supremum; on the
+    # complete two-step lattice it is the replication price 1/3
+    tree = make()
+    u = make_exponential(1.0)
+    B = call_claim(tree)
+    prices = np.array([indifference_price(tree, u, x0, B).price for x0 in (0.0, 10.0, 20.0, 40.0)])
+    assert np.max(np.abs(prices - prices[0])) <= 1e-12 * prices[0]
+    if tree.n_leaves == 4:
+        lo, hi = martingale_price_bounds(tree, B)
+        assert lo == pytest.approx(1.0 / 3.0, rel=1e-15) and hi == pytest.approx(lo, rel=1e-15)
+        assert np.max(np.abs(prices - lo)) <= 1e-12 * lo
+
+
 def test_incomplete_market_gap_and_bounds():
     tree = one_step_trinomial()
     B = call_claim(tree)
@@ -230,13 +250,17 @@ def test_wide_lattice_call_prices_at_the_bounds(monkeypatch, steps):
 
 
 @pytest.mark.parametrize("x0", [20.0, 40.0])
-def test_price_where_the_value_rounds_flat_raises(x0):
-    # far out on the exponential, the value rounds to its supremum and the
-    # primal stops before it hedges: the dual's martingale check refuses to
-    # price from it rather than return a wrong price (the true one is 1/3)
+def test_price_where_the_value_rounds_flat_is_the_bound(x0):
+    # far out on the exponential the value rounds to its supremum, but the
+    # primal minimizes its shortfall below the supremum and stops on the
+    # Newton decrement relative to it: it hedges as at x0 = 0, and the price
+    # is the complete market's 1/3
     tree = two_step_binomial()
-    with pytest.raises(NonConvergence, match="dual measure is not a martingale measure"):
-        indifference_price(tree, make_exponential(1.0), x0, call_claim(tree))
+    B = call_claim(tree)
+    res = indifference_price(tree, make_exponential(1.0), x0, B)
+    lo, hi = martingale_price_bounds(tree, B)
+    assert lo == pytest.approx(1.0 / 3.0, rel=1e-15) and hi == pytest.approx(lo, rel=1e-15)
+    assert abs(res.price - lo) <= 1e-12 * lo
 
 
 def test_newton_failure_names_the_iterate(monkeypatch):

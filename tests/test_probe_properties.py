@@ -20,7 +20,8 @@ from conftest import (assert_reductions_match_references, assert_same_probes,
                       near_degenerate_tree, random_viable_tree, trinomial_tree, two_asset_tree,
                       reference_indifference_price, reference_opportunity_process,
                       reference_price_bounds, reference_probes)
-from stablab import (Measure, ScenarioTree, UtilityField, branching_tree, build_tree,
+from stablab import (Measure, ScenarioTree, Strategy, UtilityField, branching_tree,
+                     build_tree,
                      indifference_price, make_exponential, make_perturbed_exponential, make_power,
                      martingale_polytope_probes, martingale_price_bounds, martingale_residual,
                      minimal_entropy_measure, opportunity_process, solve_primal)
@@ -363,6 +364,26 @@ def test_indifference_newton_falls_onto_the_price(case, x0, alpha):
     assert iterates and np.all(np.diff(iterates) <= 0.0)
     assert min(iterates) >= price - 1e-12
     assert abs(price - reference_indifference_price(tree, u, x0, B)) <= 1e-12
+
+
+# The primal's answer does not depend on where it starts: at its one-step
+# exponential start, at no holdings, or warm at the solve without the claim,
+# it stops on the Newton decrement relative to the shortfall E_P[U(inf) - U].
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), steps=st.integers(2, 4), delta=st.floats(0.05, 0.4),
+       alpha=st.floats(0.5, 2.0), x0=st.floats(-5.0, 5.0), level=st.floats(0.1, 0.9))
+def test_primal_does_not_depend_on_its_start(seed, steps, delta, alpha, x0, level):
+    tree = random_viable_tree(np.random.default_rng(seed), steps)
+    u = make_perturbed_exponential(delta, alpha=alpha)
+    S = tree.terminal_prices()[:, 0]
+    B = np.maximum(S - (S.min() + level * (S.max() - S.min())), 0.0)
+    ref = solve_primal(tree, u, x0 - B)
+    scale = np.abs(ref.strategy.values).max()
+    shortfall = tree.path_prob[tree.leaves] @ u.shortfall(ref.total)
+    for start in (Strategy.zero(tree), solve_primal(tree, u, x0).strategy):
+        sol = solve_primal(tree, u, x0 - B, initial=start)
+        assert np.abs(sol.strategy.values - ref.strategy.values).max() <= 1e-12 * scale
+        assert abs(sol.value - ref.value) <= 1e-12 * shortfall
 
 
 def reference_node_vertices(tree):

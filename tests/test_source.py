@@ -238,7 +238,7 @@ def step_problems(source: str) -> list[str]:
 
     `minimal_entropy_measure` must reach a linear solve only through
     `_holding_step`, and `_dense_step` (under any imported name) may be used
-    only by `_holding_step`, `_tree_step` and the opportunity process's
+    only by `_holding_step`, `_tree_step` and the one-step kernel
     `_one_step_min`, each top-level definition counted with what it nests."""
     module = ast.parse(source)
     dense = {"_dense_step"} | {a.asname for node in ast.walk(module)
@@ -279,6 +279,63 @@ def test_the_entropy_dual_takes_the_primal_step():
     sources = {str(p.relative_to(SRC)): p.read_text() for p in files}
     assert "def minimal_entropy_measure" in sources["entropic.py"]
     assert not {p: h for p, h in ((p, step_problems(s)) for p, s in sources.items()) if h}
+
+
+def users(source: str, name: str) -> set[str]:
+    """The top-level definitions that name `name`, under any imported name,
+    other than its own definition or assignment; each counted with what it
+    nests."""
+    module = ast.parse(source)
+    names = {name} | {a.asname for node in ast.walk(module) if isinstance(node, ast.ImportFrom)
+                      for a in node.names if a.name == name and a.asname}
+    hits = set()
+    for top in module.body:
+        if isinstance(top, (ast.Import, ast.ImportFrom)) or getattr(top, "name", None) == name:
+            continue
+        if isinstance(top, ast.Assign) and name in {getattr(t, "id", None) for t in top.targets}:
+            continue
+        used = {n.id for n in ast.walk(top) if isinstance(n, ast.Name)}
+        used |= {n.attr for n in ast.walk(top) if isinstance(n, ast.Attribute)}
+        if used & names:
+            hits.add(getattr(top, "name", "module level"))
+    return hits
+
+
+@pytest.mark.parametrize("source, name, user", [
+    ("def solve_primal(tree, u):\n    return _newton(h, evaluate, GRAD_TOL, 'primal')",
+     "GRAD_TOL", "solve_primal"),
+    ("from .entropic import _one_step_min as kernel\n"
+     "def opportunity_process(tree, p):\n    return kernel(cond, dR, L, p, unit)",
+     "_one_step_min", "opportunity_process"),
+    ("class Start:\n    def build(self):\n        return entropic._one_step_min(c, m, 1.0, None, u)",
+     "_one_step_min", "Start"),
+    ("def _myopic(tree):\n    def one(x):\n        return _newton(x, evaluate, 1e-12, 'myopic')\n"
+     "    return one", "_newton", "_myopic"),
+])
+def test_users_are_caught(source, name, user):
+    assert users(source, name) == {user}
+
+
+def test_the_primal_names_no_gradient_tolerance():
+    # the primal stops on the Newton decrement relative to its shortfall; the
+    # absolute gradient tolerance is the entropy dual's alone
+    assert users((SRC / "entropic.py").read_text(), "GRAD_TOL") == {"minimal_entropy_measure"}
+
+
+def test_one_step_min_is_the_only_one_step_kernel():
+    # one kernel serves the exponential start of the primal and the power
+    # opportunity process, and no other Newton loop solves one-step problems
+    sources = {p.name: p.read_text() for p in sorted(SRC.rglob("*.py"))}
+    defined = {name for name, source in sources.items()
+               if "_one_step_min" in {top.name for top in ast.parse(source).body
+                                      if isinstance(top, ast.FunctionDef)}}
+    assert defined == {"entropic.py"}
+    found = {(name, user) for name, source in sources.items()
+             for user in users(source, "_one_step_min")}
+    assert found == {("entropic.py", "_exponential_start"), ("positive.py", "opportunity_process")}
+    loops = {(name, user) for name, source in sources.items() for user in users(source, "_newton")}
+    assert loops == {("entropic.py", "solve_primal"), ("entropic.py", "minimal_entropy_measure"),
+                     ("entropic.py", "_one_step_min"), ("positive.py", "solve_power_field")}
 
 
 GEOMETRY = {"_node_vertices", "_layout"}

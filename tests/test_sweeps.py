@@ -203,11 +203,17 @@ def test_sweep_spec_builds_its_own_inputs():
     with pytest.raises(ConfigError, match="bad market spec"):
         SweepSpec(kind="p", market={"lattice": {"steps": 0}}, family={}, grid=(-7.0,),
                   claim={"kind": "zero"}, x0=1.0, tol=1e-9, seed=0)
-    # the spec checks its kind and grid however it is built
+    # the spec checks its kind and grid however it is built, reading each grid
+    # value as a config number does
     power = load_config({"market": LATTICE, "family": {"kind": "power"},
                          "grid": [-3.0, -7.0]}, "p")
+    assert replace(power, grid=(-3, -7)).grid == (-3.0, -7.0)
     for bad, changes in (("p grid values must be < 0", dict(grid=(-3.0, 0.5))),
-                         ("p grid values must be < 0", dict(grid=(float("nan"),))),
+                         ("grid value must be a finite number, got nan",
+                          dict(grid=(float("nan"),))),
+                         ("grid value must be a finite number, got 'a'", dict(grid=("a",))),
+                         ("grid value must be a finite number, got True",
+                          dict(grid=(-3.0, True))),
                          ("strictly monotone", dict(grid=(-3.0, -7.0, -3.0))),
                          ("non-empty", dict(grid=())),
                          ("unknown sweep kind 'gamma'", dict(kind="gamma"))):
@@ -215,7 +221,8 @@ def test_sweep_spec_builds_its_own_inputs():
             replace(power, **changes)
     for bad, grid in (("strictly monotone", (0.1, 0.2, 0.1)),
                       ("delta grid values must be >= 0", (0.1, -0.1)),
-                      ("delta grid values must be >= 0", (float("nan"),))):
+                      ("grid value must be a finite number, got nan", (float("nan"),)),
+                      ("grid value must be a finite number, got 'a'", ("a",))):
         with pytest.raises(ConfigError, match=bad):
             replace(spec, grid=grid)
 
