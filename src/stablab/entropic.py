@@ -12,16 +12,19 @@ scale leave unchanged.
 The dual side: leaf weights proportional to P * U'(terminal wealth) form the
 optimal martingale measure, and the entropy-minimal measure is computed
 independently by a Newton iteration over the cone of unnormalized
-martingale measures.  Martingale measures are products of one-step ones, so
-viability, the Newton's start (the product of each node's vertex centroid),
-the supermartingale certificate, probes and price bounds come from the few
-vertices of each node's one-step polytope, with no global LP.
+martingale measures.  It starts at the product of each node's one-step
+exponential measure, scaled to the exponential optimum's y, which is the
+optimal pair itself for exponential utility on an iid tree.  Martingale
+measures are products of one-step ones, so viability, the supermartingale
+certificate, probes and price bounds come from the few vertices of each
+node's one-step polytope, with no global LP.
 
 One damped-Newton core, `_newton`, serves the primal, the entropy dual, and
 the fraction solver and the opportunity process of `positive`: Newton steps
 with a steepest-descent fallback, and a backtracking Armijo search.  One
 one-step kernel, `_one_step_min`, serves the opportunity process (power
-integrand) and the primal's start (exponential integrand).  Each
+integrand), the fraction solver's start (power integrand) and the start of
+the primal and the entropy dual (exponential integrand).  Each
 solver supplies one evaluation per point, the value and a closure over its
 intermediates that gives the gradient, residual and step, so no point is
 evaluated twice.  The primal, the fraction solver and the entropy dual
@@ -38,7 +41,8 @@ O(K*d^3) and a few numpy calls per date, and every product with the gains
 takes one step per node, so no (L, K*d) array is built.
 Per-node arrays of the system are stacked in `tree.column` order.  Each node
 holds its assets in a frame from the SVD of its children's moves, the
-identity where they have full rank; holdings the moves cannot see get no
+identity where they have full rank (where their Gram matrix is well
+conditioned, without the SVD); holdings the moves cannot see get no
 gradient and a unit diagonal, so they stay zero.  The one-step kernel uses
 the same frames.  Both solve their blocks by `_dense_step`: least squares
 where singular, a division where 1x1 (one asset).
@@ -418,13 +422,24 @@ class _Moves:
 
 
 def _layout(tree: ScenarioTree, move: np.ndarray) -> _Moves:
-    """The `_Moves` of the per-node moves `move` (n, d): one batched SVD per
-    child count, every date stacked (the tree's `count_blocks`)."""
+    """The `_Moves` of the per-node moves `move` (n, d): per child count,
+    every date stacked (the tree's `count_blocks`), a screen by each node's
+    d x d Gram matrix W'W of its children's moves W, then one batched SVD of
+    the nodes it does not clear.  A node whose least Gram eigenvalue exceeds
+    1e3 * eps times its largest has sigma_min / sigma_max above 4e-7, far
+    above the rank cut, so it keeps the identity frame with no SVD; the SVD
+    of each other node is the one it would take in any batch."""
     K, d = tree.nonterminal.shape[0], tree.n_assets
     framed = move.copy()
     frames = np.tile(np.eye(d), (K, 1, 1))
     null = np.zeros((K, d), dtype=bool)
     for nodes, kids in tree.count_blocks:
+        W = move[kids]
+        ev = np.linalg.eigvalsh(np.matmul(W.transpose(0, 2, 1), W))
+        screen = ~(ev[:, 0] > 1e3 * np.finfo(float).eps * ev[:, -1])
+        if not screen.any():
+            continue
+        nodes, kids = nodes[screen], kids[screen]
         _, sv, vh = np.linalg.svd(move[kids])
         rank = np.sum(sv > max(kids.shape[1], d) * np.finfo(float).eps * sv[:, :1], axis=1)
         low = rank < d
@@ -519,7 +534,8 @@ def _exponential_start(tree: ScenarioTree) -> np.ndarray:
     of risk aversion alpha.  On a tree with iid returns and no endowment it is
     the whole optimum, since exponential holdings do not depend on wealth.
     One `_one_step_min` per child count, every date stacked (the tree's
-    `count_blocks`); null holdings stay 0.  Read-only."""
+    `count_blocks`); null holdings stay 0.  Read-only; the primal and the
+    entropy dual start from it."""
     moves = _price_moves(tree)
     x = np.zeros((tree.n_nodes, tree.n_assets))
     for nodes, kids in tree.count_blocks:
@@ -633,8 +649,13 @@ def minimal_entropy_measure(tree: ScenarioTree, utility: UtilityOnR) -> DualMeas
     With mu = y*m, a convex program over {mu >= 0, G' mu = 0}, G the gains,
     whose unique minimizer P * U'(optimal terminal wealth) reproduces
     extract_dual's pair (y = sum(mu), m = mu/y) for every family member,
-    without the strategy-space solver.  Newton over mu itself, from the
-    vertex-centroid measure q0 (so it finds the scale too): each step solves
+    without the strategy-space solver.  Newton over mu itself, from y0 * q:
+    q the product of each node's one-step exponential measure q_c ~ p_c
+    exp(-x*_n . dS_c), x*_n the node's `_exponential_start`, and y0 =
+    exp(-E_q[log(q/P)]).  For exponential utility on an iid tree that is the
+    optimum at any alpha: the optimal wealth is x* . dS / alpha summed along
+    the path, a martingale under q, so y = E_P[exp(-alpha X*)] is y0.
+    `assert_market_viable` still checks viability first.  Each step solves
     min F(mu + dmu) to second order subject to G' dmu = 0, F the entropy.  Its
     multiplier lam minimizes sum_l (a_l/2) s_l^2 + b_l s_l, s = G lam, with
     a = P / V''(mu/P) and b = a * V'(mu/P): the primal's system, so
@@ -646,9 +667,20 @@ def minimal_entropy_measure(tree: ScenarioTree, utility: UtilityOnR) -> DualMeas
     non-finite r, so the line search rejects the fallback step -r too, and mu
     never leaves null(G').  The line search keeps mu > 0.
     """
-    mu = assert_market_viable(tree)
+    assert_market_viable(tree)
     P = tree.path_prob[tree.leaves]
     moves = _price_moves(tree)
+    # each node's one-step exponential measure q_c ~ p_c exp(-x*_n . dS_c),
+    # its exponents shifted by their least so that none overflows
+    x = tree.cached("exponential_start", _exponential_start)
+    z = np.zeros(tree.n_nodes)
+    z[1:] = np.einsum("nd,nd->n", x[moves.up], moves.node[1:])
+    cond = np.ones(tree.n_nodes)
+    for _, kids in tree.count_blocks:
+        w = tree.prob[kids] * np.exp(z[kids].min(axis=1, keepdims=True) - z[kids])
+        cond[kids] = w / w.sum(axis=1, keepdims=True)
+    q = _path_products(tree, cond)[tree.leaves]
+    mu = np.exp(-(q @ np.log(q / P))) * q
 
     def evaluate(mu):
         if not np.all(mu > 0.0):

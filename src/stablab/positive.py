@@ -3,10 +3,12 @@
 Strategies here are wealth fractions; wealth compounds multiplicatively and
 must stay positive, so the solver works in log-wealth, grown once per node,
 and treats any candidate with a nonpositive growth factor as value minus
-infinity.  The
-gradient certificate is relative to the natural objective scale
-sum_l P_l D_l |U'(X_l) X_l|; at strongly negative exponents the absolute
-magnitudes are astronomical and an absolute tolerance would be meaningless.
+infinity.  Newton minimizes the shortfall sum_l P_l D_l (U(inf) - U(X_l)) >= 0
+from each node's one-step power optimum (the whole optimum of pure power on
+an iid tree) and stops on the Newton decrement relative to the shortfall
+(`entropic.DECREMENT`): at strongly negative exponents the absolute
+magnitudes are astronomical, and that rule does not see them.  The reported
+gradient norm is relative to the objective's scale sum_l P_l D_l |U'(X_l) X_l|.
 
 Also here: the opportunity process for pure power utility (an independent
 dynamic-programming route to the same optimum, one `entropic._one_step_min`
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropic import (_holding_step, _newton, _one_step_min, _return_moves,
+from .entropic import (DECREMENT, _holding_step, _newton, _one_step_min, _return_moves,
                        assert_market_viable, solve_primal)
 from .market import (AdaptedProcess, Measure, ScenarioTree, Strategy, _child_sums,
                      conditional_probs, wealth_multiplicative)
@@ -34,8 +36,6 @@ __all__ = [
     "share_amounts", "scaled_strategy_distance",
     "auxiliary_measure", "numeraire_audit", "ratio_defects", "ratio_diagnostics",
 ]
-
-POWER_TOL = 1e-11     # gradient sup-norm relative to sum_l P_l D_l |U'(X_l) X_l|
 
 
 @dataclass(frozen=True)
@@ -85,14 +85,19 @@ def solve_power_field(tree: ScenarioTree, utility: UtilityOnRPlus, x0: float = 1
     """Maximize sum_l P_l D_l U(X_l) over fraction strategies, X multiplicative.
 
     `field` weights the leaves (default all ones).  The Newton iteration
-    minimizes the negated objective and stops once the gradient, relative
-    to the objective's marginal scale, is below POWER_TOL.  Each evaluation
-    takes the growth 1 + pi . dR once per child node, in the frames of
-    `entropic._return_moves`, and the leaf log-wealth as the layout's path
-    sum of log growth; its derivatives take the gradient and the same-node
-    Hessian blocks as adjoint products of the sensitivities w = dR / growth
-    per node (and of w w'), and its steps solve the primal's Newton system
-    (`entropic._holding_step`) with w as moves.
+    minimizes the shortfall sum_l P_l D_l (U(inf) - U(X_l)) >= 0 and stops
+    by the `DECREMENT` rule.  It starts at each node's one-step optimum of
+    the reference power x**p / p under the tree's probabilities, one
+    `_one_step_min` per child count (the tree's `count_blocks`): on a tree
+    with iid returns and no field, the whole optimum of pure power.  Each
+    evaluation takes the growth 1 + pi . dR once per child node, in the
+    frames of `entropic._return_moves`, and the leaf log-wealth as the
+    layout's path sum of log growth; its derivatives take the gradient and
+    the same-node Hessian blocks as adjoint products of the sensitivities
+    w = dR / growth per node (and of w w'), and its steps solve the primal's
+    Newton system (`entropic._holding_step`) with w as moves.  gradient_norm
+    is the gradient's sup-norm at the fractions returned, relative to
+    sum_l P_l D_l |U'(X_l) X_l|.
     """
     if x0 <= 0.0:
         raise ValueError("initial capital must be positive")
@@ -102,6 +107,10 @@ def solve_power_field(tree: ScenarioTree, utility: UtilityOnRPlus, x0: float = 1
     D = np.ones(tree.n_leaves) if field is None else np.asarray(field.weights, dtype=float)
     K = tree.nonterminal.shape[0]
     d = tree.n_assets
+    start = np.zeros((tree.n_nodes, d))
+    for nodes, kids in tree.count_blocks:
+        start[nodes] = _one_step_min(tree.prob[kids], moves.node[kids], 1.0, utility.p,
+                                     moves.unit[tree.column[nodes]])[1]
 
     def evaluate(pvec):
         g = np.ones(tree.n_nodes)
@@ -110,7 +119,6 @@ def solve_power_field(tree: ScenarioTree, utility: UtilityOnRPlus, x0: float = 1
             return np.inf, None
         with np.errstate(over="ignore"):
             X = np.exp(np.log(x0) + moves.path_sum(np.log(g)))
-            val = float(P @ (D * np.asarray(utility.value(X))))
 
         def derivatives():
             mXp = P * D * np.asarray(utility.marginal(X)) * X
@@ -129,16 +137,22 @@ def solve_power_field(tree: ScenarioTree, utility: UtilityOnRPlus, x0: float = 1
 
             return grad, gnorm, step
 
-        return (-val if np.isfinite(val) else np.inf), derivatives
+        # a candidate near the edge of the box overflows the shortfall to inf
+        # (or nan): the line search rejects it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float((P * D) @ np.asarray(utility.shortfall(X))), derivatives
 
-    pi, val, gnorm, it = _newton(np.zeros(K * d), evaluate, POWER_TOL, "fraction")
+    pi, _, _, it = _newton(start[tree.nonterminal].ravel(), evaluate, DECREMENT, "fraction")
+    _, derivatives = evaluate(pi)
+    gnorm = derivatives()[1]
     values = np.zeros((tree.n_nodes, d))
     values[tree.nonterminal] = moves.from_frame(pi.reshape(K, d))
     strategy = Strategy(values, "fractions")
     wealth = wealth_multiplicative(tree, strategy, x0)
     terminal = wealth.at_leaves(tree)
     y = float(np.sum(P * D * np.asarray(utility.marginal(terminal)) * terminal)) / x0
-    return PositiveSolution(strategy=strategy, wealth=wealth, value=-val,
+    return PositiveSolution(strategy=strategy, wealth=wealth,
+                            value=float(P @ (D * np.asarray(utility.value(terminal)))),
                             terminal=terminal, y=y, gradient_norm=gnorm, iterations=it)
 
 

@@ -7,12 +7,15 @@ E_P[U'(X*_p)] the marginal utility of the optimal wealth with the claim
 bought at p, and weak duality with the base problem's dual measure Q gives
 g(E_Q[B]) <= 0.  So Newton's method p <- p + g(p)/y_p, started at the Davis
 price E_Q[B], falls monotonically to the root and never solves at the ends
-of the claim's range [min B, max B].  Each iterate is one primal solve.  The
-first starts at the base strategy less the claim's hedge under Q (the
-first-order change of the optimum when the claim is added), the later ones
-at the previous optimum.  On a complete market the Davis price is already
-the root and the hedge replicates the claim, so the price costs one solve
-that starts at its optimum.
+of the claim's range [min B, max B].  It stops once a step is below
+PRICE_STEP_TOL and takes that last step; the value gap it reports, and
+checks against `tol`, is relative to the base shortfall E_P[U(inf) - U(X*)],
+so neither depends on the scale e^{-alpha x0} of the values.  Each iterate
+is one primal solve.  The first starts at the base strategy less the
+claim's hedge under Q (the first-order change of the optimum when the claim
+is added), the later ones at the previous optimum.  On a complete market the
+Davis price is already the root and the hedge replicates the claim, so the
+price costs one solve that starts at its optimum.
 """
 from __future__ import annotations
 
@@ -69,7 +72,10 @@ def davis_price(dual: DualMeasure, B) -> PriceResult:
 
 def indifference_price(tree: ScenarioTree, utility: UtilityOnR, x0: float, B,
                        tol: float = 1e-9) -> PriceResult:
-    """Buyer's price p solving E[U(x0 + B - p + gains)] = value without the claim."""
+    """Buyer's price p solving E[U(x0 + B - p + gains)] = value without the claim.
+
+    `tol` bounds the value gap at the price relative to the base shortfall
+    E_P[U(inf) - U(x0 + gains)]."""
     _check_tol(tol)
     B = _check_claim(np.broadcast_to(np.asarray(B, dtype=float), (tree.n_leaves,)))
     base = solve_primal(tree, utility, x0)
@@ -79,8 +85,13 @@ def indifference_price(tree: ScenarioTree, utility: UtilityOnR, x0: float, B,
 def _indifference(tree: ScenarioTree, utility: UtilityOnR, x0: float, B: np.ndarray,
                   tol: float, base: PrimalSolution, dual: DualMeasure) -> PriceResult:
     """The indifference price of the checked leaf claim B, given the solve
-    without the claim at x0 and its dual: Newton from the Davis price."""
+    without the claim at x0 and its dual: Newton from the Davis price.  The
+    value gap is measured from the shortfalls and relative to the base
+    shortfall E_P[U(inf) - U(X_0)], as the primal's stop is, so `tol` is
+    relative and the price does not depend on the scale e^{-alpha x0} of the
+    values.  The last Newton step is taken, as the decrement rule takes it."""
     P = tree.path_prob[tree.leaves]
+    scale = float(P @ utility.shortfall(base.total))
     lo, hi = float(np.min(B)), float(np.max(B))
     warm = base.strategy
     # a constant claim is priced outright by cash translation, and needs no hedge
@@ -96,9 +107,13 @@ def _indifference(tree: ScenarioTree, utility: UtilityOnR, x0: float, B: np.ndar
         except NonConvergence as e:
             raise NonConvergence(f"{where}: {e.message}", e.residual) from e
         warm = sol.strategy
-        gap = sol.value - base.value
-        step = gap / float(P @ utility.marginal(sol.total))
-        if hi - lo <= 0.0 or abs(step) <= PRICE_STEP_TOL * max(1.0, abs(p)):
+        dvalue = scale - float(P @ utility.shortfall(sol.total))
+        gap = dvalue / scale
+        if hi - lo <= 0.0:
+            break
+        step = dvalue / float(P @ utility.marginal(sol.total))
+        if abs(step) <= PRICE_STEP_TOL * max(1.0, abs(p)):
+            p = min(max(p + step, lo), hi)
             break
         # g is concave with g(p) <= 0 from the Davis price on, so every step falls
         if not step < 0.0:

@@ -290,17 +290,22 @@ class UtilityOnRPlus(_CertifiedUtility):
         out = dF * np.power(x, self.p - 1.0) + (self.p - 1.0) * F * np.power(x, self.p - 2.0)
         return _maybe_scalar(out, x)
 
-    def value(self, x):
-        # constants sit in value_at_inf: nothing cancels as x**p -> 0, pure power is x**p / p
+    def shortfall(self, x):
+        """U(inf) - U(x) = x**p * tail(x) > 0, computed without cancellation;
+        pure power -x**p / p."""
         x = np.asarray(x, dtype=float)
         xp = np.power(x, self.p)
-        out = self.value_at_inf + (1.0 + self.shift) * xp / self.p
+        out = (1.0 + self.shift) * xp / -self.p
         if self.amp != 0.0:
-            # amp * int_inf^x s**(p-1) sin(nu log s) ds
+            # amp * int_x^inf s**(p-1) sin(nu log s) ds
             nlx = self.nu * np.log(x)
-            out = out + self.amp * xp * (self.p * np.sin(nlx) - self.nu * np.cos(nlx)) \
+            out = out - self.amp * xp * (self.p * np.sin(nlx) - self.nu * np.cos(nlx)) \
                 / (self.p ** 2 + self.nu ** 2)
         return _maybe_scalar(out, x)
+
+    def value(self, x):
+        # constants sit in value_at_inf: nothing cancels as x**p -> 0
+        return _maybe_scalar(self.value_at_inf - np.asarray(self.shortfall(x)), x)
 
     def _reference_inverse(self, v):
         return np.power(v, 1.0 / (self.p - 1.0))

@@ -4,8 +4,8 @@ random-cost LP, and the two price-bound LPs) as references for the backward
 passes over per-node vertices, the per-node loops of the one-step reductions
 and of the opportunity process, the bisection for the indifference price,
 the dense Newton route of the primal and fraction solvers, the dense
-price-gains matrix built leaf by leaf, and the (leaf, date) path form of the
-gains products, as references for those."""
+price-gains matrix built leaf by leaf, the (leaf, date) path form of the
+gains products and the SVD of every node's moves, as references for those."""
 import numpy as np
 from scipy.optimize import linprog
 
@@ -202,6 +202,25 @@ def gains_per_leaf(tree):
             c0 = col_of[int(node)] * d
             A[leaf_k, c0:c0 + d] += tree.d_prices[child]
     return A
+
+
+def reference_layout(tree, move):
+    """(framed moves, frames, null) of `entropic._layout` as it ran date by
+    date, with no screen: one batched SVD of every node of each child block."""
+    K, d = tree.nonterminal.shape[0], tree.n_assets
+    framed = move.copy()
+    frames = np.tile(np.eye(d), (K, 1, 1))
+    null = np.zeros((K, d), dtype=bool)
+    for nodes, kids in (block for level in tree.child_blocks for block in level):
+        _, sv, vh = np.linalg.svd(move[kids])
+        rank = np.sum(sv > max(kids.shape[1], d) * np.finfo(float).eps * sv[:, :1], axis=1)
+        low = rank < d
+        V = vh[low].transpose(0, 2, 1)
+        drop = np.arange(d) >= rank[low][:, None]
+        framed[kids[low]] = np.where(drop[:, None, :], 0.0, np.matmul(move[kids[low]], V))
+        frames[tree.column[nodes[low]]] = V
+        null[tree.column[nodes[low]]] = drop
+    return framed, frames, null
 
 
 def reference_path_products(tree, move, h, r):

@@ -24,7 +24,7 @@ import pytest
 
 from conftest import (one_step_trinomial, random_viable_tree,
                       three_step_binomial, two_step_binomial)
-from stablab import (auxiliary_measure, davis_price, extract_dual, fit_rate,
+from stablab import (auxiliary_measure, build_tree, davis_price, extract_dual, fit_rate,
                      indifference_price, load_config, make_exponential,
                      make_perturbed_exponential, make_perturbed_power,
                      make_power, make_power_family_member,
@@ -200,6 +200,11 @@ def test_ratio_process_structure(report):
         worst_sup = max(worst_sup, sup_d)
         worst_sub = min(worst_sub, sub_d)
         worst_exp = max(worst_exp, audit.max_expectation)
+    # the exact audit of a deeper pure power optimum, p = -3 on u=1.2/d=0.9 T8
+    tree = build_tree({"lattice": {"s0": 1.0, "u": 1.2, "d": 0.9, "q": 0.6, "steps": 8}})
+    pure = solve_power_field(tree, make_power(-3.0))
+    aux = auxiliary_measure(tree, make_power(-3.0), pure)
+    worst_exp = max(worst_exp, numeraire_audit(tree, aux, pure.wealth, -3.0).max_expectation)
     ok = worst_sup <= 1e-9 and worst_sub >= -1e-9 and worst_exp <= 1.0 + 1e-9
     report(7, ok, f"defects sup {worst_sup:.2e} / sub {worst_sub:.2e}, "
                   f"numeraire max {worst_exp - 1.0:+.2e}")

@@ -350,7 +350,8 @@ def test_minimal_entropy_matches_a_generic_constrained_solver(make, utility):
 
 def test_entropy_step_solves_the_inverse_marginal_once(monkeypatch):
     # each entropy evaluation of the line search solves U'(x) = mu/P once, and
-    # the Newton iteration at an accepted iterate reuses that solve
+    # the Newton iteration at an accepted iterate reuses that solve; the
+    # start's one-step kernel runs its own Newton, which solves none
     calls = {"inverse_marginal": 0, "conjugate": 0}
     for name in calls:
         def counted(self, y, real=getattr(UtilityOnR, name), name=name):
@@ -360,11 +361,14 @@ def test_entropy_step_solves_the_inverse_marginal_once(monkeypatch):
     iterations, evaluations = [], []
     newton = entropic._newton
 
-    def counted_newton(x, evaluate, *args):
+    def counted_newton(x, evaluate, tol, what):
+        if what != "entropy":
+            return newton(x, evaluate, tol, what)
+
         def counted_evaluate(mu):
             evaluations.append(mu)
             return evaluate(mu)
-        out = newton(x, counted_evaluate, *args)
+        out = newton(x, counted_evaluate, tol, what)
         iterations.append(out[3])
         return out
 
@@ -373,6 +377,34 @@ def test_entropy_step_solves_the_inverse_marginal_once(monkeypatch):
     minimal_entropy_measure(tree, make_perturbed_exponential(0.2))
     assert len(iterations) == 1 and calls["conjugate"] == 0
     assert calls["inverse_marginal"] == len(evaluations) < 12
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+def test_entropy_dual_starts_at_its_optimum_on_iid_trees(monkeypatch, alpha):
+    # with iid returns the exponential optimum is each node's one-step one, so
+    # the product q of the one-step exponential measures, scaled by
+    # exp(-E_q[log(q/P)]), is the optimal pair at any alpha: the entropy
+    # Newton stops at its start
+    iterations = []
+    newton = entropic._newton
+
+    def counted(x, evaluate, tol, what):
+        out = newton(x, evaluate, tol, what)
+        if what == "entropy":
+            iterations.append(out[3])
+        return out
+
+    monkeypatch.setattr(entropic, "_newton", counted)
+    trees = (build_tree({"lattice": {"s0": 1.0, "u": 1.2, "d": 0.9, "q": 0.6, "steps": 8}}),
+             trinomial_tree(4), two_asset_tree(3))
+    u = make_exponential(alpha)
+    for tree in trees:
+        direct = minimal_entropy_measure(tree, u)
+        via_primal = extract_dual(tree, u, solve_primal(tree, u))
+        w = via_primal.measure.weights
+        assert np.max(np.abs(direct.measure.weights / w - 1.0)) <= 1e-12
+        assert direct.y == pytest.approx(via_primal.y, rel=1e-12)
+    assert iterations == [1] * len(trees)
 
 
 def test_generalized_entropy_frozen_value():

@@ -11,7 +11,7 @@ import pytest
 import stablab.entropic as entropic
 import stablab.positive as positive
 from conftest import (collinear_two_asset_tree, flat_node_tree, near_collinear_two_asset_tree,
-                      on_route)
+                      near_degenerate_tree, on_route, random_viable_tree, reference_layout)
 from stablab import (branching_tree, build_tree, extract_dual, make_exponential,
                      make_perturbed_exponential, make_power, minimal_entropy_measure,
                      opportunity_process, share_amounts, solve_power_field, solve_primal,
@@ -114,7 +114,7 @@ def wealth_evaluations(monkeypatch, solve, *args):
     the utility at (a gains product of the primal, a growth pass of the
     fraction solver, an inverse-marginal solve of the entropy dual), or a
     moves product of the one-step kernel (the opportunity process and the
-    primal's start)."""
+    starts of the primal and the fraction solver)."""
     runs, live, depth = [], [], [0]
     newton, one_step = entropic._newton, entropic._one_step_min
 
@@ -193,18 +193,88 @@ def test_every_solver_evaluates_each_point_once(name, monkeypatch):
             runs += wealth_evaluations(monkeypatch, on_route, monkeypatch, dense, solve, tree,
                                        utility)
     dp = wealth_evaluations(monkeypatch, opportunity_process, tree, -7.0)
-    # the first primal solve also runs the start's one-step kernel, once per
-    # child count, and keeps it on the tree for the second
-    assert [what for what, _, _ in runs] == ["predictor"] * len(tree.count_blocks) + [
-        "primal", "fraction", "entropy"] * 2
+    # the first primal solve also runs the exponential start's one-step kernel,
+    # once per child count, and keeps it on the tree for the second and for
+    # the entropy dual's start; every fraction solve runs the power start's
+    # kernel (labelled as the opportunity process's), once per child count
+    blocks = len(tree.count_blocks)
+    assert [what for what, _, _ in runs] == ["predictor"] * blocks + [
+        "primal"] + ["opportunity"] * blocks + ["fraction", "entropy", "primal"] + [
+        "opportunity"] * blocks + ["fraction", "entropy"]
     assert len(dp) == sum(len(level) for level in tree.child_blocks)
     for _, calls, outside in runs + dp:
         assert outside == 0 and calls[0] == 1 and set(calls) <= {0, 1}
-    # every solve takes a step, and so do the start and the opportunity process
-    # on some block (where P is a martingale measure, a start block is optimal)
-    assert min(len(calls) for what, calls, _ in runs if what != "predictor") > 1
-    assert max(len(calls) for what, calls, _ in runs if what == "predictor") > 1
+    # the perturbed primal takes a step, and so do both starts and the
+    # opportunity process on some block (where P is a martingale measure, a
+    # start block is optimal)
+    assert min(len(calls) for what, calls, _ in runs if what == "primal") > 1
+    for kernel in ("predictor", "opportunity"):
+        assert max(len(calls) for what, calls, _ in runs if what == kernel) > 1
     assert max(len(calls) for _, calls, _ in dp) > 1
+
+
+def test_layout_screen_keeps_the_svd_layout(monkeypatch):
+    # the Gram screen skips the SVD only at nodes the SVD would find of full
+    # rank: every layout is bit for bit the one that takes the SVD of every
+    # node, null holdings included, and well-conditioned full-rank trees take
+    # no SVD (near_degenerate_tree, sigma_min / sigma_max = 5e-13, takes one).
+    # The second asset of the last trees moves c times the first's return, so
+    # their Gram matrices are singular only up to rounding
+    rng = np.random.default_rng(43)
+    trees = [make() for name, (make, _) in ROUTE_TREES.items() if name != "collinear_two_asset"]
+    trees += [random_viable_tree(rng, 2 + k % 3) for k in range(30)]
+    screened = len(trees)
+    trees += [near_degenerate_tree()]
+    rank_deficient = [collinear_two_asset_tree(), flat_node_tree(),
+                      near_collinear_two_asset_tree()]
+    rank_deficient += [branching_tree([1.0, 1.0], [[1.1, 1.0 + 0.1 * c], [1.0, 1.0],
+                                                   [0.9, 1.0 - 0.1 * c]], [0.3, 0.4, 0.3], 3)
+                       for c in (0.7, 0.3, 1.0 / 3.0)]
+    svd = np.linalg.svd
+    rows = []
+
+    def counted(a, *args, **kwargs):
+        rows.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    for k, tree in enumerate(trees + rank_deficient):
+        for move in (tree.d_prices, tree.d_returns):
+            framed, frames, null = reference_layout(tree, move)
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "svd", counted)
+                moves = entropic._layout(tree, move)
+            assert np.array_equal(moves.node, framed)
+            assert np.array_equal(moves.frames, frames)
+            assert np.array_equal(moves.null, null)
+            assert null.any() == (k >= len(trees))
+            if k < screened:
+                assert not rows
+            rows.clear()
+
+
+@pytest.mark.parametrize("T", [4, 8, 12, 14])
+def test_closed_form_power_fractions_at_depth(T):
+    # an iid binomial lattice: the pure power fraction is one constant pi*
+    # with ((1 + pi* r_u) / (1 + pi* r_d))^(p-1) = -(1 - q) r_d / (q r_u) at
+    # every node; it is each node's one-step optimum, so the solve starts
+    # there and stops after its first Newton step
+    for u, d, q in ((1.2, 0.9, 0.6), (2.0, 0.5, 0.5)):
+        tree = build_tree({"lattice": {"s0": 1.0, "u": u, "d": d, "q": q, "steps": T}})
+        ru, rd = u - 1.0, d - 1.0
+        for p in (-2.0, -7.0, -31.0):
+            kappa = (-(1.0 - q) * rd / (q * ru)) ** (1.0 / (p - 1.0))
+            want = (kappa - 1.0) / (ru - kappa * rd)
+            sol = solve_power_field(tree, make_power(p))
+            assert np.max(np.abs(sol.strategy.values[tree.nonterminal, 0] / want - 1.0)) <= 1e-12
+            assert sol.iterations == 1
+
+
+def test_equal_subproblems_give_equal_fractions():
+    # every node of an iid trinomial tree faces the same one-step problem, so
+    # the pure power fraction is the same at every node
+    tree = branching_tree(1.0, [1.2, 1.0, 0.85], [0.3, 0.4, 0.3], 5)
+    pi = solve_power_field(tree, make_power(-7.0)).strategy.values[tree.nonterminal, 0]
+    assert pi.max() - pi.min() <= 1e-12 * np.abs(pi).max()
 
 
 def test_near_collinear_holdings_are_dropped():

@@ -236,6 +236,19 @@ def test_constant_claim_takes_two_solves(monkeypatch):
     assert count[0] == 2
 
 
+def test_prices_are_cash_invariant_below_zero():
+    # the value gap is judged relative to the base shortfall, which scales
+    # like the values by e^{-alpha x0}: the trinomial call prices far below
+    # zero as it does above, and the relative residual stays small
+    tree = trinomial_tree(4)
+    B = call_claim(tree)
+    results = [indifference_price(tree, make_exponential(1.0), x0, B)
+               for x0 in (-20.0, -10.0, 0.0, 10.0, 20.0)]
+    prices = np.array([r.price for r in results])
+    assert np.max(np.abs(prices - prices[2])) <= 1e-12 * prices[2]
+    assert max(r.residual for r in results) <= 1e-12
+
+
 @pytest.mark.parametrize("steps", [4, 5, 6, 8])
 def test_wide_lattice_call_prices_at_the_bounds(monkeypatch, steps):
     # u=2/d=0.5: the primal solves at the claim's range ends fail, and the

@@ -18,8 +18,8 @@ from conftest import (assert_reductions_match_references, assert_same_probes,
                       collinear_two_asset_tree, flat_node_tree, gains_per_leaf,
                       mixed_branching_tree,
                       near_degenerate_tree, random_viable_tree, trinomial_tree, two_asset_tree,
-                      reference_indifference_price, reference_opportunity_process,
-                      reference_price_bounds, reference_probes)
+                      reference_indifference_price, reference_layout,
+                      reference_opportunity_process, reference_price_bounds, reference_probes)
 from stablab import (Measure, ScenarioTree, Strategy, UtilityField, branching_tree,
                      build_tree,
                      indifference_price, make_exponential, make_perturbed_exponential, make_power,
@@ -236,7 +236,7 @@ def collinear_two_asset_trees(draw):
 
 
 def first_entropy_step(tree, utility):
-    """(mu0, step) of `minimal_entropy_measure`'s first Newton step, at q0."""
+    """(mu0, step) of `minimal_entropy_measure`'s first Newton step, at its start."""
     seen = {}
 
     def capture(x, evaluate, tol, what):
@@ -415,25 +415,6 @@ def reference_node_vertices(tree):
             verts[-1][:, np.arange(m)[:, None], supp] = np.where(good[..., None], q, 0.0)
         out.append((nodes, kids, np.concatenate(verts, axis=1)))
     return out
-
-
-def reference_layout(tree, move):
-    """(framed moves, frames, null) of `entropic._layout` as it ran date by
-    date: one batched SVD per child block."""
-    K, d = tree.nonterminal.shape[0], tree.n_assets
-    framed = move.copy()
-    frames = np.tile(np.eye(d), (K, 1, 1))
-    null = np.zeros((K, d), dtype=bool)
-    for nodes, kids in (block for level in tree.child_blocks for block in level):
-        _, sv, vh = np.linalg.svd(move[kids])
-        rank = np.sum(sv > max(kids.shape[1], d) * np.finfo(float).eps * sv[:, :1], axis=1)
-        low = rank < d
-        V = vh[low].transpose(0, 2, 1)
-        drop = np.arange(d) >= rank[low][:, None]
-        framed[kids[low]] = np.where(drop[:, None, :], 0.0, np.matmul(move[kids[low]], V))
-        frames[tree.column[nodes[low]]] = V
-        null[tree.column[nodes[low]]] = drop
-    return framed, frames, null
 
 
 def depth_first(tree):

@@ -322,9 +322,16 @@ def test_the_primal_names_no_gradient_tolerance():
     assert users((SRC / "entropic.py").read_text(), "GRAD_TOL") == {"minimal_entropy_measure"}
 
 
+def test_no_power_gradient_tolerance():
+    # the fraction solver stops on the Newton decrement relative to its
+    # shortfall, as the primal does; the gradient tolerance it had is gone
+    assert not [p.name for p in sorted(SRC.rglob("*.py")) if "POWER_TOL" in p.read_text()]
+
+
 def test_one_step_min_is_the_only_one_step_kernel():
-    # one kernel serves the exponential start of the primal and the power
-    # opportunity process, and no other Newton loop solves one-step problems
+    # one kernel serves the exponential start of the primal, the power start
+    # of the fraction solver and the power opportunity process, and no other
+    # Newton loop solves one-step problems
     sources = {p.name: p.read_text() for p in sorted(SRC.rglob("*.py"))}
     defined = {name for name, source in sources.items()
                if "_one_step_min" in {top.name for top in ast.parse(source).body
@@ -332,7 +339,8 @@ def test_one_step_min_is_the_only_one_step_kernel():
     assert defined == {"entropic.py"}
     found = {(name, user) for name, source in sources.items()
              for user in users(source, "_one_step_min")}
-    assert found == {("entropic.py", "_exponential_start"), ("positive.py", "opportunity_process")}
+    assert found == {("entropic.py", "_exponential_start"), ("positive.py", "solve_power_field"),
+                     ("positive.py", "opportunity_process")}
     loops = {(name, user) for name, source in sources.items() for user in users(source, "_newton")}
     assert loops == {("entropic.py", "solve_primal"), ("entropic.py", "minimal_entropy_measure"),
                      ("entropic.py", "_one_step_min"), ("positive.py", "solve_power_field")}

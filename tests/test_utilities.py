@@ -142,6 +142,19 @@ def test_exponential_value_keeps_its_digits_at_large_wealth(x):
     assert abs(make_exponential(1.0).value(x) - exact) <= 4 * np.spacing(abs(exact))
 
 
+@pytest.mark.parametrize("u", [make_power(-3.0), make_perturbed_power(-2.0, b=0.1, nu=1.0)])
+def test_power_shortfall_keeps_its_digits(u):
+    # U(inf) - U(x) = x^p [(1 + shift)/(-p) - amp (p sin(nu log x) - nu cos(nu log x))
+    # / (p^2 + nu^2)] > 0, computed without the subtraction from U(inf)
+    x = np.array([0.5, 1.0, 3.0, 1e3, 1e9])
+    nlx = u.nu * np.log(x)
+    want = x ** u.p * ((1.0 + u.shift) / -u.p - u.amp * (u.p * np.sin(nlx) - u.nu * np.cos(nlx))
+                       / (u.p ** 2 + u.nu ** 2))
+    got = np.asarray(u.shortfall(x))
+    assert np.all(got > 0.0) and np.max(np.abs(got / want - 1.0)) <= 8 * np.finfo(float).eps
+    assert np.array_equal(u.value(x), u.value_at_inf - got)
+
+
 SINE = make_perturbed_exponential(0.3, alpha=1.2, a=0.2, omega=1.5)
 
 
