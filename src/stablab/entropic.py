@@ -23,8 +23,9 @@ One damped-Newton core, `_newton`, serves the primal, the entropy dual, and
 the fraction solver and the opportunity process of `positive`: Newton steps
 with a steepest-descent fallback, and a backtracking Armijo search.  One
 one-step kernel, `_one_step_min`, serves the opportunity process (power
-integrand), the fraction solver's start (power integrand) and the start of
-the primal and the entropy dual (exponential integrand).  Each
+integrand, stopped by OPPORTUNITY_TOL) and the starts, `_one_step_start`,
+stopped by the `DECREMENT` rule: the fraction solver's (power integrand) and
+that of the primal and the entropy dual (exponential integrand).  Each
 solver supplies one evaluation per point, the value and a closure over its
 intermediates that gives the gradient, residual and step, so no point is
 evaluated twice.  The primal, the fraction solver and the entropy dual
@@ -97,12 +98,14 @@ class PrimalSolution:
 
     wealth starts at 0; the initial capital sits inside the endowment.
     `total` holds terminal wealth plus endowment per leaf, the argument the
-    marginal utility is evaluated at.
+    marginal utility is evaluated at.  `shortfall` is E_P[U(inf) - U(total)]
+    >= 0, the objective the solver minimized, and `value` is E_P[U(total)].
     """
 
     strategy: Strategy
     wealth: AdaptedProcess
     value: float
+    shortfall: float
     endowment: np.ndarray
     total: np.ndarray
     gradient_norm: float
@@ -296,16 +299,17 @@ def _newton(x, evaluate, tol, what):
     raise NonConvergence(f"{what} Newton did not reach gradient tolerance", residual)
 
 
-def _one_step_min(cond, dR, Lc, p, extra):
+def _one_step_min(cond, dR, Lc, p, extra, tol=DECREMENT):
     """Per node n of a block, min over x_n of sum_c cond * Lc * f(x_n . dR_c).
 
     cond and Lc are (k, c), dR is (k, c, d).  The integrand f is the power
     (1 + z)^p, convex for p < 0, or for p None the exponential exp(-z).  The
     nodes are independent: one Newton iteration over the stacked (k*d,) x
     whose steps are one batched (k, d, d) solve, extra (k, d, d) added to
-    each Hessian.  A power block stops by the worst node's gradient relative
-    to its value * max(1, -p), an exponential one by the `DECREMENT` rule.
-    Returns the (k,) values and (k, d) minimizers.
+    each Hessian.  It stops by `tol`: the `DECREMENT` rule (the starts), or
+    OPPORTUNITY_TOL on the worst node's gradient relative to its value *
+    max(1, -p) (the opportunity process).  Returns the (k,) values and (k, d)
+    minimizers.
     """
     k, _, d = dR.shape
     w0 = cond * Lc
@@ -339,8 +343,8 @@ def _one_step_min(cond, dR, Lc, p, extra):
         with np.errstate(over="ignore"):
             return float((w0 * np.exp(-z if expo else p * np.log1p(z))).sum()), derivatives
 
-    x = _newton(np.zeros(k * d), evaluate, DECREMENT if expo else OPPORTUNITY_TOL,
-                "predictor" if expo else "opportunity")[0].reshape(k, d)
+    x = _newton(np.zeros(k * d), evaluate, tol,
+                "predictor" if tol is DECREMENT else "opportunity")[0].reshape(k, d)
     z = moves(x)
     return (w0 * (np.exp(-z) if expo else (1.0 + z) ** p)).sum(axis=1), x
 
@@ -536,14 +540,22 @@ def _exponential_start(tree: ScenarioTree) -> np.ndarray:
     One `_one_step_min` per child count, every date stacked (the tree's
     `count_blocks`); null holdings stay 0.  Read-only; the primal and the
     entropy dual start from it."""
-    moves = _price_moves(tree)
-    x = np.zeros((tree.n_nodes, tree.n_assets))
-    for nodes, kids in tree.count_blocks:
-        x[nodes] = _one_step_min(tree.prob[kids], moves.node[kids], 1.0, None,
-                                 moves.unit[tree.column[nodes]])[1]
-    start = x[tree.nonterminal]
+    start = _one_step_start(tree, _price_moves(tree), None)
     start.flags.writeable = False
     return start
+
+
+def _one_step_start(tree: ScenarioTree, moves: _Moves, p: float | None) -> np.ndarray:
+    """Per non-terminal node, in `tree.column` order and the frames of
+    `moves`, the minimizer of sum_c p_c f(x . move_c) under the tree's
+    probabilities, f the `_one_step_min` integrand of p: one `_one_step_min`
+    per child count, every date stacked (the tree's `count_blocks`), each
+    stopped by the `DECREMENT` rule."""
+    x = np.zeros((tree.n_nodes, tree.n_assets))
+    for nodes, kids in tree.count_blocks:
+        x[nodes] = _one_step_min(tree.prob[kids], moves.node[kids], 1.0, p,
+                                 moves.unit[tree.column[nodes]])[1]
+    return x[tree.nonterminal]
 
 
 def solve_primal(tree: ScenarioTree, utility: UtilityOnR, endowment=0.0, *,
@@ -595,8 +607,10 @@ def solve_primal(tree: ScenarioTree, utility: UtilityOnR, endowment=0.0, *,
     wealth = wealth_additive(tree, strategy, 0.0)
     total = wealth.at_leaves(tree) + xi
     grad = adjoint(-(P * utility.marginal(total)))
-    return PrimalSolution(strategy=strategy, wealth=wealth, value=float(P @ utility.value(total)),
-                          endowment=xi, total=total,
+    short = utility.shortfall(total)
+    return PrimalSolution(strategy=strategy, wealth=wealth,
+                          value=float(P @ (utility.value_at_inf - short)),
+                          shortfall=float(P @ short), endowment=xi, total=total,
                           gradient_norm=float(np.max(np.abs(grad), initial=0.0)), iterations=it)
 
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropic import (DECREMENT, _holding_step, _newton, _one_step_min, _return_moves,
-                       assert_market_viable, solve_primal)
+from .entropic import (DECREMENT, OPPORTUNITY_TOL, _holding_step, _newton, _one_step_min,
+                       _one_step_start, _return_moves, assert_market_viable, solve_primal)
 from .market import (AdaptedProcess, Measure, ScenarioTree, Strategy, _child_sums,
                      conditional_probs, wealth_multiplicative)
 from .utilities import UtilityOnRPlus, make_power
@@ -87,9 +87,9 @@ def solve_power_field(tree: ScenarioTree, utility: UtilityOnRPlus, x0: float = 1
     `field` weights the leaves (default all ones).  The Newton iteration
     minimizes the shortfall sum_l P_l D_l (U(inf) - U(X_l)) >= 0 and stops
     by the `DECREMENT` rule.  It starts at each node's one-step optimum of
-    the reference power x**p / p under the tree's probabilities, one
-    `_one_step_min` per child count (the tree's `count_blocks`): on a tree
-    with iid returns and no field, the whole optimum of pure power.  Each
+    the reference power x**p / p under the tree's probabilities
+    (`entropic._one_step_start`, stopped by the `DECREMENT` rule too): on a
+    tree with iid returns and no field, the whole optimum of pure power.  Each
     evaluation takes the growth 1 + pi . dR once per child node, in the
     frames of `entropic._return_moves`, and the leaf log-wealth as the
     layout's path sum of log growth; its derivatives take the gradient and
@@ -107,10 +107,6 @@ def solve_power_field(tree: ScenarioTree, utility: UtilityOnRPlus, x0: float = 1
     D = np.ones(tree.n_leaves) if field is None else np.asarray(field.weights, dtype=float)
     K = tree.nonterminal.shape[0]
     d = tree.n_assets
-    start = np.zeros((tree.n_nodes, d))
-    for nodes, kids in tree.count_blocks:
-        start[nodes] = _one_step_min(tree.prob[kids], moves.node[kids], 1.0, utility.p,
-                                     moves.unit[tree.column[nodes]])[1]
 
     def evaluate(pvec):
         g = np.ones(tree.n_nodes)
@@ -142,7 +138,8 @@ def solve_power_field(tree: ScenarioTree, utility: UtilityOnRPlus, x0: float = 1
         with np.errstate(over="ignore", invalid="ignore"):
             return float((P * D) @ np.asarray(utility.shortfall(X))), derivatives
 
-    pi, _, _, it = _newton(start[tree.nonterminal].ravel(), evaluate, DECREMENT, "fraction")
+    pi, _, _, it = _newton(_one_step_start(tree, moves, utility.p).ravel(), evaluate, DECREMENT,
+                           "fraction")
     _, derivatives = evaluate(pi)
     gnorm = derivatives()[1]
     values = np.zeros((tree.n_nodes, d))
@@ -184,7 +181,8 @@ def opportunity_process(tree: ScenarioTree, p: float, x0: float = 1.0,
     for level in reversed(tree.child_blocks):
         for nodes, kids in level:
             Lvals[nodes], frac[nodes] = _one_step_min(cond[kids], moves.node[kids], Lvals[kids],
-                                                      p, moves.unit[tree.column[nodes]])
+                                                      p, moves.unit[tree.column[nodes]],
+                                                      OPPORTUNITY_TOL)
     frac[tree.nonterminal] = moves.from_frame(frac[tree.nonterminal])
     value = Lvals[0] * x0 ** p / p
     return OpportunityProcess(values=AdaptedProcess(Lvals),

@@ -91,7 +91,7 @@ def _indifference(tree: ScenarioTree, utility: UtilityOnR, x0: float, B: np.ndar
     relative and the price does not depend on the scale e^{-alpha x0} of the
     values.  The last Newton step is taken, as the decrement rule takes it."""
     P = tree.path_prob[tree.leaves]
-    scale = float(P @ utility.shortfall(base.total))
+    scale = base.shortfall
     lo, hi = float(np.min(B)), float(np.max(B))
     warm = base.strategy
     # a constant claim is priced outright by cash translation, and needs no hedge
@@ -107,7 +107,7 @@ def _indifference(tree: ScenarioTree, utility: UtilityOnR, x0: float, B: np.ndar
         except NonConvergence as e:
             raise NonConvergence(f"{where}: {e.message}", e.residual) from e
         warm = sol.strategy
-        dvalue = scale - float(P @ utility.shortfall(sol.total))
+        dvalue = scale - sol.shortfall
         gap = dvalue / scale
         if hi - lo <= 0.0:
             break

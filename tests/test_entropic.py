@@ -240,7 +240,7 @@ def test_extract_dual_rejects_bad_solution():
     u = make_exponential(1.0)
     sol = solve_primal(tree, u)
     bogus = PrimalSolution(strategy=sol.strategy, wealth=sol.wealth, value=sol.value,
-                           endowment=sol.endowment,
+                           shortfall=sol.shortfall, endowment=sol.endowment,
                            total=sol.total + np.array([1.0, 0.0, 0.0, -1.0]),
                            gradient_norm=sol.gradient_norm, iterations=sol.iterations)
     with pytest.raises(NonConvergence):

@@ -13,7 +13,8 @@ import stablab.positive as positive
 from conftest import (collinear_two_asset_tree, flat_node_tree, near_collinear_two_asset_tree,
                       near_degenerate_tree, on_route, random_viable_tree, reference_layout)
 from stablab import (branching_tree, build_tree, extract_dual, make_exponential,
-                     make_perturbed_exponential, make_power, minimal_entropy_measure,
+                     make_perturbed_exponential, make_perturbed_power, make_power,
+                     minimal_entropy_measure,
                      opportunity_process, share_amounts, solve_power_field, solve_primal,
                      verify_optimality)
 from stablab.entropic import GRAD_TOL, _dense_route
@@ -186,9 +187,11 @@ def test_every_solver_evaluates_each_point_once(name, monkeypatch):
     # call that reaches the wealth (an infeasible point may stop before it)
     tree = ROUTE_TREES[name][0]()
     u = make_perturbed_exponential(0.3, alpha=1.2, a=0.2, omega=0.9)
+    # the perturbed power, unlike pure power, is not optimal at its start
+    power = make_perturbed_power(-7.0, b=0.2, nu=0.9)
     runs = []
     for dense in (True, False):
-        for solve, utility in ((solve_primal, u), (solve_power_field, make_power(-7.0)),
+        for solve, utility in ((solve_primal, u), (solve_power_field, power),
                                (minimal_entropy_measure, u)):
             runs += wealth_evaluations(monkeypatch, on_route, monkeypatch, dense, solve, tree,
                                        utility)
@@ -196,20 +199,18 @@ def test_every_solver_evaluates_each_point_once(name, monkeypatch):
     # the first primal solve also runs the exponential start's one-step kernel,
     # once per child count, and keeps it on the tree for the second and for
     # the entropy dual's start; every fraction solve runs the power start's
-    # kernel (labelled as the opportunity process's), once per child count
-    blocks = len(tree.count_blocks)
-    assert [what for what, _, _ in runs] == ["predictor"] * blocks + [
-        "primal"] + ["opportunity"] * blocks + ["fraction", "entropy", "primal"] + [
-        "opportunity"] * blocks + ["fraction", "entropy"]
+    # kernel, once per child count
+    blocks = ["predictor"] * len(tree.count_blocks)
+    assert [what for what, _, _ in runs] == blocks + ["primal"] + blocks + [
+        "fraction", "entropy", "primal"] + blocks + ["fraction", "entropy"]
     assert len(dp) == sum(len(level) for level in tree.child_blocks)
     for _, calls, outside in runs + dp:
         assert outside == 0 and calls[0] == 1 and set(calls) <= {0, 1}
-    # the perturbed primal takes a step, and so do both starts and the
-    # opportunity process on some block (where P is a martingale measure, a
-    # start block is optimal)
-    assert min(len(calls) for what, calls, _ in runs if what == "primal") > 1
-    for kernel in ("predictor", "opportunity"):
-        assert max(len(calls) for what, calls, _ in runs if what == kernel) > 1
+    # every solve takes a step, and so do the starts and the opportunity
+    # process on some block (where P is a martingale measure, a start block is
+    # optimal)
+    assert min(len(calls) for what, calls, _ in runs if what != "predictor") > 1
+    assert max(len(calls) for what, calls, _ in runs if what == "predictor") > 1
     assert max(len(calls) for _, calls, _ in dp) > 1
 
 

@@ -329,9 +329,9 @@ def test_no_power_gradient_tolerance():
 
 
 def test_one_step_min_is_the_only_one_step_kernel():
-    # one kernel serves the exponential start of the primal, the power start
-    # of the fraction solver and the power opportunity process, and no other
-    # Newton loop solves one-step problems
+    # one kernel serves the starts (one helper, for the exponential start of
+    # the primal and the power start of the fraction solver) and the power
+    # opportunity process, and no other Newton loop solves one-step problems
     sources = {p.name: p.read_text() for p in sorted(SRC.rglob("*.py"))}
     defined = {name for name, source in sources.items()
                if "_one_step_min" in {top.name for top in ast.parse(source).body
@@ -339,8 +339,10 @@ def test_one_step_min_is_the_only_one_step_kernel():
     assert defined == {"entropic.py"}
     found = {(name, user) for name, source in sources.items()
              for user in users(source, "_one_step_min")}
-    assert found == {("entropic.py", "_exponential_start"), ("positive.py", "solve_power_field"),
-                     ("positive.py", "opportunity_process")}
+    assert found == {("entropic.py", "_one_step_start"), ("positive.py", "opportunity_process")}
+    starts = {(name, user) for name, source in sources.items()
+              for user in users(source, "_one_step_start")}
+    assert starts == {("entropic.py", "_exponential_start"), ("positive.py", "solve_power_field")}
     loops = {(name, user) for name, source in sources.items() for user in users(source, "_newton")}
     assert loops == {("entropic.py", "solve_primal"), ("entropic.py", "minimal_entropy_measure"),
                      ("entropic.py", "_one_step_min"), ("positive.py", "solve_power_field")}
