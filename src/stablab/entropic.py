@@ -537,9 +537,8 @@ def _exponential_start(tree: ScenarioTree) -> np.ndarray:
     optimum of exponential utility with risk aversion 1, so x* / alpha is that
     of risk aversion alpha.  On a tree with iid returns and no endowment it is
     the whole optimum, since exponential holdings do not depend on wealth.
-    One `_one_step_min` per child count, every date stacked (the tree's
-    `count_blocks`); null holdings stay 0.  Read-only; the primal and the
-    entropy dual start from it."""
+    `_one_step_start` with the exponential integrand; null holdings stay 0.
+    Read-only; the primal and the entropy dual start from it."""
     start = _one_step_start(tree, _price_moves(tree), None)
     start.flags.writeable = False
     return start
