@@ -10,8 +10,7 @@ from .market import (AdaptedProcess, AdmissibilityViolation, Measure,
                      bracket_distance, branching_tree, build_tree,
                      conditional_expectation, conditional_probs,
                      is_martingale_measure, martingale_residual, node_weights,
-                     single_step_tree, tree_from_file, wealth_additive,
-                     wealth_multiplicative)
+                     tree_from_file, wealth_additive, wealth_multiplicative)
 from .utilities import (RatioCertificate, SandwichAudit, UtilityField,
                         UtilityOnR, UtilityOnRPlus, certify_ratio_bounds,
                         conjugate_sandwich_audit, make_exponential,
@@ -20,10 +19,8 @@ from .utilities import (RatioCertificate, SandwichAudit, UtilityField,
                         rescale_to_unit_alpha, shifted_inverse_mix)
 from .entropic import (DualMeasure, NoMartingaleMeasure, NonConvergence,
                        OptimalityReport, PrimalSolution, extract_dual,
-                       generalized_entropy,
-                       martingale_polytope_probes, martingale_price_bounds,
-                       minimal_entropy_measure, solve_primal,
-                       verify_optimality)
+                       generalized_entropy, martingale_price_bounds,
+                       minimal_entropy_measure, solve_primal, verify_optimality)
 from .positive import (NumeraireAudit, OpportunityProcess, PositiveSolution,
                        RatioDiagnostics, auxiliary_measure, exponential_hedge,
                        numeraire_audit, opportunity_process, ratio_defects,
@@ -43,16 +40,14 @@ __all__ = [
     "Strategy", "TreeValidationError", "bracket_distance", "branching_tree",
     "build_tree", "conditional_expectation", "conditional_probs",
     "is_martingale_measure", "martingale_residual", "node_weights",
-    "single_step_tree", "tree_from_file", "wealth_additive",
-    "wealth_multiplicative",
+    "tree_from_file", "wealth_additive", "wealth_multiplicative",
     "RatioCertificate", "SandwichAudit", "UtilityField", "UtilityOnR",
     "UtilityOnRPlus", "certify_ratio_bounds", "conjugate_sandwich_audit",
     "make_exponential", "make_perturbed_exponential", "make_perturbed_power",
     "make_power", "make_power_family_member", "rescale_to_unit_alpha",
     "shifted_inverse_mix",
     "DualMeasure", "NoMartingaleMeasure", "NonConvergence", "OptimalityReport",
-    "PrimalSolution", "extract_dual", "generalized_entropy",
-    "martingale_polytope_probes", "martingale_price_bounds",
+    "PrimalSolution", "extract_dual", "generalized_entropy", "martingale_price_bounds",
     "minimal_entropy_measure", "solve_primal", "verify_optimality",
     "NumeraireAudit", "OpportunityProcess", "PositiveSolution",
     "RatioDiagnostics", "auxiliary_measure", "exponential_hedge",

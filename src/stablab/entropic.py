@@ -16,8 +16,8 @@ martingale measures.  It starts at the product of each node's one-step
 exponential measure, scaled to the exponential optimum's y, which is the
 optimal pair itself for exponential utility on an iid tree.  Martingale
 measures are products of one-step ones, so viability, the supermartingale
-certificate, probes and price bounds come from the few vertices of each
-node's one-step polytope, with no global LP.
+certificate and price bounds come from the few vertices of each node's
+one-step polytope, with no global LP.
 
 One damped-Newton core, `_newton`, serves the primal, the entropy dual, and
 the fraction solver and the opportunity process of `positive`: Newton steps
@@ -65,7 +65,7 @@ __all__ = [
     "NoMartingaleMeasure", "NonConvergence",
     "solve_primal", "extract_dual", "minimal_entropy_measure",
     "generalized_entropy", "verify_optimality",
-    "martingale_polytope_probes", "martingale_price_bounds",
+    "martingale_price_bounds",
 ]
 
 GRAD_TOL = 1e-12      # absolute gradient sup-norm of the entropy dual on G' mu = 0
@@ -75,8 +75,6 @@ DENSE_NEWTON_MAX = 64     # K*d up to which primal and fraction steps factor the
 VERTEX_TOL = 1e-12    # one-step vertex: drift over the node's largest move, least weight
 DUAL_TOL = 1e-8       # martingale residual above which extract_dual rejects its measure
 PROBE_TOL = 1e-8      # martingale residual above which a probe measure is rejected
-PROBE_VERTICES = 8    # polytope vertices among the probe measures
-PROBE_INTERIOR = 4    # random interior mixtures of them
 
 
 class NoMartingaleMeasure(RuntimeError):
@@ -180,34 +178,17 @@ def _node_vertices(tree: ScenarioTree):
     return sorted(out, key=lambda block: (tree.time[block[0][0]], block[1].shape[1]))
 
 
-def _arbitrage(tree: ScenarioTree) -> NoMartingaleMeasure:
-    """The error naming the lowest node with a child on no vertex's support."""
-    node = min(int(nodes[~verts.any(axis=1).all(axis=1)].min(initial=tree.n_nodes))
-               for nodes, _, verts in tree.cached("node_vertices", _node_vertices))
-    return NoMartingaleMeasure("tree admits no equivalent martingale measure: one-step "
-                               f"arbitrage at node {node} (date {tree.time[node]})")
-
-
-def _centroid_measure(tree: ScenarioTree):
-    """`assert_market_viable`'s measure (read-only), or None."""
-    cond = np.ones(tree.n_nodes)
-    for _, kids, verts in tree.cached("node_vertices", _node_vertices):
-        cond[kids] = verts.sum(axis=1) / np.maximum(verts.any(axis=2).sum(axis=1), 1)[:, None]
-    if np.any(cond <= 0.0):
-        return None
-    q0 = _path_products(tree, cond)[tree.leaves]
-    q0.flags.writeable = False
-    return q0
-
-
-def assert_market_viable(tree: ScenarioTree) -> np.ndarray:
-    """The product of every node's vertex centroid, an equivalent martingale
-    measure, or NoMartingaleMeasure where a centroid has a zero weight (all
-    others exceed VERTEX_TOL / #vertices, at any depth).  Kept on the tree."""
-    q0 = tree.cached("centroid_measure", _centroid_measure)
-    if q0 is None:
-        raise _arbitrage(tree)
-    return q0
+def assert_market_viable(tree: ScenarioTree) -> None:
+    """NoMartingaleMeasure naming the lowest node with a child on no vertex's
+    support, if there is one.  Otherwise every node's vertex centroid is
+    positive, and their product is an equivalent martingale measure.  Decided
+    once per tree: the failing node (n_nodes if none) is kept on the tree."""
+    node = tree.cached("arbitrage_node", lambda t: min(
+        int(nodes[~verts.any(axis=1).all(axis=1)].min(initial=t.n_nodes))
+        for nodes, _, verts in t.cached("node_vertices", _node_vertices)))
+    if node < tree.n_nodes:
+        raise NoMartingaleMeasure("tree admits no equivalent martingale measure: one-step "
+                                  f"arbitrage at node {node} (date {tree.time[node]})")
 
 
 # ----------------------------------------------------------------------
@@ -760,7 +741,7 @@ def verify_optimality(tree: ScenarioTree, utility: UtilityOnR, sol: PrimalSoluti
 
 
 # ----------------------------------------------------------------------
-# probe measures
+# exact backward passes over the martingale polytope
 
 
 def _cheapest_vertices(tree: ScenarioTree, cost: np.ndarray):
@@ -778,42 +759,9 @@ def _cheapest_vertices(tree: ScenarioTree, cost: np.ndarray):
         V[nodes] = vals.min(axis=1)
         cond[kids] = verts[np.arange(len(nodes)), vals.argmin(axis=1)]
     if V[0] == np.inf:
-        raise _arbitrage(tree)
+        # some node has a child on no vertex's support, so this raises
+        assert_market_viable(tree)
     return float(V[0]), cond
-
-
-def martingale_polytope_probes(tree: ScenarioTree, seed: int = 0) -> list[Measure]:
-    """Up to PROBE_VERTICES vertices of the martingale polytope plus
-    PROBE_INTERIOR random interior mixtures.
-
-    Each vertex minimizes a random leaf cost by one `_cheapest_vertices`
-    pass; interior points are Dirichlet mixtures of them.  Deterministic for
-    a fixed seed.  With one vertex per node (a complete market) the polytope
-    is a point that one pass finds; the other costs are still drawn, so the
-    mixtures come out the same.
-    """
-    single_point = all(np.all(verts.any(axis=2).sum(axis=1) == 1)
-                       for _, _, verts in tree.cached("node_vertices", _node_vertices))
-    rng = np.random.default_rng(seed)
-    vertices = []
-    seen = set()
-    for _ in range(PROBE_VERTICES * 3):
-        if len(vertices) >= PROBE_VERTICES:
-            break
-        cost = rng.standard_normal(tree.n_leaves)
-        if single_point and vertices:
-            continue
-        q = _path_products(tree, _cheapest_vertices(tree, cost)[1])[tree.leaves]
-        key = tuple(np.round(q, 10))
-        if key not in seen:
-            seen.add(key)
-            vertices.append(q)
-    probes = [Measure(v) for v in vertices]
-    V = np.vstack(vertices)
-    for _ in range(PROBE_INTERIOR):
-        w = rng.dirichlet(np.ones(len(vertices)))
-        probes.append(Measure(w @ V))
-    return probes
 
 
 def martingale_price_bounds(tree: ScenarioTree, payoff) -> tuple[float, float]:

@@ -19,8 +19,6 @@ import numpy as np
 
 # children of one node must carry a conditional distribution
 PROB_SUM_TOL = 1e-12
-# one-step transition probabilities strictly inside (0, 1)
-PROB_FLOOR = 0.0
 # checks on each non-terminal node's children, in the order they are applied
 _CHILD_CHECKS = ("node {} has fewer than 2 branches",
                  "transition probabilities at node {} must lie in (0, 1)",
@@ -117,7 +115,7 @@ class ScenarioTree:
                 # one row per node, so each row sums exactly as a per-node sum does
                 p = prob[kids]
                 failed[nodes] = 1 if c < 2 else np.select(
-                    [~np.all((p > PROB_FLOOR) & (p < 1.0), axis=1),
+                    [~np.all((p > 0.0) & (p < 1.0), axis=1),
                      np.abs(p.sum(axis=1) - 1.0) > PROB_SUM_TOL], [2, 3])
         self.child_blocks = tuple(tuple(level) for level in blocks)
         self.count_blocks = tuple(tuple(map(np.concatenate, zip(*by_count[c])))
@@ -333,10 +331,6 @@ def branching_tree(s0, factors, probs, steps: int) -> ScenarioTree:
         prices.append((prices[-1][:, None, :] * F).reshape(-1, s0.shape[0]))
     time = np.repeat(np.arange(steps + 1), [p.size for p in parent])
     return ScenarioTree(np.concatenate(parent), time, np.concatenate(prob), np.vstack(prices))
-
-
-def single_step_tree(s0, factors, probs) -> ScenarioTree:
-    return branching_tree(s0, factors, probs, 1)
 
 
 # ----------------------------------------------------------------------

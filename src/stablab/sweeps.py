@@ -267,20 +267,9 @@ def sweep_delta(spec: SweepSpec) -> SweepReport:
             "dq_l1": float(np.sum(np.abs(dual.measure.weights - Q.measure.weights))),
         }
 
-    rows, meta = _run_grid(one, spec.grid)
-    meta.update(seed=spec.seed, tol=spec.tol, x0=spec.x0, family=spec.family,
-                schema_version=SCHEMA_VERSION)
-    report = SweepReport(kind="delta", columns=DELTA_COLUMNS, rows=rows, meta=meta)
-    if len(rows) >= 4 and not meta.get("incomplete"):
-        for subset in ("half", "full"):
-            try:
-                report.fits[f"loglog_{subset}"] = fit_rate(
-                    report, "loglog_slope", functional="l1_wealth_err", subset=subset)
-                report.fits[f"f2g_{subset}"] = fit_rate(
-                    report, "f2_plus_g", functional="l1_wealth_err", subset=subset)
-            except ValueError:
-                pass
-    return report
+    return _sweep_report(spec, "delta", DELTA_COLUMNS, one,
+                         [("loglog", "loglog_slope", "l1_wealth_err"),
+                          ("f2g", "f2_plus_g", "l1_wealth_err")])
 
 
 # ----------------------------------------------------------------------
@@ -311,16 +300,25 @@ def sweep_p(spec: SweepSpec) -> SweepReport:
             "ratio_product": product, "rp_l1": rp_l1, "y_ratio": y_ratio,
         }
 
+    return _sweep_report(spec, "p", P_COLUMNS, one,
+                         [("inverse", "inverse_one_minus_p", "pure_distance")])
+
+
+def _sweep_report(spec: SweepSpec, kind: str, columns: list, one, fits) -> SweepReport:
+    """The report of `one` run over the spec's grid, the spec in its meta.
+    Where the grid ran through with at least 4 points, each subset takes the
+    fits (name, model, functional) in order; the first that fails skips the
+    subset's rest."""
     rows, meta = _run_grid(one, spec.grid)
     meta.update(seed=spec.seed, tol=spec.tol, x0=spec.x0, family=spec.family,
                 schema_version=SCHEMA_VERSION)
-    report = SweepReport(kind="p", columns=P_COLUMNS, rows=rows, meta=meta)
+    report = SweepReport(kind=kind, columns=columns, rows=rows, meta=meta)
     if len(rows) >= 4 and not meta.get("incomplete"):
         for subset in ("half", "full"):
             try:
-                report.fits[f"inverse_{subset}"] = fit_rate(
-                    report, "inverse_one_minus_p", functional="pure_distance",
-                    subset=subset)
+                for name, model, functional in fits:
+                    report.fits[f"{name}_{subset}"] = fit_rate(
+                        report, model, functional=functional, subset=subset)
             except ValueError:
                 pass
     return report

@@ -1,7 +1,7 @@
 """Shared market builders, closed-form one-step optima, random tree generator,
-global LPs over the martingale polytope (the probe loop that solves every
-random-cost LP, and the two price-bound LPs) as references for the backward
-passes over per-node vertices, the per-node loops of the one-step reductions
+the measure of one backward pass over per-node vertices and, as its
+references, global LPs over the martingale polytope (the vertex of a cost,
+and the two price bounds), the per-node loops of the one-step reductions
 and of the opportunity process, the bisection for the indifference price,
 the dense Newton route of the primal and fraction solvers, the dense
 price-gains matrix built leaf by leaf, the (leaf, date) path form of the
@@ -14,6 +14,7 @@ from stablab import (AdaptedProcess, Measure, NoMartingaleMeasure, ScenarioTree,
                      conditional_expectation, conditional_probs, martingale_residual, node_weights, ratio_defects, solve_primal)
 import stablab.entropic as entropic
 from stablab.entropic import _wealth_martingale_defect
+from stablab.market import _path_products
 from stablab.positive import _admissible_box
 
 
@@ -239,50 +240,37 @@ def reference_path_products(tree, move, h, r):
     return gains, np.bincount(slots, (r[:, None, None] * w).ravel(), K * m)
 
 
-def reference_probes(tree, seed, lp=linprog):
-    """The default probe loop solving every random-cost LP, with a polish after each."""
+def vertex_measure(tree, cost):
+    """The martingale measure minimizing cost . q: the product of the argmin
+    vertices of one `_cheapest_vertices` pass."""
+    cond = entropic._cheapest_vertices(tree, cost)[1]
+    return Measure(_path_products(tree, cond)[tree.leaves])
+
+
+def reference_vertex(tree, cost):
+    """The vertex of the martingale polytope minimizing cost . q by one global
+    LP, polished: refit by least squares on the LP's support where that stays
+    a measure, else the LP's solution renormalized."""
     A = gains_per_leaf(tree)
     L = tree.n_leaves
     C = np.vstack([np.ones((1, L)), A.T])
     b = np.zeros(C.shape[0])
     b[0] = 1.0
-    rng = np.random.default_rng(seed)
-    vertices = []
-    seen = set()
-    for _ in range(24):
-        if len(vertices) >= 8:
-            break
-        cost = rng.standard_normal(L)
-        res = lp(cost, A_eq=C, b_eq=b, bounds=[(0.0, 1.0)] * L, method="highs")
-        if not res.success:
-            continue
-        supp = res.x > 1e-9
-        q = None
-        if np.any(supp):
-            qs, *_ = np.linalg.lstsq(C[:, supp], b, rcond=None)
-            if not np.any(qs < -1e-10):
-                out = np.zeros_like(res.x)
-                out[supp] = np.clip(qs, 0.0, None)
-                if abs(out.sum() - 1.0) <= 1e-9 and np.max(np.abs(C @ out - b)) <= 1e-9:
-                    q = out / out.sum()
-        if q is None:
-            raw = np.clip(res.x, 0.0, None)
-            raw = raw / raw.sum()
-            if np.max(np.abs(C @ raw - b)) > 1e-10:
-                continue
-            q = raw
-        key = tuple(np.round(q, 10))
-        if key not in seen:
-            seen.add(key)
-            vertices.append(q)
-    if not vertices:
-        raise NoMartingaleMeasure("polytope probing found no martingale measure")
-    probes = [Measure(v) for v in vertices]
-    V = np.vstack(vertices)
-    for _ in range(4):
-        w = rng.dirichlet(np.ones(len(vertices)))
-        probes.append(Measure(w @ V))
-    return probes
+    res = linprog(cost, A_eq=C, b_eq=b, bounds=[(0.0, 1.0)] * L, method="highs")
+    if not res.success:
+        raise NoMartingaleMeasure("vertex LP infeasible")
+    supp = res.x > 1e-9
+    if np.any(supp):
+        qs, *_ = np.linalg.lstsq(C[:, supp], b, rcond=None)
+        if not np.any(qs < -1e-10):
+            out = np.zeros_like(res.x)
+            out[supp] = np.clip(qs, 0.0, None)
+            if abs(out.sum() - 1.0) <= 1e-9 and np.max(np.abs(C @ out - b)) <= 1e-9:
+                return Measure(out / out.sum())
+    raw = np.clip(res.x, 0.0, None)
+    raw = raw / raw.sum()
+    assert np.max(np.abs(C @ raw - b)) <= 1e-10
+    return Measure(raw)
 
 
 def reference_price_bounds(tree, payoff):
@@ -300,14 +288,6 @@ def reference_price_bounds(tree, payoff):
             raise NoMartingaleMeasure("price-bound LP infeasible")
         out.append(sign * res.fun)
     return out[0], out[1]
-
-
-def assert_same_probes(got, ref, tol=1e-12):
-    """Same count and order, weights within tol: the backward pass and the
-    LP with its polish reach each vertex by different rounding."""
-    assert len(got) == len(ref)
-    for a, b in zip(got, ref):
-        assert np.max(np.abs(a.weights - b.weights)) <= tol
 
 
 # ----------------------------------------------------------------------

@@ -7,21 +7,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog, minimize
+from scipy.optimize import minimize
 
 import stablab.entropic as entropic
-from conftest import (assert_same_probes, collinear_two_asset_tree,
+from conftest import (collinear_two_asset_tree,
                       depth_first_two_asset_tree, flat_node_tree, gains_per_leaf,
                       mixed_branching_tree, near_collinear_two_asset_tree,
                       near_degenerate_tree, one_step_binomial, one_step_theta,
                       one_step_trinomial, random_viable_tree, reference_path_products,
-                      reference_price_bounds, reference_probes, three_step_binomial, trinomial_tree, two_asset_tree,
-                      two_step_binomial)
+                      reference_price_bounds, reference_vertex, three_step_binomial,
+                      trinomial_tree, two_asset_tree, two_step_binomial, vertex_measure)
 from stablab import (AdaptedProcess, Measure, NoMartingaleMeasure, NonConvergence,
                      PrimalSolution, Strategy, UtilityOnR, branching_tree, build_tree,
                      extract_dual, generalized_entropy, make_exponential,
-                     make_perturbed_exponential, make_power, martingale_polytope_probes,
-                     martingale_price_bounds, martingale_residual,
+                     make_perturbed_exponential, make_power, martingale_price_bounds, martingale_residual,
                      minimal_entropy_measure, rescale_to_unit_alpha, solve_power_field,
                      solve_primal, verify_optimality)
 from stablab.cli import main
@@ -451,11 +450,11 @@ def test_no_martingale_measure_raises():
     for _ in range(2):
         with pytest.raises(NoMartingaleMeasure, match=r"equivalent .* node 0 \(date 0\)"):
             solve_primal(tree, make_exponential(1.0))
-    assert tree.cached("centroid_measure", None) is None
+    assert tree.cached("arbitrage_node", None) == 0
     with pytest.raises(NoMartingaleMeasure):
         minimal_entropy_measure(tree, make_exponential(1.0))
     with pytest.raises(NoMartingaleMeasure, match=r"node 0 \(date 0\)"):
-        martingale_polytope_probes(tree)
+        vertex_measure(tree, np.zeros(tree.n_leaves))
 
 
 def test_no_martingale_measure_names_the_failing_node():
@@ -463,7 +462,7 @@ def test_no_martingale_measure_names_the_failing_node():
     tree = deep_arbitrage_tree()
     call = np.maximum(tree.terminal_prices()[:, 0] - 1.0, 0.0)
     for solve in (lambda: solve_primal(tree, make_exponential(1.0)),
-                  lambda: martingale_polytope_probes(tree),
+                  lambda: vertex_measure(tree, call),
                   lambda: martingale_price_bounds(tree, call)):
         with pytest.raises(NoMartingaleMeasure, match=r"node 2 \(date 1\)"):
             solve()
@@ -472,7 +471,7 @@ def test_no_martingale_measure_names_the_failing_node():
     with pytest.raises(NoMartingaleMeasure, match=r"node 2 \(date 1\)"):
         entropic.assert_market_viable(tree)
     flat = np.flatnonzero(tree.paths[:, 1] == 3)
-    for m in martingale_polytope_probes(tree):
+    for m in sampled_measures(tree):
         assert martingale_residual(tree, m) <= 1e-15
         assert m.weights[flat].sum() == pytest.approx(1.0, abs=1e-15)
     call = np.maximum(tree.terminal_prices()[:, 0] - 1.0, 0.0)
@@ -480,19 +479,30 @@ def test_no_martingale_measure_names_the_failing_node():
         reference_price_bounds(tree, call), abs=1e-12)
 
 
+def sampled_measures(tree, seed=0, vertices=8, mixtures=4):
+    """The vertex measures of `vertices` random leaf costs, then `mixtures`
+    Dirichlet mixtures of them, all drawn from `seed`."""
+    rng = np.random.default_rng(seed)
+    V = np.array([vertex_measure(tree, cost).weights
+                  for cost in rng.standard_normal((vertices, tree.n_leaves))])
+    return [Measure(w) for w in chain(V, rng.dirichlet(np.ones(vertices), mixtures) @ V)]
+
+
 def test_polytope_probes():
     tree = one_step_trinomial()
-    probes = martingale_polytope_probes(tree, seed=3)
-    assert len(probes) >= 3
+    probes = sampled_measures(tree, seed=3)
     for m in probes:
         assert martingale_residual(tree, m) <= 1e-9
-    # deterministic for a fixed seed
-    again = martingale_polytope_probes(tree, seed=3)
+    # the costs reach both vertices: the flat move alone, or up and down
+    assert np.allclose(np.unique([m.weights for m in probes[:8]], axis=0),
+                       [[0.0, 1.0, 0.0], [1.0 / 3.0, 0.0, 2.0 / 3.0]], rtol=0.0, atol=1e-15)
+    # deterministic for fixed costs
+    again = sampled_measures(tree, seed=3)
     for a, b in zip(probes, again):
         assert np.array_equal(a.weights, b.weights)
-    # complete market: every probe is the unique measure
+    # complete market: every measure is the unique one
     bino = two_step_binomial()
-    for m in martingale_polytope_probes(bino, seed=0):
+    for m in sampled_measures(bino):
         assert np.allclose(m.weights, [1.0 / 9.0, 2.0 / 9.0, 2.0 / 9.0, 4.0 / 9.0],
                            atol=1e-9)
 
@@ -514,49 +524,17 @@ PROBE_TREES.update(crr_T6=lambda: crr(6), trinomial_T3=lambda: trinomial_tree(3)
 
 @pytest.mark.parametrize("name", sorted(PROBE_TREES))
 def test_probes_match_the_full_lp_loop(name):
+    # each random cost's vertex, by the backward pass and by the global LP
     tree = PROBE_TREES[name]()
     for seed in (0, 1, 3):
-        probes = martingale_polytope_probes(tree, seed=seed)
-        if name == "near_degenerate":
-            # sigma_min 3.1e-13: the LP's vertices are themselves defined by
-            # its tolerances, so only the drift is compared
-            assert all(martingale_residual(tree, m) <= 1e-12 for m in probes)
-        else:
-            assert_same_probes(probes, reference_probes(tree, seed=seed))
-
-
-# Each backward pass solves one random-cost LP.  A two-asset tree with three
-# branches per node is complete; the near degenerate one is too, but its pair
-# supports pass the drift test within VERTEX_TOL, so it is no single point.
-@pytest.mark.parametrize("make_tree, one_lp", [
-    (three_step_binomial, True),
-    (lambda: crr(6), True),
-    (lambda: branching_tree([1.0, 1.0], [[1.2, 1.1], [0.9, 1.25], [1.0, 0.8]],
-                            [0.3, 0.45, 0.25], 3), True),
-    (lambda: trinomial_tree(3), False),
-    (lambda: two_asset_tree(3), False),
-    (near_degenerate_tree, False),
-])
-def test_probe_lp_count(monkeypatch, make_tree, one_lp):
-    tree = make_tree()
-    passes, lps = [], []
-    cheapest = entropic._cheapest_vertices
-
-    def counted_pass(*args):
-        passes.append(1)
-        return cheapest(*args)
-
-    def counted_lp(*args, **kwargs):
-        lps.append(1)
-        return linprog(*args, **kwargs)
-
-    monkeypatch.setattr(entropic, "_cheapest_vertices", counted_pass)
-    martingale_polytope_probes(tree, seed=0)
-    reference_probes(tree, 0, lp=counted_lp)
-    if one_lp:
-        assert len(passes) == 1 < len(lps)
-    else:
-        assert len(passes) == len(lps) > 1
+        for cost in np.random.default_rng(seed).standard_normal((8, tree.n_leaves)):
+            m = vertex_measure(tree, cost)
+            if name == "near_degenerate":
+                # sigma_min 3.1e-13: the LP's vertices are themselves defined by
+                # its tolerances, so only the drift is compared
+                assert martingale_residual(tree, m) <= 1e-12
+            else:
+                assert np.max(np.abs(m.weights - reference_vertex(tree, cost).weights)) <= 1e-12
 
 
 def node_vertices(tree):
@@ -605,8 +583,7 @@ def test_probes_resolve_small_vertex_weights():
     tree = polish_tree()
     u = make_exponential(1.0)
     sol = solve_primal(tree, u)
-    probes = martingale_polytope_probes(tree)
-    assert all(martingale_residual(tree, m) <= 1e-12 for m in probes)
+    assert all(martingale_residual(tree, m) <= 1e-12 for m in sampled_measures(tree))
     report = verify_optimality(tree, u, sol, extract_dual(tree, u, sol))
     assert report.supermartingale_slack <= 1e-12
 
@@ -617,8 +594,9 @@ def test_deep_binomial_polytope_is_one_point(steps):
     tree = binomial(steps)
     ups = (steps + np.log2(tree.terminal_prices()[:, 0]).round().astype(int)) // 2
     unique = (1.0 / 3.0) ** ups * (2.0 / 3.0) ** (steps - ups)
-    probes = martingale_polytope_probes(tree)
-    assert len(probes) == 5
+    probes = sampled_measures(tree)
+    # every cost reaches the same vertex
+    assert all(np.array_equal(m.weights, probes[0].weights) for m in probes[:8])
     for m in probes:
         assert np.max(np.abs(m.weights - unique) / unique) <= 1e-12
     call = np.maximum(tree.terminal_prices()[:, 0] - 1.0, 0.0)
@@ -655,7 +633,7 @@ def test_supermartingale_slack_is_the_supremum_over_all_measures():
     u = make_exponential(1.0)
     sol = solve_primal(tree, u)
     dual = extract_dual(tree, u, sol)
-    probes = martingale_polytope_probes(tree)
+    probes = sampled_measures(tree, mixtures=0)
     slacks = []
     for leaf in tree.leaves:
         values = sol.wealth.values.copy()
@@ -674,7 +652,6 @@ def test_verify_optimality_draws_nothing(monkeypatch, tmp_path):
     # the certificate is one exact pass: no probe measures, no random numbers
     def refuse(*args, **kwargs):
         raise AssertionError("a random draw on the solve path")
-    monkeypatch.setattr(entropic, "martingale_polytope_probes", refuse)
     monkeypatch.setattr(np.random, "default_rng", refuse)
     tree = trinomial_tree(3)
     u = make_exponential(1.0)
@@ -748,7 +725,7 @@ def test_fenchel_duality_gap():
                      + y * (m.weights @ xi))
 
     assert dual_value(dual.measure, dual.y) == pytest.approx(sol.value, abs=1e-9)
-    for m in martingale_polytope_probes(tree, seed=1):
+    for m in sampled_measures(tree, seed=1):
         for y in (0.5 * dual.y, dual.y, 2.0 * dual.y):
             assert dual_value(m, y) >= sol.value - 1e-9
 

@@ -1,5 +1,5 @@
-"""Property tests over random small trees: the martingale polytope probes and
-price bounds against the global LPs, the level-wise one-step reductions
+"""Property tests over random small trees: the backward pass's vertex of a
+random cost and its price bounds against the global LPs, the level-wise one-step reductions
 against their per-node loops, the block-wise opportunity process against its
 node-by-node recursion, the entropy dual's Newton step against the dense KKT
 solve, the tree-sparse Newton step against the dense solve, and the one-step
@@ -14,19 +14,19 @@ from hypothesis import strategies as st
 import stablab.entropic as entropic
 import stablab.pricing
 
-from conftest import (assert_reductions_match_references, assert_same_probes,
+from conftest import (assert_reductions_match_references,
                       collinear_two_asset_tree, flat_node_tree, gains_per_leaf,
                       mixed_branching_tree,
                       near_degenerate_tree, random_viable_tree, trinomial_tree, two_asset_tree,
                       reference_indifference_price, reference_layout,
-                      reference_opportunity_process, reference_price_bounds, reference_probes)
+                      reference_opportunity_process, reference_price_bounds, reference_vertex,
+                      vertex_measure)
 from stablab import (Measure, ScenarioTree, Strategy, UtilityField, branching_tree,
                      build_tree,
                      indifference_price, make_exponential, make_perturbed_exponential, make_power,
-                     martingale_polytope_probes, martingale_price_bounds, martingale_residual,
+                     martingale_price_bounds, martingale_residual,
                      minimal_entropy_measure, opportunity_process, solve_primal)
-from stablab.entropic import (VERTEX_TOL, _layout, _node_vertices, _tree_step,
-                              assert_market_viable)
+from stablab.entropic import VERTEX_TOL, _layout, _node_vertices, _tree_step
 
 
 def whole_percent(hi):
@@ -84,35 +84,40 @@ def small_viable_trees(draw, move, complete=False):
     return build_tree({"nodes": nodes})
 
 
+def random_costs(tree, seed, n=8):
+    return np.random.default_rng(seed).standard_normal((n, tree.n_leaves))
+
+
 # Whole-percent moves keep every node's vertex systems well conditioned, so the
-# backward pass finds the LP loop's vertices, in its order, up to rounding.
+# backward pass finds each random cost's LP vertex up to rounding.
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(tree=small_viable_trees(whole_percent), seed=st.integers(0, 7))
 def test_probes_on_random_trees(tree, seed):
-    probes = martingale_polytope_probes(tree, seed=seed)
-    for m in probes:
+    for cost in random_costs(tree, seed):
+        m = vertex_measure(tree, cost)
         assert abs(m.weights.sum() - 1.0) <= 1e-12
         assert martingale_residual(tree, m) <= 1e-9
-    assert_same_probes(probes, reference_probes(tree, seed=seed))
+        assert np.max(np.abs(m.weights - reference_vertex(tree, cost).weights)) <= 1e-12
 
 
 # Near-degenerate moves fix a complete tree's one martingale measure only up to
 # eps / sigma_min, and the LP's vertices are defined by its absolute 1e-9
-# tolerances (its probes' drifts reach 1e-4 of the largest move), so the LP
-# loop is no reference here.  Every probe's drift stays within VERTEX_TOL of
-# the largest move, and a tree with one vertex per node yields its single
-# point five times (a Dirichlet weight of one vertex may read 1 - 2^-53).
+# tolerances (their drifts reach 1e-4 of the largest move), so the LP is no
+# reference here.  The drift of every cost's vertex, and of a Dirichlet mixture
+# of them, stays within VERTEX_TOL of the largest move, and a tree with one
+# vertex per node yields its single point for every cost (the mixture's weights
+# may read 1 - 2^-53).
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(tree=small_viable_trees(any_scale, complete=True), seed=st.integers(0, 7))
 def test_probes_on_near_degenerate_trees(tree, seed):
-    probes = martingale_polytope_probes(tree, seed=seed)
-    for m in probes:
-        assert abs(m.weights.sum() - 1.0) <= 1e-12
-        assert martingale_residual(tree, m) <= VERTEX_TOL * np.abs(tree.d_prices).max()
+    V = np.array([vertex_measure(tree, cost).weights for cost in random_costs(tree, seed)])
+    mixture = np.random.default_rng(seed).dirichlet(np.ones(len(V))) @ V
+    for q in (*V, mixture):
+        assert abs(q.sum() - 1.0) <= 1e-12
+        assert martingale_residual(tree, Measure(q)) <= VERTEX_TOL * np.abs(tree.d_prices).max()
     if all(np.all(verts.any(axis=2).sum(axis=1) == 1) for _, _, verts in _node_vertices(tree)):
-        assert len(probes) == 5
-        assert all(np.allclose(m.weights, probes[0].weights, rtol=1e-15, atol=0.0)
-                   for m in probes)
+        assert all(np.array_equal(q, V[0]) for q in V)
+        assert np.allclose(mixture, V[0], rtol=1e-15, atol=0.0)
 
 
 # The bounds LP and the two backward passes reach the same extreme vertex.
@@ -297,10 +302,11 @@ COMPLETE_TREES["two_asset_T3"] = lambda: branching_tree(
 
 @pytest.mark.parametrize("name", sorted(COMPLETE_TREES))
 def test_complete_trees_have_the_interior_point_as_basis(name):
-    # a complete tree's martingale cone has the vertex centroid q0 as its
-    # basis, so the entropy Newton only finds the scale and returns q0
+    # a complete tree's martingale cone has its one measure q0, the product of
+    # each node's one vertex, as its basis, so the entropy Newton only finds
+    # the scale and returns q0
     tree = COMPLETE_TREES[name]()
-    q0 = assert_market_viable(tree)
+    q0 = vertex_measure(tree, np.zeros(tree.n_leaves)).weights
     m = minimal_entropy_measure(tree, make_exponential(1.0)).measure.weights
     assert np.abs(m - q0).max() <= 1e-13 * q0.max()
 

@@ -117,7 +117,8 @@ def test_cli_starts_without_scipy():
 
 ROUTE_NAMES = {"DENSE_NEWTON_MAX", "_dense_route"}
 RETIRED = {"gains_matrix", "_gains_scatter", "_martingale_basis", "_log_wealth",
-           "_spec_number", "_random_wealth"}
+           "_spec_number", "_random_wealth", "martingale_polytope_probes", "PROBE_VERTICES",
+           "PROBE_INTERIOR", "_centroid_measure", "single_step_tree"}
 
 
 def route_names(source: str) -> set[str]:
@@ -141,12 +142,16 @@ def route_names(source: str) -> set[str]:
 def retired_definitions(source: str) -> set[str]:
     """Definitions of the retired global gains builders, of the entropy
     dual's null-space basis, of the fraction solver's per-leaf log-wealth, of
-    the tree spec's own number check and of the numeraire audit's random
-    wealths: the layout `entropic._Moves` owns the gains matrix, the entropy
-    dual takes the primal's Newton step, the fraction solver's evaluation
-    grows the wealth once per node, `market._number` reads every number of a
-    spec or config, and the audit bounds every box strategy in one backward
-    pass."""
+    the tree spec's own number check, of the numeraire audit's random
+    wealths, of the random martingale probes and their counts, of the
+    viability check's centroid measure and of the one-step tree alias: the
+    layout `entropic._Moves` owns the gains matrix, the entropy dual takes
+    the primal's Newton step, the fraction solver's evaluation grows the
+    wealth once per node, `market._number` reads every number of a spec or
+    config, the audit bounds every box strategy in one backward pass, the
+    supermartingale certificate and the price bounds take their suprema in
+    exact backward passes, viability is a yes/no check over the node
+    vertices, and `branching_tree(..., 1)` builds a one-step tree."""
     hits = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -174,6 +179,11 @@ def test_route_names_are_caught(source):
     "def _log_wealth(moves, pi, keep=False):\n    return None, None",
     "def _spec_number(value, what):\n    return float(value)",
     "def _random_wealth(tree, rng, x0, shrink=0.6):\n    return None",
+    "def martingale_polytope_probes(tree, seed=0):\n    return []",
+    "PROBE_VERTICES = 8",
+    "PROBE_INTERIOR = 4",
+    "def _centroid_measure(tree):\n    return None",
+    "def single_step_tree(s0, factors, probs):\n    return None",
 ])
 def test_retired_definitions_are_caught(source):
     assert retired_definitions(source)
