@@ -5,12 +5,11 @@ power-type problems (fraction strategies on the positive half-line) by convex
 duality, and measures how optimal wealth, strategies, values and prices move
 under certified perturbations of the utility.
 """
-from .market import (AdaptedProcess, AdmissibilityViolation, Measure,
-                     ScenarioTree, Strategy, TreeValidationError,
-                     bracket_distance, branching_tree, build_tree,
-                     conditional_expectation, conditional_probs,
-                     is_martingale_measure, martingale_residual, node_weights,
-                     tree_from_file, wealth_additive, wealth_multiplicative)
+from .market import (AdmissibilityViolation, Measure, ScenarioTree, Strategy,
+                     TreeValidationError, bracket_distance, branching_tree,
+                     build_tree, conditional_expectation, conditional_probs,
+                     martingale_residual, node_weights, tree_from_file,
+                     wealth_additive, wealth_multiplicative)
 from .utilities import (RatioCertificate, SandwichAudit, UtilityField,
                         UtilityOnR, UtilityOnRPlus, certify_ratio_bounds,
                         conjugate_sandwich_audit, make_exponential,
@@ -22,9 +21,8 @@ from .entropic import (DualMeasure, NoMartingaleMeasure, NonConvergence,
                        generalized_entropy, martingale_price_bounds,
                        minimal_entropy_measure, solve_primal, verify_optimality)
 from .positive import (NumeraireAudit, OpportunityProcess, PositiveSolution,
-                       RatioDiagnostics, auxiliary_measure, exponential_hedge,
-                       numeraire_audit, opportunity_process, ratio_defects,
-                       ratio_diagnostics,
+                       RatioDiagnostics, auxiliary_measure, numeraire_audit,
+                       opportunity_process, ratio_defects, ratio_diagnostics,
                        scaled_strategy_distance, share_amounts,
                        solve_power_field)
 from .pricing import PriceResult, davis_price, indifference_price
@@ -36,11 +34,10 @@ from .sweeps import (AuditReport, ConfigError, RateFit, SweepReport, SweepSpec,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptedProcess", "AdmissibilityViolation", "Measure", "ScenarioTree",
-    "Strategy", "TreeValidationError", "bracket_distance", "branching_tree",
-    "build_tree", "conditional_expectation", "conditional_probs",
-    "is_martingale_measure", "martingale_residual", "node_weights",
-    "tree_from_file", "wealth_additive", "wealth_multiplicative",
+    "AdmissibilityViolation", "Measure", "ScenarioTree", "Strategy",
+    "TreeValidationError", "bracket_distance", "branching_tree", "build_tree",
+    "conditional_expectation", "conditional_probs", "martingale_residual",
+    "node_weights", "tree_from_file", "wealth_additive", "wealth_multiplicative",
     "RatioCertificate", "SandwichAudit", "UtilityField", "UtilityOnR",
     "UtilityOnRPlus", "certify_ratio_bounds", "conjugate_sandwich_audit",
     "make_exponential", "make_perturbed_exponential", "make_perturbed_power",
@@ -50,9 +47,8 @@ __all__ = [
     "PrimalSolution", "extract_dual", "generalized_entropy", "martingale_price_bounds",
     "minimal_entropy_measure", "solve_primal", "verify_optimality",
     "NumeraireAudit", "OpportunityProcess", "PositiveSolution",
-    "RatioDiagnostics", "auxiliary_measure", "exponential_hedge",
-    "numeraire_audit", "opportunity_process", "ratio_defects",
-    "ratio_diagnostics",
+    "RatioDiagnostics", "auxiliary_measure", "numeraire_audit",
+    "opportunity_process", "ratio_defects", "ratio_diagnostics",
     "scaled_strategy_distance", "share_amounts", "solve_power_field",
     "PriceResult", "davis_price", "indifference_price",
     "AuditReport", "ConfigError", "RateFit", "SweepReport", "SweepSpec",

@@ -98,7 +98,7 @@ def _cmd_solve(args) -> int:
     if isinstance(utility, UtilityOnRPlus):
         if x0 <= 0.0:
             raise ConfigError("positive-half-line solves need x0 > 0")
-        field = UtilityField.from_claim(utility, B) if np.any(B != 0.0) else None
+        field = UtilityField.from_claim(B) if np.any(B != 0.0) else None
         sol = solve_power_field(tree, utility, x0, field)
         dp = opportunity_process(tree, utility.p, x0,
                                  field) if utility.amp == 0.0 and utility.shift == 0.0 else None
@@ -109,7 +109,7 @@ def _cmd_solve(args) -> int:
             "y": sol.y,
             "gradient_norm": sol.gradient_norm,
             "fractions": sol.strategy.values.tolist(),
-            "wealth": sol.wealth.values.tolist(),
+            "wealth": sol.wealth.tolist(),
         }
         if dp is not None:
             out["dp_value"] = dp.value
@@ -125,7 +125,7 @@ def _cmd_solve(args) -> int:
             "y": dual.y,
             "gradient_norm": sol.gradient_norm,
             "shares": sol.strategy.values.tolist(),
-            "wealth": sol.wealth.values.tolist(),
+            "wealth": sol.wealth.tolist(),
             "dual_weights": dual.measure.weights.tolist(),
             "dual_residual": dual.residual,
             "first_order_residual": report.first_order_residual,

@@ -56,8 +56,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .market import (AdaptedProcess, Measure, ScenarioTree, Strategy, _child_sums,
-                     _path_products, conditional_probs, martingale_residual, wealth_additive)
+from .market import (Measure, ScenarioTree, Strategy, _child_sums, _path_products,
+                     conditional_probs, martingale_residual, wealth_additive)
 from .utilities import UtilityOnR
 
 __all__ = [
@@ -94,14 +94,15 @@ class NonConvergence(RuntimeError):
 class PrimalSolution:
     """Optimal share strategy for a real-line problem.
 
-    wealth starts at 0; the initial capital sits inside the endowment.
+    wealth, one entry per node, starts at 0; the initial capital sits inside
+    the endowment.
     `total` holds terminal wealth plus endowment per leaf, the argument the
     marginal utility is evaluated at.  `shortfall` is E_P[U(inf) - U(total)]
     >= 0, the objective the solver minimized, and `value` is E_P[U(total)].
     """
 
     strategy: Strategy
-    wealth: AdaptedProcess
+    wealth: np.ndarray
     value: float
     shortfall: float
     endowment: np.ndarray
@@ -214,8 +215,9 @@ class _Decrement:
     """The scale-free stop for an objective f >= 0 computed without
     cancellation (Boyd & Vandenberghe, Convex Optimization, 9.5.1): with
     lambda^2 = -grad . step the Newton decrement, stop once lambda^2 <=
-    stop * f, after taking that step, and take full steps without the line
-    search once lambda^2 <= full * f, where f rounds flat.  lambda^2 / f is
+    stop * f, after taking that step, and take full steps without the
+    sufficient-decrease test once lambda^2 <= full * f, where f rounds flat
+    (a step to an infeasible point is still halved).  lambda^2 / f is
     invariant under affine changes of the variables and under scaling f."""
 
     stop: float
@@ -236,8 +238,10 @@ def _newton(x, evaluate, tol, what):
     candidate keeps its derivatives.  Stops once residual <= tol or, where
     tol is a `_Decrement`, by that rule, the residual then being |lambda^2| / f
     (the derivatives' own is not read) and the value the one before the last
-    step.  A direction that is not a finite descent direction falls back to
-    the scaled steepest-descent step.
+    step.  Below the rule's `full` bound the line search takes its first
+    finite candidate, the full step if that is feasible.  Otherwise a
+    direction that is not a finite descent direction falls back to the
+    scaled steepest-descent step.
     Returns (x, value, residual, iterations); raises NonConvergence when the
     start value is not finite, the line search stalls or NEWTON_STEPS steps
     do not reach the tolerance.
@@ -258,11 +262,8 @@ def _newton(x, evaluate, tol, what):
             if residual <= tol.stop:
                 # the step changes the value by lambda^2 / 2, below its rounding
                 return x + step, val, residual, it
-            if residual <= tol.full:
-                x = x + step
-                val, derivatives = evaluate(x)
-                continue
-        if not np.isfinite(slope) or slope >= 0.0:
+        full = decrement and residual <= tol.full
+        if not full and (not np.isfinite(slope) or slope >= 0.0):
             step = -grad / max(1.0, float(np.max(np.abs(grad))))
             slope = float(grad @ step)
         # backtracking line search with a noise cushion for the flat tail
@@ -271,7 +272,7 @@ def _newton(x, evaluate, tol, what):
         while stepsize >= 1e-14:
             cand = x + stepsize * step
             valc, derivc = evaluate(cand)
-            if valc <= val + 1e-4 * stepsize * slope + cushion:
+            if valc < np.inf if full else valc <= val + 1e-4 * stepsize * slope + cushion:
                 x, val, derivatives = cand, valc, derivc
                 break
             stepsize *= 0.5
@@ -585,7 +586,7 @@ def solve_primal(tree: ScenarioTree, utility: UtilityOnR, endowment=0.0, *,
     values[tree.nonterminal] = h
     strategy = Strategy(values, "shares")
     wealth = wealth_additive(tree, strategy, 0.0)
-    total = wealth.at_leaves(tree) + xi
+    total = wealth[tree.leaves] + xi
     grad = adjoint(-(P * utility.marginal(total)))
     short = utility.shortfall(total)
     return PrimalSolution(strategy=strategy, wealth=wealth,
@@ -703,9 +704,8 @@ def minimal_entropy_measure(tree: ScenarioTree, utility: UtilityOnR) -> DualMeas
 # optimality verification
 
 
-def _wealth_martingale_defect(tree: ScenarioTree, m: Measure, wealth: AdaptedProcess) -> float:
+def _wealth_martingale_defect(tree: ScenarioTree, m: Measure, X: np.ndarray) -> float:
     W, cond = conditional_probs(tree, m)
-    X = wealth.values
     live = tree.nonterminal[W[tree.nonterminal] > 0.0]
     return float(np.abs(_child_sums(tree, cond, X)[live] - X[live]).max(initial=0.0))
 
@@ -725,7 +725,7 @@ def verify_optimality(tree: ScenarioTree, utility: UtilityOnR, sol: PrimalSoluti
     lhs = dual.y * dual.measure.weights / P
     first_order = float(np.max(np.abs(lhs - np.asarray(utility.marginal(sol.total)))))
     defect = _wealth_martingale_defect(tree, dual.measure, sol.wealth)
-    XT = sol.wealth.at_leaves(tree)
+    XT = sol.wealth[tree.leaves]
     slacks = []
     for m in probes or ():
         r = martingale_residual(tree, m)

@@ -7,7 +7,9 @@ each date) and forward passes take one array step per date.  Trees are
 immutable once built, so derived geometry is cached for a tree's lifetime.
 Probability measures live on the leaves; everything conditional is recovered
 by aggregating leaf weights up the tree, one batched product per child block
-(the non-terminal nodes of one date with one child count).
+(the non-terminal nodes of one date with one child count).  A process on the
+tree (wealth, a conditional expectation) is a plain (n_nodes,) array by node
+id: X[tree.leaves] is its terminal value and X[0] its root value.
 """
 from __future__ import annotations
 
@@ -228,22 +230,6 @@ class Strategy:
         return Strategy(np.zeros((tree.n_nodes, tree.n_assets)), mode)
 
 
-@dataclass(frozen=True)
-class AdaptedProcess:
-    """One value per node."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-    def at_leaves(self, tree: ScenarioTree) -> np.ndarray:
-        return self.values[tree.leaves]
-
-    def at_root(self) -> float:
-        return float(self.values[0])
-
-
 # ----------------------------------------------------------------------
 # construction
 
@@ -377,22 +363,19 @@ def conditional_probs(tree: ScenarioTree, m: Measure):
     return W, cond
 
 
-def conditional_expectation(tree: ScenarioTree, m: Measure, terminal) -> AdaptedProcess:
+def conditional_expectation(tree: ScenarioTree, m: Measure, terminal) -> np.ndarray:
     """Backward conditional expectation of terminal leaf values under m.
 
-    `terminal` is an array of one value per leaf (or an AdaptedProcess whose
-    leaf entries are used).  The result holds E_m[x | node] at every node;
-    its root entry is the unconditional expectation.
+    `terminal` holds one value per leaf.  The result holds E_m[x | node] at
+    every node; its root entry is the unconditional expectation.
     """
-    if isinstance(terminal, AdaptedProcess):
-        terminal = terminal.at_leaves(tree)
     terminal = np.asarray(terminal, dtype=float)
     if terminal.shape != (tree.n_leaves,):
         raise ValueError("terminal values must give one entry per leaf")
     _, cond = conditional_probs(tree, m)
     val = np.zeros(tree.n_nodes)
     val[tree.leaves] = terminal
-    return AdaptedProcess(_child_sums(tree, cond, val, out=val))
+    return _child_sums(tree, cond, val, out=val)
 
 
 def martingale_residual(tree: ScenarioTree, m: Measure) -> float:
@@ -407,10 +390,6 @@ def martingale_residual(tree: ScenarioTree, m: Measure) -> float:
     return float(np.abs(_child_sums(tree, cond, tree.d_prices)[live]).max(initial=0.0))
 
 
-def is_martingale_measure(tree: ScenarioTree, m: Measure, tol: float = 1e-10) -> bool:
-    return martingale_residual(tree, m) <= tol
-
-
 # ----------------------------------------------------------------------
 # wealth dynamics
 
@@ -421,7 +400,7 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def wealth_additive(tree: ScenarioTree, strategy: Strategy, x0: float = 0.0) -> AdaptedProcess:
+def wealth_additive(tree: ScenarioTree, strategy: Strategy, x0: float = 0.0) -> np.ndarray:
     """Wealth of a share strategy: X_child = X_node + H_node . (S_child - S_node)."""
     if strategy.mode != "shares":
         raise ValueError("wealth_additive needs a 'shares' strategy")
@@ -431,10 +410,10 @@ def wealth_additive(tree: ScenarioTree, strategy: Strategy, x0: float = 0.0) -> 
     X[0] = x0
     for nodes in tree.levels[1:]:
         X[nodes] = X[tree.parent[nodes]] + step[nodes]
-    return AdaptedProcess(X)
+    return X
 
 
-def wealth_multiplicative(tree: ScenarioTree, strategy: Strategy, x0: float) -> AdaptedProcess:
+def wealth_multiplicative(tree: ScenarioTree, strategy: Strategy, x0: float) -> np.ndarray:
     """Wealth of a fraction strategy: X_child = X_node * (1 + pi_node . dR_child).
 
     Raises AdmissibilityViolation at the lowest node id where wealth leaves (0, inf).
@@ -454,7 +433,7 @@ def wealth_multiplicative(tree: ScenarioTree, strategy: Strategy, x0: float) -> 
     X[0] = x0
     for nodes in tree.levels[1:]:
         X[nodes] = X[tree.parent[nodes]] * growth[nodes]
-    return AdaptedProcess(X)
+    return X
 
 
 # ----------------------------------------------------------------------

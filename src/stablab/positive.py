@@ -12,8 +12,9 @@ gradient norm is relative to the objective's scale sum_l P_l D_l |U'(X_l) X_l|.
 
 Also here: the opportunity process for pure power utility (an independent
 dynamic-programming route to the same optimum, one `entropic._one_step_min`
-call per child block), the terminal-wealth-weighted auxiliary measure, and the
-ratio diagnostics comparing a perturbed investor against the pure power one.
+call per child block), the auxiliary measure dQ/dP ~ D U'(X_T) X_T, whose field
+weights D each solution records, and the ratio diagnostics comparing a
+perturbed investor against the pure power one.
 Both solvers hand `entropic._newton` one evaluation per point, whose
 derivatives reuse its growth factors.  The numeraire audit bounds
 E_aux[X_T / tilde_T] over the whole admissible box in one exact backward pass.
@@ -25,25 +26,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropic import (DECREMENT, OPPORTUNITY_TOL, _holding_step, _newton, _one_step_min,
-                       _one_step_start, _return_moves, assert_market_viable, solve_primal)
-from .market import (AdaptedProcess, Measure, ScenarioTree, Strategy, _child_sums,
-                     conditional_probs, wealth_multiplicative)
+                       _one_step_start, _return_moves, assert_market_viable)
+from .market import (Measure, ScenarioTree, Strategy, _child_sums, conditional_probs,
+                     wealth_multiplicative)
 from .utilities import UtilityOnRPlus, make_power
 
 __all__ = [
     "PositiveSolution", "OpportunityProcess", "RatioDiagnostics",
-    "solve_power_field", "opportunity_process", "exponential_hedge",
-    "share_amounts", "scaled_strategy_distance",
+    "solve_power_field", "opportunity_process", "share_amounts", "scaled_strategy_distance",
     "auxiliary_measure", "numeraire_audit", "ratio_defects", "ratio_diagnostics",
 ]
 
 
 @dataclass(frozen=True)
 class PositiveSolution:
+    """Optimal fractions; wealth has one entry per node, terminal and the
+    field weights D it was solved with (ones without a field) one per leaf."""
+
     strategy: Strategy
-    wealth: AdaptedProcess
+    wealth: np.ndarray
     value: float
     terminal: np.ndarray
+    field_weights: np.ndarray
     y: float
     gradient_norm: float
     iterations: int
@@ -57,7 +61,7 @@ class OpportunityProcess:
     L_i * x^p / p; y is the marginal value L_0 * x0^(p-1) at the root.
     """
 
-    values: AdaptedProcess
+    values: np.ndarray
     strategy: Strategy
     value: float
     y: float
@@ -146,11 +150,12 @@ def solve_power_field(tree: ScenarioTree, utility: UtilityOnRPlus, x0: float = 1
     values[tree.nonterminal] = moves.from_frame(pi.reshape(K, d))
     strategy = Strategy(values, "fractions")
     wealth = wealth_multiplicative(tree, strategy, x0)
-    terminal = wealth.at_leaves(tree)
+    terminal = wealth[tree.leaves]
     y = float(np.sum(P * D * np.asarray(utility.marginal(terminal)) * terminal)) / x0
     return PositiveSolution(strategy=strategy, wealth=wealth,
                             value=float(P @ (D * np.asarray(utility.value(terminal)))),
-                            terminal=terminal, y=y, gradient_norm=gnorm, iterations=it)
+                            terminal=terminal, field_weights=D, y=y, gradient_norm=gnorm,
+                            iterations=it)
 
 
 # ----------------------------------------------------------------------
@@ -185,20 +190,13 @@ def opportunity_process(tree: ScenarioTree, p: float, x0: float = 1.0,
                                                       OPPORTUNITY_TOL)
     frac[tree.nonterminal] = moves.from_frame(frac[tree.nonterminal])
     value = Lvals[0] * x0 ** p / p
-    return OpportunityProcess(values=AdaptedProcess(Lvals),
+    return OpportunityProcess(values=Lvals,
                               strategy=Strategy(frac, "fractions"),
                               value=float(value), y=float(Lvals[0] * x0 ** (p - 1.0)))
 
 
 # ----------------------------------------------------------------------
-# exponential hedge and strategy comparison
-
-
-def exponential_hedge(tree: ScenarioTree, utility, claim=0.0, x0: float = 0.0):
-    """Entropic hedge of a terminal claim: solve the real-line problem with
-    endowment x0 - claim.  Returns the underlying PrimalSolution."""
-    B = np.broadcast_to(np.asarray(claim, dtype=float), (tree.n_leaves,))
-    return solve_primal(tree, utility, x0 - B)
+# strategy comparison
 
 
 def share_amounts(tree: ScenarioTree, strategy: Strategy) -> np.ndarray:
@@ -224,11 +222,11 @@ def scaled_strategy_distance(tree: ScenarioTree, p: float, fractions: Strategy,
 
 
 def auxiliary_measure(tree: ScenarioTree, utility: UtilityOnRPlus,
-                      sol: PositiveSolution, field=None) -> Measure:
-    """Leaf measure with weights proportional to P * D * U'(X_T) * X_T."""
+                      sol: PositiveSolution) -> Measure:
+    """Leaf measure with weights proportional to P * D * U'(X_T) * X_T, D the
+    field weights `sol` was solved with."""
     P = tree.path_prob[tree.leaves]
-    D = np.ones(tree.n_leaves) if field is None else np.asarray(field.weights, dtype=float)
-    w = P * D * np.asarray(utility.marginal(sol.terminal)) * sol.terminal
+    w = P * sol.field_weights * np.asarray(utility.marginal(sol.terminal)) * sol.terminal
     return Measure(w / w.sum())
 
 
@@ -252,8 +250,8 @@ class NumeraireAudit:
     worst_node: int
 
 
-def ratio_defects(tree: ScenarioTree, aux: Measure, wealth: AdaptedProcess,
-                  tilde: AdaptedProcess, p: float) -> tuple[float, float]:
+def ratio_defects(tree: ScenarioTree, aux: Measure, wealth: np.ndarray,
+                  tilde: np.ndarray, p: float) -> tuple[float, float]:
     """One-step defects of r = wealth/tilde under aux.
 
     Returns (max supermartingale defect of r, min submartingale defect of
@@ -261,14 +259,14 @@ def ratio_defects(tree: ScenarioTree, aux: Measure, wealth: AdaptedProcess,
     inside their one-sided bounds.
     """
     W, cond = conditional_probs(tree, aux)
-    r = wealth.values / tilde.values
+    r = wealth / tilde
     rp = r ** p
     live = tree.nonterminal[W[tree.nonterminal] > 0.0]
     return (float((_child_sums(tree, cond, r) - r)[live].max(initial=0.0)),
             float((_child_sums(tree, cond, rp) - rp)[live].min(initial=0.0)))
 
 
-def numeraire_audit(tree: ScenarioTree, aux: Measure, tilde: AdaptedProcess,
+def numeraire_audit(tree: ScenarioTree, aux: Measure, tilde: np.ndarray,
                     p: float) -> NumeraireAudit:
     """Exact certificate of tilde's numeraire property under aux.
 
@@ -286,7 +284,7 @@ def numeraire_audit(tree: ScenarioTree, aux: Measure, tilde: AdaptedProcess,
     V, s = np.ones(tree.n_nodes), np.zeros(tree.n_nodes)
     for level in reversed(tree.child_blocks):
         for nodes, kids in level:
-            a = cond[kids] * tilde.values[nodes, None] / tilde.values[kids]
+            a = cond[kids] * tilde[nodes, None] / tilde[kids]
             w = np.stack((a, a * V[kids]))    # the suprema with 1 and with V below
             tilt = np.abs(np.matmul(w[..., None, :], tree.d_returns[kids]))[..., 0, :]
             one, V[nodes] = w.sum(axis=-1) + (box[nodes] * tilt).sum(axis=-1)
@@ -299,17 +297,16 @@ def numeraire_audit(tree: ScenarioTree, aux: Measure, tilde: AdaptedProcess,
 
 
 def ratio_diagnostics(tree: ScenarioTree, utility: UtilityOnRPlus,
-                      sol: PositiveSolution, ref: PositiveSolution,
-                      aux: Measure | None = None) -> RatioDiagnostics:
+                      sol: PositiveSolution, ref: PositiveSolution) -> RatioDiagnostics:
     """Diagnostics for r = perturbed wealth / pure power wealth.
 
     mean_product is E_aux[|F(X_T) r_T^(p-1) - 1| * |1 - r_T|], which the
     ratio certificates bound by product_bound; y_ratio compares the marginal
     value scales and must land in [y_lower, y_upper] = [1/upper, 1/lower].
+    aux is the pure power optimum's auxiliary measure, under ref's field.
     """
     p = utility.p
-    if aux is None:
-        aux = auxiliary_measure(tree, make_power(p), ref)
+    aux = auxiliary_measure(tree, make_power(p), ref)
     r = sol.terminal / ref.terminal
     F = np.asarray(utility.ratio(sol.terminal))
     mean_product = float(aux.weights @ (np.abs(F * r ** (p - 1.0) - 1.0) * np.abs(1.0 - r)))

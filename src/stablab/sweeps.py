@@ -27,8 +27,7 @@ from .entropic import extract_dual, minimal_entropy_measure, solve_primal
 from .market import (ScenarioTree, TreeValidationError, _number, bracket_distance,
                      build_tree, conditional_probs)
 from .pricing import _check_claim, _check_tol, _indifference, davis_price
-from .positive import (exponential_hedge, ratio_diagnostics,
-                       scaled_strategy_distance, solve_power_field)
+from .positive import ratio_diagnostics, scaled_strategy_distance, solve_power_field
 from .utilities import (UtilityField, conjugate_sandwich_audit,
                         make_exponential, make_perturbed_exponential,
                         make_perturbed_power, make_power,
@@ -280,8 +279,8 @@ def sweep_p(spec: SweepSpec) -> SweepReport:
     """Solve positive-wealth problems along the p grid and compare against
     the money positions of the exponential hedge of the same claim."""
     tree, B, members = spec.inputs
-    field_w = UtilityField.from_claim(make_power(min(spec.grid)), B)
-    hedge = exponential_hedge(tree, make_exponential(1.0), B, spec.x0)
+    field_w = UtilityField.from_claim(B)
+    hedge = solve_primal(tree, make_exponential(1.0), spec.x0 - B)
 
     def one(p: float) -> dict:
         pure = solve_power_field(tree, make_power(p), spec.x0, field_w)

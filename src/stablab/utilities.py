@@ -379,13 +379,12 @@ def make_power_family_member(base: UtilityOnRPlus, p: float,
 
 @dataclass(frozen=True)
 class UtilityField:
-    """A positive-half-line utility weighted by a bounded terminal factor.
+    """A bounded terminal factor weighting a positive-half-line utility.
 
     weights holds D_T per leaf; the objective is E[D_T * U(X_T)].  Bounds
     k1 <= D_T <= k2 with k1 > 0 are recorded at construction.
     """
 
-    utility: UtilityOnRPlus
     weights: np.ndarray
     k1: float = field(init=False)
     k2: float = field(init=False)
@@ -402,9 +401,9 @@ class UtilityField:
         object.__setattr__(self, "k2", k2)
 
     @staticmethod
-    def from_claim(utility: UtilityOnRPlus, claim_values) -> "UtilityField":
+    def from_claim(claim_values) -> "UtilityField":
         """Field with weights exp(B) for a bounded claim B given per leaf."""
-        return UtilityField(utility, np.exp(np.asarray(claim_values, dtype=float)))
+        return UtilityField(np.exp(np.asarray(claim_values, dtype=float)))
 
 
 # ----------------------------------------------------------------------

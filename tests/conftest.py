@@ -9,8 +9,8 @@ gains products and the SVD of every node's moves, as references for those."""
 import numpy as np
 from scipy.optimize import linprog
 
-from stablab import (AdaptedProcess, Measure, NoMartingaleMeasure, ScenarioTree,
-                     Strategy, bracket_distance, branching_tree, build_tree,
+from stablab import (Measure, NoMartingaleMeasure, ScenarioTree, Strategy,
+                     bracket_distance, branching_tree, build_tree,
                      conditional_expectation, conditional_probs, martingale_residual, node_weights, ratio_defects, solve_primal)
 import stablab.entropic as entropic
 from stablab.entropic import _wealth_martingale_defect
@@ -365,11 +365,10 @@ def reference_bracket_distance(tree, m, a, b):
     return total
 
 
-def reference_wealth_martingale_defect(tree, m, wealth):
+def reference_wealth_martingale_defect(tree, m, X):
     children = child_lists(tree)
     W, cond = reference_conditional_probs(tree, m)
     worst = 0.0
-    X = wealth.values
     for i in tree.nonterminal:
         if W[i] <= 0.0:
             continue
@@ -380,7 +379,7 @@ def reference_wealth_martingale_defect(tree, m, wealth):
 def reference_ratio_defects(tree, aux, wealth, tilde, p):
     children = child_lists(tree)
     W, cond = reference_conditional_probs(tree, aux)
-    r = wealth.values / tilde.values
+    r = wealth / tilde
     rp = r ** p
     sup_d, sub_d = 0.0, 0.0
     for i in tree.nonterminal:
@@ -448,17 +447,17 @@ def assert_reductions_match_references(tree, m, rng):
     for i in tree.nonterminal:
         assert np.array_equal(cond[children[i]], cond_ref[i])
     x = rng.normal(size=tree.n_leaves)
-    assert np.array_equal(conditional_expectation(tree, m, x).values,
+    assert np.array_equal(conditional_expectation(tree, m, x),
                           reference_conditional_expectation(tree, m, x))
     assert martingale_residual(tree, m) == reference_martingale_residual(tree, m)
     shape = (tree.n_nodes, tree.n_assets)
     for mode in ("shares", "fractions"):
         a, b = Strategy(rng.normal(size=shape), mode), Strategy(rng.normal(size=shape), mode)
         assert bracket_distance(tree, m, a, b) == reference_bracket_distance(tree, m, a, b)
-    X = AdaptedProcess(rng.normal(size=tree.n_nodes))
+    X = rng.normal(size=tree.n_nodes)
     assert _wealth_martingale_defect(tree, m, X) == reference_wealth_martingale_defect(tree, m, X)
-    wealth = AdaptedProcess(rng.uniform(0.5, 2.0, size=tree.n_nodes))
-    tilde = AdaptedProcess(rng.uniform(0.5, 2.0, size=tree.n_nodes))
+    wealth = rng.uniform(0.5, 2.0, size=tree.n_nodes)
+    tilde = rng.uniform(0.5, 2.0, size=tree.n_nodes)
     assert ratio_defects(tree, m, wealth, tilde, -3.0) == \
         reference_ratio_defects(tree, m, wealth, tilde, -3.0)
     assert np.array_equal(_admissible_box(tree), reference_admissible_box(tree))

@@ -17,7 +17,7 @@ from conftest import (collinear_two_asset_tree,
                       one_step_trinomial, random_viable_tree, reference_path_products,
                       reference_price_bounds, reference_vertex, three_step_binomial,
                       trinomial_tree, two_asset_tree, two_step_binomial, vertex_measure)
-from stablab import (AdaptedProcess, Measure, NoMartingaleMeasure, NonConvergence,
+from stablab import (Measure, NoMartingaleMeasure, NonConvergence,
                      PrimalSolution, Strategy, UtilityOnR, branching_tree, build_tree,
                      extract_dual, generalized_entropy, make_exponential,
                      make_perturbed_exponential, make_power, martingale_price_bounds, martingale_residual,
@@ -74,8 +74,8 @@ def test_gains_matrix_reproduces_wealth():
         vals[tree.nonterminal] = h.reshape(-1, tree.n_assets)
         from stablab import wealth_additive
         X = wealth_additive(tree, Strategy(vals, "shares"))
-        assert np.allclose(A @ h, X.at_leaves(tree), atol=1e-12)
-        assert np.allclose(moves.gains(h, moves.node), X.at_leaves(tree), atol=1e-12)
+        assert np.allclose(A @ h, X[tree.leaves], atol=1e-12)
+        assert np.allclose(moves.gains(h, moves.node), X[tree.leaves], atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -286,6 +286,23 @@ def test_newton_reports_a_stalled_line_search():
     with pytest.raises(NonConvergence, match="line search stalled") as exc:
         entropic._newton(np.zeros(2), evaluate, 1e-12, "walled")
     assert exc.value.residual == 2.0
+
+
+def test_full_steps_past_the_growth_boundary_are_halved():
+    # one node at p = -7 whose child weights span e^-290: the iterates reach
+    # the growth boundary 1/0.009635734288427567 to 15 digits, and once
+    # lambda^2 / f <= DECREMENT.full the full step lands past it.  An
+    # infeasible full step is halved, so the node either solves or raises
+    # NonConvergence, and no derivative is taken at an infeasible point
+    cond = np.array([[0.16545635937097683, 0.6666666666666666, 0.16787697396235648]])
+    dR = np.array([[[-0.009635734288427567], [0.0], [0.009729485020851802]]])
+    Lc = np.array([[5.789128759681388e-128, 1.1839035850494668e-64, 1.0]])
+    try:
+        values, x = entropic._one_step_min(cond, dR, Lc, -7.0, np.zeros((1, 1, 1)))
+    except NonConvergence as exc:
+        assert exc.residual <= entropic.DECREMENT.full
+    else:
+        assert np.all(np.isfinite(values)) and np.all(1.0 + dR[0] @ x[0] > 0.0)
 
 
 def test_primal_names_a_start_whose_value_overflows():
@@ -636,11 +653,11 @@ def test_supermartingale_slack_is_the_supremum_over_all_measures():
     probes = sampled_measures(tree, mixtures=0)
     slacks = []
     for leaf in tree.leaves:
-        values = sol.wealth.values.copy()
+        values = sol.wealth.copy()
         values[leaf] += 1e-3
-        bumped = replace(sol, wealth=AdaptedProcess(values))
+        bumped = replace(sol, wealth=values)
         rep = verify_optimality(tree, u, bumped, dual, probes=probes)
-        hi = martingale_price_bounds(tree, bumped.wealth.at_leaves(tree))[1]
+        hi = martingale_price_bounds(tree, bumped.wealth[tree.leaves])[1]
         assert abs(rep.supermartingale_slack - hi) <= 1e-15 * abs(hi)
         assert rep.probe_slacks.size == len(probes)
         assert rep.probe_slacks.max() <= rep.supermartingale_slack + 1e-15

@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (depth_first_two_asset_tree, one_step_binomial,
+from conftest import (child_lists, depth_first_two_asset_tree, one_step_binomial,
                       random_viable_tree, reference_opportunity_process,
                       trinomial_tree, two_asset_tree, two_step_binomial)
 from stablab import (AdmissibilityViolation, NoMartingaleMeasure, NonConvergence,
                      Strategy, UtilityField, auxiliary_measure, branching_tree,
-                     build_tree, exponential_hedge, make_exponential,
+                     build_tree, conditional_probs, make_exponential,
                      make_perturbed_power, make_power,
                      make_power_family_member, numeraire_audit,
                      opportunity_process, ratio_defects, ratio_diagnostics,
@@ -75,7 +75,7 @@ def test_forward_vs_dp_with_terminal_field():
     tree = two_step_binomial()
     p = -3.0
     B = np.maximum(tree.terminal_prices()[:, 0] - 1.0, 0.0)
-    field = UtilityField.from_claim(make_power(p), B)
+    field = UtilityField.from_claim(B)
     sol = solve_power_field(tree, make_power(p), x0=1.0, field=field)
     dp = opportunity_process(tree, p, x0=1.0, field=field)
     assert sol.value == pytest.approx(dp.value, rel=1e-12)
@@ -89,7 +89,7 @@ def test_field_value_keeps_precision_when_wealth_power_is_small():
     tree = build_tree({"lattice": {"s0": 1.0, "u": 2.0, "d": 0.5, "q": 0.5, "steps": 5}})
     p = -7.0
     B = np.maximum(tree.terminal_prices()[:, 0] - 1.0, 0.0)
-    field = UtilityField.from_claim(make_power(p), B)
+    field = UtilityField.from_claim(B)
     sol = solve_power_field(tree, make_power(p), x0=1.0, field=field)
     dp = opportunity_process(tree, p, x0=1.0, field=field)
     assert sol.value == pytest.approx(dp.value, rel=1e-13, abs=0.0)
@@ -125,8 +125,8 @@ def depth_ladder_extras():
             branching_tree([1.0, 1.0], factors, two, 4))
 
 
-def call_field(tree, p):
-    return UtilityField.from_claim(make_power(p), np.maximum(tree.terminal_prices()[:, 0] - 1.0, 0.0))
+def call_field(tree):
+    return UtilityField.from_claim(np.maximum(tree.terminal_prices()[:, 0] - 1.0, 0.0))
 
 
 # Without a field, every node of a child block of these trees solves one and
@@ -149,7 +149,7 @@ def test_dp_matches_the_node_by_node_recursion(make_tree, p):
     L, frac, value, y, converged = reference_opportunity_process(tree, p, 1.3)
     dp = opportunity_process(tree, p, 1.3)
     assert converged
-    assert np.array_equal(dp.values.values, L) and np.array_equal(dp.strategy.values, frac)
+    assert np.array_equal(dp.values, L) and np.array_equal(dp.strategy.values, frac)
     assert dp.value == value and dp.y == y
 
 
@@ -159,11 +159,11 @@ def test_dp_matches_the_node_by_node_recursion(make_tree, p):
     (two_asset_tree, -63.0, False), (lambda: trinomial_tree(3), -2.0, True)])
 def test_dp_stays_close_to_the_node_by_node_recursion(make_tree, p, field):
     tree = make_tree()
-    field = call_field(tree, p) if field else None
+    field = call_field(tree) if field else None
     L, frac, _, _, converged = reference_opportunity_process(tree, p, 1.0, field)
     dp = opportunity_process(tree, p, 1.0, field)
     assert converged
-    assert np.max(np.abs(dp.values.values - L) / L) <= 1e-13
+    assert np.max(np.abs(dp.values - L) / L) <= 1e-13
     assert np.max(np.abs(dp.strategy.values - frac)) <= 1e-8
 
 
@@ -171,10 +171,28 @@ def test_dp_raises_where_the_node_loop_gives_up():
     # the call field's weights span e^63: the node loop stops unconverged at
     # some nodes and returned their coefficients without an error
     tree = ud_lattice(6)
-    field = call_field(tree, -0.5)
+    field = call_field(tree)
     assert not reference_opportunity_process(tree, -0.5, 1.0, field)[-1]
     with pytest.raises(NonConvergence, match="opportunity"):
         opportunity_process(tree, -0.5, 1.0, field)
+
+
+def test_the_field_reaches_the_numeraire_certificate():
+    # under a call field the optimum is the numeraire of the field-weighted
+    # auxiliary measure alone: with D = 1 instead, the one-step condition
+    # below misses by 0.0319 and the audit's defect reads 0.181
+    tree = build_tree({"lattice": {"s0": 1.0, "u": 1.2, "d": 0.9, "q": 0.6, "steps": 4}})
+    p = -7.0
+    sol = solve_power_field(tree, make_power(p), field=call_field(tree))
+    aux = auxiliary_measure(tree, make_power(p), sol)
+    W, cond = conditional_probs(tree, aux)
+    children = child_lists(tree)
+    for n in tree.nonterminal[W[tree.nonterminal] > 0.0]:
+        dR = tree.d_returns[children[n]]
+        # E_aux[dR / (1 + pi . dR) | n], the first-order condition at n
+        assert np.max(np.abs(cond[children[n]] @ (dR / (1.0 + dR @ sol.strategy.values[n])
+                                                  [:, None]))) <= 1e-12
+    assert numeraire_audit(tree, aux, sol.wealth, p).max_super_defect <= 1e-12
 
 
 def test_dp_checks_viability():
@@ -244,8 +262,8 @@ def box_vertex_maximum(tree, aux, tilde):
     pi[:, K] = corners.reshape(-1, K.size, tree.n_assets) * box[K]
     growth = np.ones((corners.shape[0], tree.n_nodes))
     growth[:, 1:] = 1.0 + np.einsum("vnd,nd->vn", pi[:, tree.parent[1:]], tree.d_returns[1:])
-    XT = tilde.at_root() * np.prod(growth[:, tree.paths], axis=-1)
-    return float(np.max((XT / tilde.at_leaves(tree)) @ aux.weights))
+    XT = tilde[0] * np.prod(growth[:, tree.paths], axis=-1)
+    return float(np.max((XT / tilde[tree.leaves]) @ aux.weights))
 
 
 def moved_optimum(tree, p, nodes, scale, seed=3):
@@ -255,7 +273,7 @@ def moved_optimum(tree, p, nodes, scale, seed=3):
     pi = sol.strategy.values.copy()
     pi[nodes] += scale * np.random.default_rng(seed).standard_normal(pi[nodes].shape)
     return (auxiliary_measure(tree, make_power(p), sol),
-            wealth_multiplicative(tree, Strategy(pi, "fractions"), sol.wealth.at_root()))
+            wealth_multiplicative(tree, Strategy(pi, "fractions"), sol.wealth[0]))
 
 
 @pytest.mark.parametrize("make_tree", [two_step_binomial, lambda: trinomial_tree(2),
@@ -302,12 +320,12 @@ def test_exponential_hedge_is_translation_invariant():
     tree = two_step_binomial()
     u = make_exponential(1.0)
     B = np.maximum(tree.terminal_prices()[:, 0] - 1.0, 0.0)
-    h0 = exponential_hedge(tree, u, B, x0=0.0)
-    h5 = exponential_hedge(tree, u, B, x0=5.0)
+    h0 = solve_primal(tree, u, 0.0 - B)
+    h5 = solve_primal(tree, u, 5.0 - B)
     assert np.max(np.abs(h0.strategy.values - h5.strategy.values)) < 1e-10
     # zero claim reduces to the plain investment problem
     plain = solve_primal(tree, u)
-    hz = exponential_hedge(tree, u, 0.0, x0=0.0)
+    hz = solve_primal(tree, u, 0.0 - 0.0 * B)
     assert np.max(np.abs(plain.strategy.values - hz.strategy.values)) < 1e-12
 
 

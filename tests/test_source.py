@@ -118,7 +118,8 @@ def test_cli_starts_without_scipy():
 ROUTE_NAMES = {"DENSE_NEWTON_MAX", "_dense_route"}
 RETIRED = {"gains_matrix", "_gains_scatter", "_martingale_basis", "_log_wealth",
            "_spec_number", "_random_wealth", "martingale_polytope_probes", "PROBE_VERTICES",
-           "PROBE_INTERIOR", "_centroid_measure", "single_step_tree"}
+           "PROBE_INTERIOR", "_centroid_measure", "single_step_tree", "AdaptedProcess",
+           "exponential_hedge", "is_martingale_measure"}
 
 
 def route_names(source: str) -> set[str]:
@@ -144,14 +145,17 @@ def retired_definitions(source: str) -> set[str]:
     dual's null-space basis, of the fraction solver's per-leaf log-wealth, of
     the tree spec's own number check, of the numeraire audit's random
     wealths, of the random martingale probes and their counts, of the
-    viability check's centroid measure and of the one-step tree alias: the
+    viability check's centroid measure, of the one-step tree alias, of the
+    per-node process wrapper and of two pass-throughs: the
     layout `entropic._Moves` owns the gains matrix, the entropy dual takes
     the primal's Newton step, the fraction solver's evaluation grows the
     wealth once per node, `market._number` reads every number of a spec or
     config, the audit bounds every box strategy in one backward pass, the
     supermartingale certificate and the price bounds take their suprema in
     exact backward passes, viability is a yes/no check over the node
-    vertices, and `branching_tree(..., 1)` builds a one-step tree."""
+    vertices, `branching_tree(..., 1)` builds a one-step tree, a process is a
+    plain per-node array, and callers call `solve_primal(tree, u, x0 - B)`
+    and compare `martingale_residual` with their own tolerance."""
     hits = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -184,6 +188,9 @@ def test_route_names_are_caught(source):
     "PROBE_INTERIOR = 4",
     "def _centroid_measure(tree):\n    return None",
     "def single_step_tree(s0, factors, probs):\n    return None",
+    "@dataclass(frozen=True)\nclass AdaptedProcess:\n    values: np.ndarray",
+    "def exponential_hedge(tree, utility, claim=0.0, x0=0.0):\n    return None",
+    "def is_martingale_measure(tree, m, tol=1e-10):\n    return True",
 ])
 def test_retired_definitions_are_caught(source):
     assert retired_definitions(source)

@@ -11,10 +11,10 @@ from scipy.optimize import nnls
 import stablab.pricing
 import stablab.sweeps
 from conftest import two_step_binomial
-from stablab import (AuditReport, ConfigError, SweepReport, SweepSpec,
+from stablab import (AuditReport, ConfigError, SweepReport, SweepSpec, UtilityField,
                      audit_probabilistic_lemmas, build_tree, fit_rate, load_config,
-                     report_csv, report_json, shipped_families, solve_primal, sweep_delta,
-                     sweep_p)
+                     make_power, report_csv, report_json, shipped_families, solve_power_field,
+                     solve_primal, sweep_delta, sweep_p)
 from stablab.sweeps import DELTA_COLUMNS, P_COLUMNS, _nnls2, _run_grid
 
 LATTICE = {"lattice": {"s0": 1.0, "u": 2.0, "d": 0.5, "q": 0.5, "steps": 2}}
@@ -332,6 +332,28 @@ def test_p_sweep_pure_family_collapses_member_columns():
         assert row["member_distance"] == row["pure_distance"]
         assert row["ratio_product"] == 0.0
         assert row["y_ratio"] == 1.0
+
+
+def test_p_sweep_ratio_columns_under_a_claim_use_the_field_weighted_measure():
+    spec = load_config({"market": {"lattice": {"s0": 1.0, "u": 1.2, "d": 0.9, "q": 0.6,
+                                               "steps": 4}},
+                        "family": {"kind": "power-member", "p0": -7.0, "b": 0.05, "nu": 1.0},
+                        "grid": [-7.0], "claim": {"kind": "call", "strike": 1.0},
+                        "x0": 1.0}, "p")
+    row = sweep_p(spec).rows[0]
+    tree, B, members = spec.inputs
+    p, member = -7.0, members[-7.0][0]
+    pure = solve_power_field(tree, make_power(p), 1.0, UtilityField.from_claim(B))
+    sol = solve_power_field(tree, member, 1.0, UtilityField.from_claim(B))
+    r = sol.terminal / pure.terminal
+    product = np.abs(member.ratio(sol.terminal) * r ** (p - 1.0) - 1.0) * np.abs(1.0 - r)
+    w = tree.path_prob[tree.leaves] * make_power(p).marginal(pure.terminal) * pure.terminal
+    weighted = w * np.exp(B)
+    assert row["ratio_product"] == pytest.approx(weighted @ product / weighted.sum(), rel=1e-12)
+    assert row["rp_l1"] == pytest.approx(weighted @ np.abs(r ** p - 1.0) / weighted.sum(),
+                                         rel=1e-12)
+    # the measure without the field reads a different product
+    assert abs(w @ product / w.sum() / row["ratio_product"] - 1.0) > 0.05
 
 
 # ----------------------------------------------------------------------

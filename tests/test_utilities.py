@@ -286,14 +286,14 @@ def test_member_bounds_tighten_with_depth():
 
 def test_utility_field():
     B = np.array([0.0, 0.5, 1.0])
-    fld = UtilityField.from_claim(make_power(-2.0), B)
+    fld = UtilityField.from_claim(B)
     assert np.allclose(fld.weights, np.exp(B))
     assert fld.k1 == pytest.approx(1.0)
     assert fld.k2 == pytest.approx(np.exp(1.0))
     with pytest.raises(ValueError):
-        UtilityField(make_power(-2.0), np.array([1.0, 0.0]))
+        UtilityField(np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
-        UtilityField(make_power(-2.0), np.array([1.0, np.inf]))
+        UtilityField(np.array([1.0, np.inf]))
 
 
 def test_sandwich_collapses_for_pure_members():
